@@ -38,7 +38,6 @@ def _report(
     classification=None,
     shots_per_k=0,
     seed=None,
-    eta_scale=1.0,
     copies_consumed=0,
 ) -> dict:
     return {
@@ -54,7 +53,6 @@ def _report(
         "classification": classification,
         "shots_per_k": int(shots_per_k),
         "seed": seed,
-        "eta_scale": float(eta_scale),
         "copies_consumed": int(copies_consumed),
         "tool_version": __version__,
     }
@@ -125,7 +123,6 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         bootstrap_replicas=args.bootstrap,
         z=args.z,
-        eta_scale=args.eta_scale,
         use_k2_shortcut=not args.no_k2_shortcut,
     )
     method = "locc_exact" if args.exact_probabilities else "locc_shots"
@@ -141,7 +138,6 @@ def cmd_simulate(args) -> int:
             power_sum_stderr=None if ps is None else ps.stderr,
             shots_per_k=shots,
             seed=cfg.seed,
-            eta_scale=cfg.eta_scale,
             copies_consumed=0 if args.exact_probabilities else shots * sum(range(2, rho.d + 1)),
         )
         partial["error"] = str(exc)
@@ -160,7 +156,6 @@ def cmd_simulate(args) -> int:
             classification=result.verdict.classification,
             shots_per_k=shots,
             seed=cfg.seed,
-            eta_scale=cfg.eta_scale,
             copies_consumed=result.copies_consumed,
         )
     )
@@ -242,6 +237,10 @@ def _identity_rows(rho: states.DensityMatrix, k: int, rng: np.random.Generator) 
 
 
 def cmd_verify(args) -> int:
+    if args.kmax < 2:
+        raise ValueError(f"--kmax must be >= 2, got {args.kmax}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     d_a, d_b = args.dims
     merged: dict[tuple[str, int], dict] = {}
     for trial in range(args.trials):
@@ -278,11 +277,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    report = estimation.calibration_report(tuple(args.dims))
-    c = estimation.calibrate_eta_scale(tuple(args.dims))  # raises if inconsistent
-    payload = {"dims": list(args.dims), **report, "residual_tol": 1e-9}
-    _emit(payload)
-    _info(f"eta_scale = {c!r} (circuit readout; analytic distributions use 1.0)")
+    report = estimation.calibration_report(tuple(args.dims))  # raises if inconsistent
+    _emit({"dims": list(args.dims), **report, "residual_tol": estimation.CALIBRATION_TOL})
+    _info(f"eta_scale = {report['eta_scale']!r} (circuit readout; analytic sampling needs none)")
     return 0
 
 
@@ -314,7 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--z", type=float, default=3.0)
     p_sim.add_argument("--bootstrap", type=int, default=200, help="bootstrap replicas")
-    p_sim.add_argument("--eta-scale", type=float, default=1.0)
     p_sim.add_argument(
         "--exact-probabilities",
         action="store_true",

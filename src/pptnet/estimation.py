@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, network
+from . import network
 from .states import DensityMatrix
 
 NPT_ENTANGLED = "NPT_ENTANGLED"
@@ -27,6 +27,8 @@ SHOT_IMAG_CAP = 0.25
 NEGATIVITY_FLOOR = 1e-12
 
 COEFF_SNAP_TOL = 1e-12
+# the calibration states must agree on the readout constant within this
+CALIBRATION_TOL = 1e-9
 # exact-mode roots closer than this are treated as one multiple root
 CLUSTER_TOL = 1e-3
 
@@ -96,7 +98,6 @@ class EstimationConfig:
     seed: int = 0
     bootstrap_replicas: int = 200
     z: float = 3.0
-    eta_scale: float = 1.0
     use_k2_shortcut: bool = True
 
     def __post_init__(self):
@@ -104,10 +105,10 @@ class EstimationConfig:
             raise ValueError(f"shots_per_k must be >= 1, got {self.shots_per_k}")
         if self.bootstrap_replicas < 0:
             raise ValueError(f"bootstrap_replicas must be >= 0, got {self.bootstrap_replicas}")
-        if self.eta_scale <= 0:
-            raise ValueError(f"eta_scale must be positive, got {self.eta_scale}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        if not (math.isfinite(self.z) and self.z >= 0):
+            raise ValueError(f"z must be a finite nonnegative number, got {self.z!r}")
 
 
 @dataclass(frozen=True)
@@ -135,20 +136,26 @@ def sample_shots(dist: network.OutcomeDistribution, n: int, seed) -> ShotCounts:
     return ShotCounts(dist.k, *(int(c) for c in counts))
 
 
-def eta_from_counts(counts: ShotCounts, eta_scale: float = 1.0) -> tuple[float, float]:
-    """Estimate eta = eta_scale * (P00 - P01 - P10 + P11) plus its standard error."""
+def eta_from_counts(counts: ShotCounts) -> tuple[float, float]:
+    """Estimate eta = P00 - P01 - P10 + P11 plus its standard error."""
     total = counts.total
     if total <= 0:
         raise ValueError("cannot estimate from zero total counts")
     m_hat = (counts.n00 - counts.n01 - counts.n10 + counts.n11) / total
-    stderr = eta_scale * math.sqrt(max(0.0, 1.0 - m_hat**2) / total)
-    return eta_scale * m_hat, stderr
+    stderr = math.sqrt(max(0.0, 1.0 - m_hat**2) / total)
+    return m_hat, stderr
 
 
 def calibration_report(dims: tuple[int, int]) -> dict:
     """Fit the scale constant relating the full-evolution circuit's alternating
     sum to Tr[(rho^T_B)^2] on the maximally mixed and a pure product state;
-    returns the fitted constant and per-state residuals."""
+    returns the fitted constant and per-state residuals.
+
+    Both calibration states must agree within CALIBRATION_TOL or the fit is
+    rejected.  The analytic distributions need no scaling (their alternating
+    sum is the power sum itself); the constant applies only to the circuit's
+    readout.
+    """
     d = dims[0] * dims[1]
     product = np.zeros((d, d), dtype=complex)
     product[0, 0] = 1.0
@@ -170,81 +177,62 @@ def calibration_report(dims: tuple[int, int]) -> dict:
         }
         for name, s, e in rows
     ]
+    for row in states:
+        if row["residual"] > CALIBRATION_TOL:
+            raise CalibrationError(
+                f"calibration states disagree: residual {row['residual']:.3e} "
+                f"on {row['state']} at scale {c!r}"
+            )
     return {"eta_scale": float(c), "states": states}
 
 
 def calibrate_eta_scale(dims: tuple[int, int]) -> float:
-    """Measured readout scale constant for circuit-sampled counts.
-
-    Both calibration states must agree within 1e-9 or the fit is rejected.
-    The analytic distributions need no scaling (their alternating sum is the
-    power sum itself); the constant returned here applies only to counts
-    sampled from the full-evolution circuit.
-    """
-    report = calibration_report(dims)
-    for row in report["states"]:
-        if row["residual"] > 1e-9:
-            raise CalibrationError(
-                f"calibration states disagree: residual {row['residual']:.3e} "
-                f"on {row['state']} at scale {report['eta_scale']!r}"
-            )
-    return report["eta_scale"]
+    """Measured readout scale constant of the full-evolution circuit."""
+    return calibration_report(dims)["eta_scale"]
 
 
-def power_sums_exact(rho: DensityMatrix, subsystem: str = "B") -> PowerSums:
-    """p[k] = Tr[(rho^T_subsystem)^k] for k = 1..d, with p[1] pinned to 1."""
-    d = rho.d
-    pt = linalg.partial_transpose(rho.matrix, rho.d_a, rho.d_b, subsystem)
-    p = np.empty(d)
+def power_sums_exact(rho: DensityMatrix) -> PowerSums:
+    """p[k] = Tr[(rho^T_B)^k] for k = 1..d, with p[1] pinned to 1."""
+    p = network.mu_parameters(rho, rho.d)[:, 3]  # column 3: Tr[(rho^T_B)^k]
     p[0] = 1.0
-    acc = pt
-    for k in range(2, d + 1):
-        acc = acc @ pt
-        tr = complex(np.trace(acc))
-        if abs(tr.imag) > 1e-10:
-            raise ValueError(f"power trace at k={k} has imaginary part {tr.imag:.3e}")
-        p[k - 1] = tr.real
-    return PowerSums(d, p, "exact", np.zeros(d))
+    return PowerSums(rho.d, p, "exact", np.zeros(rho.d))
 
 
 def _distribution_for_k(
-    rho: DensityMatrix, k: int, cfg: EstimationConfig
-) -> tuple[network.OutcomeDistribution, float]:
-    """Analytic outcome distribution for order k plus the eta scale it needs.
+    moments: np.ndarray, k: int, cfg: EstimationConfig
+) -> network.OutcomeDistribution:
+    """Analytic outcome distribution for order k from the moment table.
 
-    The k=2 shortcut reads the stage-one control qubits directly (their
-    alternating diagonal sum already equals Tr(rho^2) = Tr[(rho^T_B)^2]), so
-    it carries unit scale regardless of the configured stage-two calibration.
+    The k=2 shortcut reads the stage-one control qubits directly: their
+    alternating diagonal sum already equals Tr(rho^2) = Tr[(rho^T_B)^2].
     """
+    row = moments[k - 1]
     if k == 2 and cfg.use_k2_shortcut:
-        diag = np.real(np.diag(network.stage_one_state(rho, 2, "analytic").matrix))
-        return network.outcome_distribution(2, diag), 1.0
-    return network.stage_two_distribution(rho, k, "analytic"), cfg.eta_scale
+        probs = np.real(np.diag(network.stage_one_template(row)))
+    else:
+        probs = network.stage_two_probabilities(row)
+    return network.outcome_distribution(k, probs)
 
 
-def _power_sums_from_counts(
-    d: int, counts_per_k: list[ShotCounts], scales: list[float]
-) -> PowerSums:
+def _power_sums_from_counts(d: int, counts_per_k: list[ShotCounts]) -> PowerSums:
     p = np.empty(d)
     se = np.zeros(d)
     p[0] = 1.0
-    for counts, scale in zip(counts_per_k, scales):
-        eta, stderr = eta_from_counts(counts, scale)
-        p[counts.k - 1] = eta
-        se[counts.k - 1] = stderr
+    for counts in counts_per_k:
+        p[counts.k - 1], se[counts.k - 1] = eta_from_counts(counts)
     return PowerSums(d, p, "estimated", se)
 
 
-def _collect_counts(
-    rho: DensityMatrix, cfg: EstimationConfig
-) -> tuple[list[ShotCounts], list[float]]:
-    counts_per_k, scales = [], []
-    for k in range(2, rho.d + 1):
-        dist, scale = _distribution_for_k(rho, k, cfg)
-        rng = _substream(cfg.seed, _STREAM_PRIMARY, k)
-        counts_per_k.append(sample_shots(dist, cfg.shots_per_k, rng))
-        scales.append(scale)
-    return counts_per_k, scales
+def _collect_counts(rho: DensityMatrix, cfg: EstimationConfig) -> list[ShotCounts]:
+    moments = network.mu_parameters(rho, rho.d)
+    return [
+        sample_shots(
+            _distribution_for_k(moments, k, cfg),
+            cfg.shots_per_k,
+            _substream(cfg.seed, _STREAM_PRIMARY, k),
+        )
+        for k in range(2, rho.d + 1)
+    ]
 
 
 def estimate_power_sums(
@@ -258,14 +246,10 @@ def estimate_power_sums(
     """
     d = rho.d
     if exact_probabilities:
-        p = np.empty(d)
-        p[0] = 1.0
-        for k in range(2, d + 1):
-            dist, scale = _distribution_for_k(rho, k, cfg)
-            p[k - 1] = scale * dist.alternating_sum()
-        return PowerSums(d, p, "exact", np.zeros(d))
-    counts_per_k, scales = _collect_counts(rho, cfg)
-    return _power_sums_from_counts(d, counts_per_k, scales)
+        moments = network.mu_parameters(rho, d)
+        p = [1.0] + [_distribution_for_k(moments, k, cfg).alternating_sum() for k in range(2, d + 1)]
+        return PowerSums(d, np.array(p), "exact", np.zeros(d))
+    return _power_sums_from_counts(d, _collect_counts(rho, cfg))
 
 
 def _newton_coefficients(p: np.ndarray) -> np.ndarray:
@@ -343,8 +327,11 @@ def verdict(
 
     The floor absorbs eigensolver jitter: exactly-PPT states routinely come
     back with lambda_min around -1e-16, which a strict sign test would
-    misread as entanglement.
+    misread as entanglement.  A negative or non-finite z is rejected: it
+    would flip or disable the noise gate.
     """
+    if not (math.isfinite(z) and z >= 0):
+        raise ValueError(f"z must be a finite nonnegative number, got {z!r}")
     lam_min = float(spectrum.lambdas[-1])
     if lam_min + z * sigma_lambda_min < -NEGATIVITY_FLOOR:
         cls = NPT_ENTANGLED
@@ -356,9 +343,7 @@ def verdict(
 
 
 def bootstrap_lambda_min(
-    counts_per_k: list[ShotCounts],
-    cfg: EstimationConfig,
-    eta_scales: list[float] | None = None,
+    counts_per_k: list[ShotCounts], cfg: EstimationConfig
 ) -> tuple[float, tuple[float, float]]:
     """Multinomial resampling of the per-k counts through the full recovery
     pipeline; returns the standard deviation and central 95% interval of
@@ -366,8 +351,6 @@ def bootstrap_lambda_min(
     b = cfg.bootstrap_replicas
     if b < 1:
         raise ValueError("bootstrap requires bootstrap_replicas >= 1")
-    if eta_scales is None:
-        eta_scales = [cfg.eta_scale] * len(counts_per_k)
     d = len(counts_per_k) + 1
     lam_mins, failures = [], 0
     for rep in range(b):
@@ -377,7 +360,7 @@ def bootstrap_lambda_min(
             draw = rng.multinomial(counts.total, counts.as_array() / counts.total)
             resampled.append(ShotCounts(counts.k, *(int(x) for x in draw)))
         try:
-            ps = _power_sums_from_counts(d, resampled, eta_scales)
+            ps = _power_sums_from_counts(d, resampled)
             lam_mins.append(float(spectrum_from_power_sums(ps).lambdas[-1]))
         except SpectrumTooNoisyError:
             failures += 1
@@ -397,15 +380,15 @@ def run_protocol(
     d = rho.d
     if exact_probabilities:
         ps = estimate_power_sums(rho, cfg, exact_probabilities=True)
-        counts_per_k, scales, copies = None, None, 0
+        counts_per_k, copies = None, 0
     else:
-        counts_per_k, scales = _collect_counts(rho, cfg)
-        ps = _power_sums_from_counts(d, counts_per_k, scales)
+        counts_per_k = _collect_counts(rho, cfg)
+        ps = _power_sums_from_counts(d, counts_per_k)
         copies = cfg.shots_per_k * sum(range(2, d + 1))
     try:
         spectrum = spectrum_from_power_sums(ps)
         if counts_per_k is not None and cfg.bootstrap_replicas >= 1:
-            sigma, interval = bootstrap_lambda_min(counts_per_k, cfg, scales)
+            sigma, interval = bootstrap_lambda_min(counts_per_k, cfg)
         else:
             sigma, interval = 0.0, None
     except EstimationError as exc:

@@ -11,7 +11,6 @@ the second-bit one Tr(rho_A^k).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,23 +26,6 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 # the two controlled rotations of the second stage
 R_PLUS = (PAULI_Z + PAULI_Y) / np.sqrt(2)
 R_MINUS = (PAULI_Z - PAULI_Y) / np.sqrt(2)
-
-
-@dataclass(frozen=True)
-class InterferencePattern:
-    visibility: float
-    phase: float
-    degenerate_phase: bool = False
-
-
-@dataclass(frozen=True)
-class MuParameters:
-    k: int
-    mu1: float
-    mu2: float
-    mu3: float
-    mu4: float
-    mu5: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -67,12 +49,6 @@ class OutcomeDistribution:
         return self.p00 - self.p01 - self.p10 + self.p11
 
 
-def _real_checked(z: complex, what: str, tol: float = 1e-10) -> float:
-    if abs(z.imag) > tol:
-        raise ValueError(f"{what} has imaginary part {z.imag:.3e} beyond {tol}")
-    return float(z.real)
-
-
 def outcome_distribution(k: int, probs: np.ndarray) -> OutcomeDistribution:
     """Validated four-outcome distribution (nonnegative within -1e-12, unit sum)."""
     probs = np.asarray(probs, dtype=float)
@@ -84,107 +60,109 @@ def outcome_distribution(k: int, probs: np.ndarray) -> OutcomeDistribution:
     return OutcomeDistribution(k, *(float(p) for p in probs))
 
 
-def interference_pattern(u: np.ndarray, rho) -> InterferencePattern:
-    """Visibility |Tr(u rho)| and phase arg Tr(u rho) of the interferometer readout."""
-    u = np.asarray(u, dtype=complex)
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if u.shape != m.shape:
-        raise ValueError(f"operator shape {u.shape} does not match state shape {m.shape}")
-    dev = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-    if dev > 1e-9:
-        raise ValueError(f"u is not unitary within 1e-9 (deviation {dev:.3e})")
-    t = complex(np.trace(u @ m))
-    v = abs(t)
-    if v < 1e-12:
-        return InterferencePattern(0.0, 0.0, degenerate_phase=True)
-    return InterferencePattern(v, float(np.angle(t)), degenerate_phase=False)
+_MOMENT_NAMES = ("Tr(rho_A^k)", "Tr(rho_B^k)", "Tr(rho^k)", "Tr[(rho^T_B)^k]")
 
 
-def mu_parameters(rho: DensityMatrix, k: int, subsystem: str = "B") -> MuParameters:
-    """The trace functionals parameterizing the stage-one ancilla state,
-    computed analytically from reduced states, matrix powers, and the partial
-    transpose (never from rho^⊗k):
+def mu_parameters(rho: DensityMatrix, kmax: int) -> np.ndarray:
+    """Moment table of every trace functional the network reads out: a
+    (kmax, 4) array whose row k-1 holds
 
-        mu1 = Tr(rho_A^k) + Tr(rho_B^k)     mu3 = (Tr(rho^k) + eta) / 2
-        mu2 = Tr(rho_A^k) - Tr(rho_B^k)     mu4 = (Tr(rho^k) - eta) / 2
+        Tr(rho_A^k), Tr(rho_B^k), Tr(rho^k), Tr[(rho^T_B)^k]
 
-    with eta = Tr[(rho^T_subsystem)^k]; mu5 is identically zero.
+    computed from accumulated products of the reduced states, rho and its
+    partial transpose (never from rho^⊗k).  No column is needed for the other
+    transpose: rho^T_A = (rho^T_B)^T has the same power traces.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    t_a = _real_checked(complex(np.trace(linalg.mat_power(rho.reduced("A"), k))), "Tr(rho_A^k)")
-    t_b = _real_checked(complex(np.trace(linalg.mat_power(rho.reduced("B"), k))), "Tr(rho_B^k)")
-    r = _real_checked(complex(np.trace(linalg.mat_power(rho.matrix, k))), "Tr(rho^k)")
-    pt = linalg.partial_transpose(rho.matrix, rho.d_a, rho.d_b, subsystem)
-    eta = _real_checked(complex(np.trace(linalg.mat_power(pt, k))), "transpose power trace")
-    return MuParameters(k, t_a + t_b, t_a - t_b, (r + eta) / 2, (r - eta) / 2, 0.0)
+    if kmax < 1:
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
+    bases = (
+        rho.reduced("A"),
+        rho.reduced("B"),
+        rho.matrix,
+        linalg.partial_transpose(rho.matrix, rho.d_a, rho.d_b, "B"),
+    )
+    table = np.empty((kmax, len(bases)), dtype=complex)
+    for j, base in enumerate(bases):
+        acc = base
+        table[0, j] = np.trace(acc)
+        for k in range(1, kmax):
+            acc = acc @ base
+            table[k, j] = np.trace(acc)
+    k, j = np.unravel_index(np.argmax(np.abs(table.imag)), table.shape)
+    if abs(table[k, j].imag) > 1e-10:
+        raise ValueError(
+            f"{_MOMENT_NAMES[j]} at k={k + 1} has imaginary part {table[k, j].imag:.3e} beyond 1e-10"
+        )
+    return table.real.copy()
 
 
-def _stage_one_analytic(mu: MuParameters) -> np.ndarray:
+def stage_one_template(row: np.ndarray) -> np.ndarray:
+    """Analytic stage-one control state from one row of the moment table, in
+    terms of mu1,2 = Tr(rho_A^k) ± Tr(rho_B^k) and mu3,4 = (Tr(rho^k) ± eta) / 2
+    with eta = Tr[(rho^T_B)^k]."""
+    t_a, t_b, r, eta = row
+    mu1, mu2, mu3, mu4 = t_a + t_b, t_a - t_b, (r + eta) / 2, (r - eta) / 2
     m = np.array(
         [
-            [1 + mu.mu1 + mu.mu3, 0, 0, -mu.mu4],
-            [0, 1 - mu.mu2 - mu.mu3, mu.mu4, 0],
-            [0, mu.mu4, 1 + mu.mu2 - mu.mu3, 0],
-            [-mu.mu4, 0, 0, 1 - mu.mu1 + mu.mu3],
+            [1 + mu1 + mu3, 0, 0, -mu4],
+            [0, 1 - mu2 - mu3, mu4, 0],
+            [0, mu4, 1 + mu2 - mu3, 0],
+            [-mu4, 0, 0, 1 - mu1 + mu3],
         ],
         dtype=complex,
     )
     return m / 4.0
 
 
-def _tensor_power(m: np.ndarray, k: int) -> np.ndarray:
-    out = m
-    for _ in range(k - 1):
-        out = np.kron(out, m)
-    return out
+def stage_two_probabilities(row: np.ndarray) -> np.ndarray:
+    """Analytic four-outcome readout probabilities from one row of the moment
+    table; their alternating sum is eta = Tr[(rho^T_B)^k]."""
+    t_a, t_b, _, eta = row
+    mu1, mu2 = t_a + t_b, t_a - t_b
+    return np.array([1 + mu1 + eta, 1 - mu2 - eta, 1 + mu2 - eta, 1 - mu1 + eta]) / 4.0
 
 
-def _check_guard(rho: DensityMatrix, k: int) -> None:
-    size = 4 * rho.d**k
-    if size > FULL_EVOLUTION_GUARD:
-        raise ValueError(
-            f"full-evolution space size {size} exceeds guard {FULL_EVOLUTION_GUARD}"
-        )
+def _analytic(mode: str) -> bool:
+    if mode not in ("analytic", "full_evolution"):
+        raise ValueError(f"mode must be 'analytic' or 'full_evolution', got {mode!r}")
+    return mode == "analytic"
 
 
-def _stage_one_circuit(rho: DensityMatrix, k: int, subsystem: str) -> np.ndarray:
+def _stage_one_circuit(rho: DensityMatrix, k: int) -> np.ndarray:
     """Build the stage-one circuit explicitly: two control qubits, Hadamards,
     controlled cyclic shifts on the A- and B-factors of rho^⊗k, Hadamards,
     then trace out everything but the controls."""
-    _check_guard(rho, k)
+    size = 4 * rho.d**k
+    if size > FULL_EVOLUTION_GUARD:
+        raise ValueError(f"full-evolution space size {size} exceeds guard {FULL_EVOLUTION_GUARD}")
     d_a, d_b = rho.dims
     dims = [2, 2] + [d_a, d_b] * k  # (b-control, a-control, A1, B1, ..., Ak, Bk)
     a_positions = [2 + 2 * c for c in range(k)]
     b_positions = [3 + 2 * c for c in range(k)]
     # the B-side control applies the forward shift and the A-side control the
-    # inverse shift; swapping the two directions targets the other transpose
-    dir_a, dir_b = ("inverse", "forward") if subsystem == "B" else ("forward", "inverse")
+    # inverse shift, which targets the partial transpose on B
     c_shift_a = permnet.permutation_matrix(
-        permnet.digit_shift_permutation(dims, a_positions, dir_a, control=1)
+        permnet.digit_shift_permutation(dims, a_positions, "inverse", control=1)
     )
     c_shift_b = permnet.permutation_matrix(
-        permnet.digit_shift_permutation(dims, b_positions, dir_b, control=0)
+        permnet.digit_shift_permutation(dims, b_positions, "forward", control=0)
     )
-    size_sys = rho.d**k
-    h_pair = np.kron(np.kron(HADAMARD, HADAMARD), np.eye(size_sys))
+    h_pair = np.kron(np.kron(HADAMARD, HADAMARD), np.eye(size // 4))
     u = h_pair @ c_shift_a @ c_shift_b @ h_pair
     anc0 = np.zeros((4, 4), dtype=complex)
     anc0[0, 0] = 1.0
-    rho_in = np.kron(anc0, _tensor_power(rho.matrix, k))
+    rho_in = anc0
+    for _ in range(k):
+        rho_in = np.kron(rho_in, rho.matrix)
     rho_out = u @ rho_in @ u.conj().T
     return linalg.partial_trace(rho_out, dims, [0, 1])
 
 
-def stage_one_state(
-    rho: DensityMatrix, k: int, mode: str = "analytic", subsystem: str = "B"
-) -> AncillaState:
+def stage_one_state(rho: DensityMatrix, k: int, mode: str = "analytic") -> AncillaState:
     """Joint state of the two stage-one control qubits after the interference round."""
-    if mode == "analytic":
-        return AncillaState("stage1_a1b1", _stage_one_analytic(mu_parameters(rho, k, subsystem)))
-    if mode == "full_evolution":
-        return AncillaState("stage1_a1b1", _stage_one_circuit(rho, k, subsystem))
-    raise ValueError(f"mode must be 'analytic' or 'full_evolution', got {mode!r}")
+    if _analytic(mode):
+        return AncillaState("stage1_a1b1", stage_one_template(mu_parameters(rho, k)[k - 1]))
+    return AncillaState("stage1_a1b1", _stage_one_circuit(rho, k))
 
 
 def _embed_controlled_qubit_gate(n: int, control: int, target: int, u: np.ndarray) -> np.ndarray:
@@ -203,9 +181,7 @@ def _embed_controlled_qubit_gate(n: int, control: int, target: int, u: np.ndarra
     return out
 
 
-def stage_two_state(
-    rho: DensityMatrix, k: int, mode: str = "analytic", subsystem: str = "B"
-) -> AncillaState:
+def stage_two_state(rho: DensityMatrix, k: int, mode: str = "analytic") -> AncillaState:
     """Joint state of the two stage-two readout qubits.
 
     In analytic mode this is the diagonal matrix of the four outcome
@@ -213,14 +189,10 @@ def stage_two_state(
     controlled R+ / R- onto the stage-one controls, Hadamards) is applied
     explicitly and the readout pair is traced out.
     """
-    if mode == "analytic":
-        return AncillaState(
-            "stage2_a2b2",
-            np.diag(_stage_two_analytic(rho, k, subsystem).as_array()).astype(complex),
-        )
-    if mode != "full_evolution":
-        raise ValueError(f"mode must be 'analytic' or 'full_evolution', got {mode!r}")
-    stage_one = _stage_one_circuit(rho, k, subsystem)
+    if _analytic(mode):
+        probs = stage_two_distribution(rho, k).as_array()
+        return AncillaState("stage2_a2b2", np.diag(probs).astype(complex))
+    stage_one = _stage_one_circuit(rho, k)
     # factors: (b-readout, a-readout, b-control, a-control)
     anc0 = np.zeros((4, 4), dtype=complex)
     anc0[0, 0] = 1.0
@@ -233,42 +205,17 @@ def stage_two_state(
     return AncillaState("stage2_a2b2", linalg.partial_trace(rho_out, [2, 2, 2, 2], [0, 1]))
 
 
-def _stage_two_analytic(rho: DensityMatrix, k: int, subsystem: str) -> OutcomeDistribution:
-    mu = mu_parameters(rho, k, subsystem)
-    eta = mu.mu3 - mu.mu4
-    return outcome_distribution(
-        k,
-        np.array(
-            [1 + mu.mu1 + eta, 1 - mu.mu2 - eta, 1 + mu.mu2 - eta, 1 - mu.mu1 + eta]
-        )
-        / 4.0,
-    )
-
-
-def _stage_two(rho: DensityMatrix, k: int, mode: str, subsystem: str) -> OutcomeDistribution:
-    if mode == "analytic":
-        return _stage_two_analytic(rho, k, subsystem)
-    if mode == "full_evolution":
-        reduced = stage_two_state(rho, k, mode, subsystem).matrix
-        off = reduced - np.diag(np.diag(reduced))
-        if np.max(np.abs(off)) > 1e-10:
-            raise RuntimeError(
-                f"stage-two readout state is not diagonal (max off-diagonal "
-                f"{np.max(np.abs(off)):.3e})"
-            )
-        return outcome_distribution(k, np.real(np.diag(reduced)))
-    raise ValueError(f"mode must be 'analytic' or 'full_evolution', got {mode!r}")
-
-
 def stage_two_distribution(rho: DensityMatrix, k: int, mode: str = "analytic") -> OutcomeDistribution:
     """Four-outcome readout distribution whose alternating sum encodes
     Tr[(rho^T_B)^k]: exactly in analytic mode, up to the measured calibration
     constant in full-evolution mode."""
-    return _stage_two(rho, k, mode, "B")
-
-
-def stage_two_distribution_TA(
-    rho: DensityMatrix, k: int, mode: str = "analytic"
-) -> OutcomeDistribution:
-    """Variant with the two shift directions swapped; encodes Tr[(rho^T_A)^k]."""
-    return _stage_two(rho, k, mode, "A")
+    if _analytic(mode):
+        return outcome_distribution(k, stage_two_probabilities(mu_parameters(rho, k)[k - 1]))
+    reduced = stage_two_state(rho, k, mode).matrix
+    off = reduced - np.diag(np.diag(reduced))
+    if np.max(np.abs(off)) > 1e-10:
+        raise RuntimeError(
+            f"stage-two readout state is not diagonal (max off-diagonal "
+            f"{np.max(np.abs(off)):.3e})"
+        )
+    return outcome_distribution(k, np.real(np.diag(reduced)))

@@ -110,17 +110,3 @@ def shift_trace_bruteforce(rho: DensityMatrix, k: int, dir_a: str, dir_b: str) -
             total += term
     return total
 
-
-def controlled_unitary(u: np.ndarray) -> np.ndarray:
-    """|0><0| ⊗ I + |1><1| ⊗ u with the control as the leading tensor factor."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"u must be square, got shape {u.shape}")
-    dev = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-    if dev > 1e-9:
-        raise ValueError(f"u is not unitary within 1e-9 (deviation {dev:.3e})")
-    n = u.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, :n] = np.eye(n)
-    out[n:, n:] = u
-    return out

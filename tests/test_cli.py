@@ -19,7 +19,6 @@ REPORT_KEYS = {
     "classification",
     "shots_per_k",
     "seed",
-    "eta_scale",
     "copies_consumed",
     "tool_version",
 }
@@ -168,6 +167,15 @@ def test_verify_passes(capsys):
     for row in report["identities"]:
         assert row["status"] == "pass"
         assert row["max_dev"] < 1e-10
+
+
+def test_verify_rejects_empty_sweep(capsys):
+    for argv in (["--kmax", "1"], ["--trials", "0"]):
+        code = cli.main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert argv[0] in captured.err
 
 
 def test_verify_marks_guarded_checks_skipped(capsys):

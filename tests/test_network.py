@@ -4,79 +4,42 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pptnet import linalg, network, permnet, states
+from pptnet import linalg, network, states
 
 
-def eta_exact(rho, k, subsystem="B"):
-    pt = linalg.partial_transpose(rho.matrix, rho.d_a, rho.d_b, subsystem)
+def eta_exact(rho, k):
+    pt = linalg.partial_transpose(rho.matrix, rho.d_a, rho.d_b, "B")
     return np.trace(linalg.mat_power(pt, k)).real
-
-
-def test_interference_pattern_identity():
-    pat = network.interference_pattern(np.eye(4), states.bell_state("phi+"))
-    assert_allclose(pat.visibility, 1.0, atol=1e-12)
-    assert_allclose(pat.phase, 0.0, atol=1e-12)
-    assert not pat.degenerate_phase
-
-
-def test_interference_pattern_traceless_overlap():
-    pat = network.interference_pattern(network.PAULI_Z, np.eye(2) / 2)
-    assert_allclose(pat.visibility, 0.0, atol=1e-12)
-    assert pat.degenerate_phase
-
-
-def test_interference_pattern_complex_phase():
-    pat = network.interference_pattern(np.diag([1.0, 1.0j]), np.diag([0.0, 1.0]))
-    assert_allclose(pat.visibility, 1.0, atol=1e-12)
-    assert_allclose(pat.phase, np.pi / 2, atol=1e-12)
-
-
-def test_interference_pattern_swap_measures_purity():
-    mixed = np.eye(2) / 2
-    rho = states.DensityMatrix((2, 2), linalg.kron(mixed, mixed))
-    pat = network.interference_pattern(permnet.build_shift_matrix(2, 2, "forward"), rho)
-    assert_allclose(pat.visibility, 0.5, atol=1e-12)
-    assert_allclose(pat.phase, 0.0, atol=1e-12)
-
-
-def test_interference_pattern_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        network.interference_pattern(np.ones((4, 4)), states.bell_state("phi+"))
 
 
 def test_mu_parameters_maximally_mixed():
     rho = states.DensityMatrix((2, 2), np.eye(4, dtype=complex) / 4)
-    mu = network.mu_parameters(rho, 2)
-    assert_allclose([mu.mu1, mu.mu2, mu.mu3, mu.mu4, mu.mu5], [1.0, 0.0, 0.25, 0.0, 0.0], atol=1e-12)
+    table = network.mu_parameters(rho, 2)
+    assert table.shape == (2, 4)
+    assert_allclose(table[1], [0.5, 0.5, 0.25, 0.25], atol=1e-12)
 
 
 def test_mu_parameters_pure_product():
     rho = states.random_separable((2, 2), terms=1, seed=1)
-    for k in (2, 3, 4):
-        mu = network.mu_parameters(rho, k)
-        assert_allclose([mu.mu1, mu.mu2, mu.mu3, mu.mu4], [2.0, 0.0, 1.0, 0.0], atol=1e-10)
+    assert_allclose(network.mu_parameters(rho, 4), np.ones((4, 4)), atol=1e-10)
 
 
 def test_mu_parameters_bell_k3():
-    mu = network.mu_parameters(states.bell_state("phi+"), 3)
-    assert_allclose([mu.mu1, mu.mu2, mu.mu3, mu.mu4], [0.5, 0.0, 0.625, 0.375], atol=1e-12)
+    table = network.mu_parameters(states.bell_state("phi+"), 3)
+    assert_allclose(table[2], [0.25, 0.25, 1.0, 0.25], atol=1e-12)
 
 
 def test_mu_parameters_invariants():
     for seed in range(10):
         rho = states.random_density((2, 3), seed=seed)
+        table = network.mu_parameters(rho, 3)
+        assert_allclose(table[0], np.ones(4), atol=1e-12)
         for k in (2, 3):
-            mu = network.mu_parameters(rho, k)
-            assert mu.mu5 == 0.0
-            assert_allclose(mu.mu3 + mu.mu4, np.trace(linalg.mat_power(rho.matrix, k)).real, atol=1e-10)
-            assert_allclose(mu.mu3 - mu.mu4, eta_exact(rho, k), atol=1e-10)
-            t_a = np.trace(linalg.mat_power(rho.reduced("A"), k)).real
-            t_b = np.trace(linalg.mat_power(rho.reduced("B"), k)).real
-            assert_allclose(mu.mu1 + mu.mu2, 2 * t_a, atol=1e-10)
-            assert_allclose(mu.mu1 - mu.mu2, 2 * t_b, atol=1e-10)
-            # both transpose choices give the same functionals for Hermitian input
-            mu_a = network.mu_parameters(rho, k, subsystem="A")
-            assert_allclose(mu_a.mu4, mu.mu4, atol=1e-10)
+            t_a, t_b, r, eta = table[k - 1]
+            assert_allclose(r, np.trace(linalg.mat_power(rho.matrix, k)).real, atol=1e-10)
+            assert_allclose(eta, eta_exact(rho, k), atol=1e-10)
+            assert_allclose(t_a, np.trace(linalg.mat_power(rho.reduced("A"), k)).real, atol=1e-10)
+            assert_allclose(t_b, np.trace(linalg.mat_power(rho.reduced("B"), k)).real, atol=1e-10)
 
 
 def test_stage_one_state_maximally_mixed_frozen():
@@ -203,16 +166,6 @@ def test_stage_two_alternating_sum_is_transpose_power_trace():
             assert_allclose(dist.alternating_sum(), eta_exact(rho, k), atol=1e-10)
             assert_allclose(dist.as_array().sum(), 1.0, atol=1e-12)
             assert np.all(dist.as_array() >= 0)
-
-
-def test_stage_two_ta_variant_agrees_on_alternating_sum():
-    for seed in range(5):
-        rho = states.random_density((2, 3), seed=seed)
-        for k in (2, 3):
-            alt_b = network.stage_two_distribution(rho, k).alternating_sum()
-            alt_a = network.stage_two_distribution_TA(rho, k).alternating_sum()
-            assert_allclose(alt_a, alt_b, atol=1e-10)
-            assert_allclose(alt_a, eta_exact(rho, k, "A"), atol=1e-10)
 
 
 def test_stage_two_circuit_output_is_diagonal():

@@ -125,22 +125,3 @@ def test_shift_trace_bruteforce_term_guard():
     with pytest.raises(ValueError):
         permnet.shift_trace_bruteforce(rho, 14, "inverse", "forward")
 
-
-def test_controlled_unitary_identity_and_not():
-    assert_allclose(permnet.controlled_unitary(np.eye(2)), np.eye(4))
-    cnot = np.eye(4)[:, [0, 1, 3, 2]]
-    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert_allclose(permnet.controlled_unitary(sigma_x), cnot)
-
-
-def test_controlled_unitary_is_unitary():
-    rng = np.random.default_rng(24)
-    g = random_complex(rng, 3)
-    q, _ = np.linalg.qr(g)
-    cu = permnet.controlled_unitary(q)
-    assert_allclose(cu @ cu.conj().T, np.eye(6), atol=1e-12)
-
-
-def test_controlled_unitary_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        permnet.controlled_unitary(np.array([[1.0, 1.0], [0.0, 1.0]]))
