@@ -3,7 +3,7 @@ measurement protocol with shots, verify the trace-identity suite, and print
 the readout calibration constant.
 
 Machine-readable JSON goes to stdout, human summaries to stderr.  Exit codes:
-0 success, 1 input error, 2 estimation failure, 3 identity-suite failure.
+0 success, 1 input error (bad arguments too), 2 estimation failure, 3 identity-suite failure.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ def _report(
     spectrum=None,
     lambda_min=None,
     sigma=None,
+    interval=None,
+    bootstrap_failures=None,
     classification=None,
     shots_per_k=0,
     seed=None,
@@ -50,6 +52,8 @@ def _report(
         "spectrum": None if spectrum is None else [float(x) for x in spectrum],
         "lambda_min": None if lambda_min is None else float(lambda_min),
         "sigma": None if sigma is None else float(sigma),
+        "interval": None if interval is None else [float(x) for x in interval],
+        "bootstrap_failures": bootstrap_failures,
         "classification": classification,
         "shots_per_k": int(shots_per_k),
         "seed": seed,
@@ -153,6 +157,8 @@ def cmd_simulate(args) -> int:
             spectrum=result.spectrum.lambdas,
             lambda_min=result.verdict.lambda_min,
             sigma=result.sigma,
+            interval=result.interval,
+            bootstrap_failures=result.bootstrap_failures,
             classification=result.verdict.classification,
             shots_per_k=shots,
             seed=cfg.seed,
@@ -283,8 +289,15 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    # a bad argument is an input error (exit 1); argparse's 2 means estimation failure here
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pptnet", description=__doc__)
+    parser = _ArgumentParser(prog="pptnet", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pptnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 

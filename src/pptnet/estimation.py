@@ -34,6 +34,8 @@ CLUSTER_TOL = 1e-3
 
 _STREAM_PRIMARY = 0
 _STREAM_BOOTSTRAP = 1
+# outcome weights of eta = P00 - P01 - P10 + P11, as in eta_from_counts
+_PARITY = np.array([1, -1, -1, 1])
 
 
 class EstimationError(RuntimeError):
@@ -119,6 +121,7 @@ class ProtocolResult:
     counts_per_k: list[ShotCounts] | None
     sigma: float
     interval: tuple[float, float] | None
+    bootstrap_failures: int | None  # replicas dropped from sigma; None without bootstrap
     copies_consumed: int
 
 
@@ -253,17 +256,41 @@ def estimate_power_sums(
 
 
 def _newton_coefficients(p: np.ndarray) -> np.ndarray:
-    """Monic characteristic-polynomial coefficients from power sums via
-    Newton's identities: m*e_m = sum_{i=1..m} (-1)^(i-1) e_{m-i} p_i."""
-    d = len(p)
-    e = np.zeros(d + 1)
-    e[0] = 1.0
+    """Monic characteristic-polynomial coefficients from power sums (..., d)
+    via Newton's identities: m*e_m = sum_{i=1..m} (-1)^(i-1) e_{m-i} p_i."""
+    d = p.shape[-1]
+    sign = (-1.0) ** np.arange(d + 1)
+    e = np.zeros((*p.shape[:-1], d + 1))
+    e[..., 0] = 1.0
+    signed = sign[:d] * p
     for m in range(1, d + 1):
-        acc = 0.0
-        for i in range(1, m + 1):
-            acc += (-1) ** (i - 1) * e[m - i] * p[i - 1]
-        e[m] = acc / m
-    return np.array([(-1) ** m * e[m] for m in range(d + 1)])
+        # exact sign flips, and cumsum adds terms i = 1..m in order: e_m rounds as in a scalar loop
+        e[..., m] = np.cumsum(e[..., m - 1 :: -1] * signed[..., :m], axis=-1)[..., -1] / m
+    coeffs = sign * e
+    # Coefficients below the float-noise floor are zeros in disguise.  Snapping
+    # them lets the root finder deflate exact zero eigenvalues of rank-deficient
+    # input instead of scattering a multiple zero root into a ring of radius
+    # eps^(1/multiplicity), which for high multiplicity dwarfs every cap here.
+    coeffs[np.abs(coeffs) < COEFF_SNAP_TOL] = 0.0
+    return coeffs
+
+
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of each monic row of (B, n+1) coefficients, equal to np.roots row
+    by row: one eigvals call on the stacked companion matrices, laid out as
+    np.roots lays them out.  Rows ending in zeros go through np.roots, which
+    deflates those exact zero roots; output is real only if every root is."""
+    n = coeffs.shape[1] - 1
+    full = coeffs[:, -1] != 0
+    companion = np.zeros((int(full.sum()), n, n))
+    companion[:, 0, :] = -coeffs[full, 1:]
+    companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    deflated = np.reshape([np.roots(row) for row in coeffs[~full]], (-1, n))
+    out = np.empty((len(coeffs), n), dtype=np.result_type(roots, deflated))
+    out[full] = roots
+    out[~full] = deflated
+    return out
 
 
 def _cluster_multiple_roots(roots: np.ndarray, tol: float) -> np.ndarray:
@@ -299,13 +326,7 @@ def spectrum_from_power_sums(
     """
     if imag_cap is None:
         imag_cap = EXACT_IMAG_CAP if ps.source == "exact" else SHOT_IMAG_CAP
-    coeffs = _newton_coefficients(ps.p)
-    # Coefficients below the float-noise floor are zeros in disguise.  Snapping
-    # them lets the root finder deflate exact zero eigenvalues of rank-deficient
-    # input instead of scattering a multiple zero root into a ring of radius
-    # eps^(1/multiplicity), which for high multiplicity dwarfs every cap here.
-    coeffs[np.abs(coeffs) < COEFF_SNAP_TOL] = 0.0
-    roots = np.roots(coeffs)
+    roots = _companion_roots(_newton_coefficients(ps.p[np.newaxis]))[0]
     residual = float(np.max(np.abs(roots.imag))) if len(roots) else 0.0
     if residual > imag_cap:
         raise SpectrumTooNoisyError(
@@ -344,32 +365,29 @@ def verdict(
 
 def bootstrap_lambda_min(
     counts_per_k: list[ShotCounts], cfg: EstimationConfig
-) -> tuple[float, tuple[float, float]]:
-    """Multinomial resampling of the per-k counts through the full recovery
-    pipeline; returns the standard deviation and central 95% interval of
-    lambda_min over replicas.  Fails if more than 10% of replicas error out."""
+) -> tuple[float, tuple[float, float], int]:
+    """Multinomial resampling of the per-k counts, B replicas in one draw per
+    order, through one stacked recovery; a replica fails when a root is more
+    than SHOT_IMAG_CAP off the real axis.  Returns the standard deviation and
+    central 95% interval of lambda_min over the surviving replicas and the
+    number that failed.  Fails if more than 10% of replicas fail."""
     b = cfg.bootstrap_replicas
     if b < 1:
         raise ValueError("bootstrap requires bootstrap_replicas >= 1")
-    d = len(counts_per_k) + 1
-    lam_mins, failures = [], 0
-    for rep in range(b):
-        resampled = []
-        for counts in counts_per_k:
-            rng = _substream(cfg.seed, _STREAM_BOOTSTRAP, rep, counts.k)
-            draw = rng.multinomial(counts.total, counts.as_array() / counts.total)
-            resampled.append(ShotCounts(counts.k, *(int(x) for x in draw)))
-        try:
-            ps = _power_sums_from_counts(d, resampled)
-            lam_mins.append(float(spectrum_from_power_sums(ps).lambdas[-1]))
-        except SpectrumTooNoisyError:
-            failures += 1
+    p = np.ones((b, len(counts_per_k) + 1))
+    for counts in counts_per_k:
+        rng = _substream(cfg.seed, _STREAM_BOOTSTRAP, counts.k)
+        draws = rng.multinomial(counts.total, counts.as_array() / counts.total, size=b)
+        p[:, counts.k - 1] = draws @ _PARITY / counts.total
+    roots = _companion_roots(_newton_coefficients(p))
+    ok = np.max(np.abs(roots.imag), axis=1) <= SHOT_IMAG_CAP
+    failures = b - int(ok.sum())
     if failures > 0.1 * b:
         raise EstimationError(f"{failures}/{b} bootstrap replicas failed root recovery")
-    values = np.array(lam_mins)
+    values = roots.real[ok].min(axis=1)
     sigma = float(values.std(ddof=1)) if len(values) > 1 else 0.0
     lo, hi = np.percentile(values, [2.5, 97.5])
-    return sigma, (float(lo), float(hi))
+    return sigma, (float(lo), float(hi)), failures
 
 
 def run_protocol(
@@ -388,11 +406,11 @@ def run_protocol(
     try:
         spectrum = spectrum_from_power_sums(ps)
         if counts_per_k is not None and cfg.bootstrap_replicas >= 1:
-            sigma, interval = bootstrap_lambda_min(counts_per_k, cfg)
+            sigma, interval, failures = bootstrap_lambda_min(counts_per_k, cfg)
         else:
-            sigma, interval = 0.0, None
+            sigma, interval, failures = 0.0, None, None
     except EstimationError as exc:
         exc.power_sums = ps  # partial result for error reporting
         raise
     v = verdict(spectrum, rho.dims, sigma, cfg.z)
-    return ProtocolResult(ps, spectrum, v, counts_per_k, sigma, interval, copies)
+    return ProtocolResult(ps, spectrum, v, counts_per_k, sigma, interval, failures, copies)

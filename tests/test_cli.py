@@ -16,6 +16,8 @@ REPORT_KEYS = {
     "spectrum",
     "lambda_min",
     "sigma",
+    "interval",
+    "bootstrap_failures",
     "classification",
     "shots_per_k",
     "seed",
@@ -49,6 +51,7 @@ def test_check_bell(capsys, tmp_path):
     assert_allclose(report["power_sums"], [1.0, 1.0, 0.25, 0.25], atol=1e-10)
     assert report["copies_consumed"] == 0 and report["shots_per_k"] == 0
     assert report["seed"] is None
+    assert report["interval"] is None and report["bootstrap_failures"] is None
 
 
 def test_check_werner_separable(capsys, tmp_path):
@@ -118,6 +121,7 @@ def test_simulate_exact_matches_check(capsys, tmp_path):
     assert sim["method"] == "locc_exact"
     assert sim["classification"] == exact["classification"] == "NPT_ENTANGLED"
     assert_allclose(sim["spectrum"], exact["spectrum"], atol=1e-8)
+    assert sim["interval"] is None and sim["bootstrap_failures"] is None
 
 
 def test_simulate_shots_report(capsys, tmp_path):
@@ -132,6 +136,9 @@ def test_simulate_shots_report(capsys, tmp_path):
     assert report["classification"] == "NPT_ENTANGLED"
     assert abs(report["lambda_min"] + 0.5) < 0.05
     assert report["sigma"] > 0
+    lo, hi = report["interval"]
+    assert lo < report["lambda_min"] < hi
+    assert report["bootstrap_failures"] == 0
     code2, report2 = run(capsys, argv)
     assert report2 == report
 
@@ -154,6 +161,26 @@ def test_simulate_too_noisy_exits_2(capsys, tmp_path):
     assert "error" in report
     assert report["classification"] is None
     assert report["power_sums"][0] == 1.0
+    assert report["interval"] is None and report["bootstrap_failures"] is None
+
+
+def test_bad_arguments_exit_1(capsys, tmp_path):
+    # exit 2 is reserved for estimation failures
+    path = gen(capsys, tmp_path, "bell.json", "bell")
+    for argv in (["simulate", path, "--eta-scale", "2"], [], ["simulate", path, "--shots", "many"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == "" and "error:" in captured.err
+
+
+def test_help_and_version_exit_0(capsys):
+    for argv in (["--help"], ["simulate", "--help"], ["--version"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+    assert "pptnet" in capsys.readouterr().out
 
 
 def test_verify_passes(capsys):

@@ -1,10 +1,11 @@
 """Tests for shot sampling, power-sum estimation, and spectrum recovery."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from pptnet import estimation as est
 from pptnet import linalg, network, states
@@ -222,9 +223,10 @@ def test_verdict_noise_gate():
 def test_bootstrap_lambda_min_degenerate_counts():
     counts = [est.ShotCounts(k, 1000, 0, 0, 0) for k in (2, 3, 4)]
     cfg = est.EstimationConfig(bootstrap_replicas=20)
-    sigma, interval = est.bootstrap_lambda_min(counts, cfg)
+    sigma, interval, failures = est.bootstrap_lambda_min(counts, cfg)
     assert sigma == 0.0
     assert_allclose(interval, (0.0, 0.0), atol=1e-12)
+    assert failures == 0
 
 
 def test_bootstrap_lambda_min_reports_failure():
@@ -233,8 +235,87 @@ def test_bootstrap_lambda_min_reports_failure():
         est.ShotCounts(3, 100, 0, 0, 0),
         est.ShotCounts(4, 0, 100, 0, 0),
     ]
-    with pytest.raises(est.EstimationError):
+    with pytest.raises(est.EstimationError, match="20/20"):
         est.bootstrap_lambda_min(counts, est.EstimationConfig(bootstrap_replicas=20))
+
+
+def _newton_reference(p):
+    """Scalar Newton's-identity loop over one row of power sums, snapped as
+    the recovery snaps: the per-replica reference for the batched code."""
+    d = len(p)
+    e = np.zeros(d + 1)
+    e[0] = 1.0
+    for m in range(1, d + 1):
+        acc = 0.0
+        for i in range(1, m + 1):
+            acc += (-1) ** (i - 1) * e[m - i] * p[i - 1]
+        e[m] = acc / m
+    coeffs = np.array([(-1) ** m * e[m] for m in range(d + 1)])
+    coeffs[np.abs(coeffs) < est.COEFF_SNAP_TOL] = 0.0
+    return coeffs
+
+
+def test_companion_roots_match_np_roots_row_by_row():
+    rng = np.random.default_rng(5)
+    for d in (4, 6, 9):
+        # random monic rows, and power sums of spectra with zero eigenvalues,
+        # whose snapped coefficients end in exact zeros
+        random_rows = np.hstack([np.ones((40, 1)), rng.standard_normal((40, d))])
+        spectra = rng.uniform(-0.2, 1.0, (40, d))
+        spectra[:, : d // 2] = 0.0
+        sums = np.stack([np.sum(spectra**k, axis=1) for k in range(1, d + 1)], axis=1)
+        snapped = np.array([_newton_reference(p) for p in sums])
+        assert np.all(snapped[:, -1] == 0)
+        coeffs = np.concatenate([random_rows, snapped])[rng.permutation(80)]
+        roots = est._companion_roots(coeffs)
+        assert roots.shape == (80, d)
+        for row, got in zip(coeffs, roots):
+            assert_allclose(np.sort_complex(got), np.sort_complex(np.roots(row)), rtol=0, atol=1e-12)
+
+
+def test_newton_coefficients_batched_equal_scalar_loop():
+    sums = np.random.default_rng(6).uniform(-1.0, 1.0, (30, 12))
+    sums[:, 0] = 1.0
+    assert_array_equal(est._newton_coefficients(sums), [_newton_reference(p) for p in sums])
+
+
+def test_bootstrap_sigma_matches_per_replica_reference():
+    # The batched draws use other streams than a per-replica loop, so sigma
+    # agrees in distribution only: averaged over 5 seeds, within 15%.
+    bell = states.bell_state("phi+")
+    batched, reference = [], []
+    for seed in range(5):
+        cfg = est.EstimationConfig(shots_per_k=100_000, seed=seed, bootstrap_replicas=200)
+        counts = est.run_protocol(bell, replace(cfg, bootstrap_replicas=0)).counts_per_k
+        sigma, _, failures = est.bootstrap_lambda_min(counts, cfg)
+        batched.append(sigma)
+        rng = np.random.default_rng([seed, 7])
+        lam_mins = []
+        for _ in range(cfg.bootstrap_replicas):
+            p = [1.0]
+            for c in counts:
+                draw = rng.multinomial(c.total, c.as_array() / c.total)
+                p.append(est.eta_from_counts(est.ShotCounts(c.k, *draw))[0])
+            roots = np.roots(_newton_reference(p))
+            if np.max(np.abs(roots.imag)) <= est.SHOT_IMAG_CAP:
+                lam_mins.append(roots.real.min())
+        reference.append(np.std(lam_mins, ddof=1))
+        assert failures == cfg.bootstrap_replicas - len(lam_mins) == 0
+    assert abs(np.mean(batched) / np.mean(reference) - 1.0) < 0.15
+
+
+def test_run_protocol_recovery_matches_per_row_reference():
+    product = states.random_separable((2, 3), terms=1, seed=3)  # rank-one, deflated roots
+    for rho, seed in ((states.bell_state("phi+"), 4), (states.werner(0.25), 5), (product, 6)):
+        cfg = est.EstimationConfig(shots_per_k=100_000, seed=seed, bootstrap_replicas=20)
+        res = est.run_protocol(rho, cfg)
+        p = [1.0] + [est.eta_from_counts(c)[0] for c in res.counts_per_k]
+        assert_array_equal(res.power_sums.p, p)
+        expected = np.sort(np.roots(_newton_reference(p)).real)[::-1]
+        assert_array_equal(res.spectrum.lambdas, expected)
+        assert_array_equal(est.spectrum_from_power_sums(res.power_sums).lambdas, expected)
+        assert res.verdict.lambda_min == expected[-1]
+        assert res.bootstrap_failures == 0
 
 
 def test_run_protocol_exact_bell():
@@ -243,6 +324,7 @@ def test_run_protocol_exact_bell():
     assert_allclose(res.spectrum.lambdas, [0.5, 0.5, 0.5, -0.5], atol=1e-8)
     assert res.copies_consumed == 0
     assert res.counts_per_k is None and res.interval is None and res.sigma == 0.0
+    assert res.bootstrap_failures is None
 
 
 def test_run_protocol_bell_shots():
