@@ -204,7 +204,8 @@ def power_sums_exact(rho: DensityMatrix) -> PowerSums:
 def _distribution_for_k(
     moments: np.ndarray, k: int, cfg: EstimationConfig
 ) -> network.OutcomeDistribution:
-    """Analytic outcome distribution for order k from the moment table.
+    """Analytic outcome distribution for order k from the (d, 4) moment table
+    of mu_parameters(rho, rho.d).
 
     The k=2 shortcut reads the stage-one control qubits directly: their
     alternating diagonal sum already equals Tr(rho^2) = Tr[(rho^T_B)^2].
@@ -214,7 +215,7 @@ def _distribution_for_k(
         probs = np.real(np.diag(network.stage_one_template(row)))
     else:
         probs = network.stage_two_probabilities(row)
-    return network.outcome_distribution(k, probs)
+    return network.outcome_distribution(k, probs, len(moments))
 
 
 def _power_sums_from_counts(d: int, counts_per_k: list[ShotCounts]) -> PowerSums:

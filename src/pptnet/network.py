@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, permnet
-from .states import DensityMatrix
+from .states import VALIDATION_TOL, DensityMatrix
 
 FULL_EVOLUTION_GUARD = 4096
 
@@ -49,15 +49,20 @@ class OutcomeDistribution:
         return self.p00 - self.p01 - self.p10 + self.p11
 
 
-def outcome_distribution(k: int, probs: np.ndarray) -> OutcomeDistribution:
-    """Validated four-outcome distribution (nonnegative within -1e-12, unit sum)."""
+class OutcomeRangeError(ValueError):
+    """Outcome probabilities out of range beyond what state validation allows."""
+
+
+def outcome_distribution(k: int, probs: np.ndarray, d: int) -> OutcomeDistribution:
+    """Order-k four-outcome distribution of a d-dimensional state, clipped to
+    nonnegative values.  A state that passes states.validate moves each k-copy
+    probability, and their sum, by less than k * d * VALIDATION_TOL; beyond that
+    band (plus 1e-12 of rounding) OutcomeRangeError is raised."""
     probs = np.asarray(probs, dtype=float)
-    if probs.min() < -1e-12:
-        raise RuntimeError(f"negative outcome probability {probs.min():.3e}")
-    if abs(probs.sum() - 1.0) > 1e-12:
-        raise RuntimeError(f"outcome probabilities sum to {probs.sum()!r}")
-    probs = np.clip(probs, 0.0, None)
-    return OutcomeDistribution(k, *(float(p) for p in probs))
+    tol = k * d * VALIDATION_TOL + 1e-12
+    if probs.min() < -tol or abs(probs.sum() - 1.0) > tol:
+        raise OutcomeRangeError(f"k={k} outcome probabilities {probs.tolist()} beyond {tol:.1e}")
+    return OutcomeDistribution(k, *(float(p) for p in np.clip(probs, 0.0, None)))
 
 
 _MOMENT_NAMES = ("Tr(rho_A^k)", "Tr(rho_B^k)", "Tr(rho^k)", "Tr[(rho^T_B)^k]")
@@ -129,9 +134,11 @@ def _analytic(mode: str) -> bool:
 
 
 def _stage_one_circuit(rho: DensityMatrix, k: int) -> np.ndarray:
-    """Build the stage-one circuit explicitly: two control qubits, Hadamards,
+    """Evolve the full stage-one state: two control qubits, Hadamards,
     controlled cyclic shifts on the A- and B-factors of rho^⊗k, Hadamards,
-    then trace out everything but the controls."""
+    then trace out everything but the controls.  The shifts are basis
+    permutations, applied to the 4 d^k state as one index gather; no unitary
+    is formed."""
     size = 4 * rho.d**k
     if size > FULL_EVOLUTION_GUARD:
         raise ValueError(f"full-evolution space size {size} exceeds guard {FULL_EVOLUTION_GUARD}")
@@ -141,21 +148,18 @@ def _stage_one_circuit(rho: DensityMatrix, k: int) -> np.ndarray:
     b_positions = [3 + 2 * c for c in range(k)]
     # the B-side control applies the forward shift and the A-side control the
     # inverse shift, which targets the partial transpose on B
-    c_shift_a = permnet.permutation_matrix(
-        permnet.digit_shift_permutation(dims, a_positions, "inverse", control=1)
-    )
-    c_shift_b = permnet.permutation_matrix(
-        permnet.digit_shift_permutation(dims, b_positions, "forward", control=0)
-    )
-    h_pair = np.kron(np.kron(HADAMARD, HADAMARD), np.eye(size // 4))
-    u = h_pair @ c_shift_a @ c_shift_b @ h_pair
-    anc0 = np.zeros((4, 4), dtype=complex)
-    anc0[0, 0] = 1.0
-    rho_in = anc0
+    shift_a = permnet.digit_shift_permutation(dims, a_positions, "inverse", control=1)
+    shift_b = permnet.digit_shift_permutation(dims, b_positions, "forward", control=0)
+    # basis state x goes to shift_a[shift_b[x]], so entry (i, j) of the shifted
+    # state is entry (src[i], src[j]) of the input, src the inverse permutation
+    src = np.argsort(shift_a[shift_b])
+    x = np.full((4, 4), 0.25)  # the first Hadamards take the controls from |00> to |++>
     for _ in range(k):
-        rho_in = np.kron(rho_in, rho.matrix)
-    rho_out = u @ rho_in @ u.conj().T
-    return linalg.partial_trace(rho_out, dims, [0, 1])
+        x = np.kron(x, rho.matrix)
+    controls = linalg.partial_trace(x[src[:, None], src], [4, size // 4], [0])
+    # the second Hadamards act on the controls alone, so they commute with the trace
+    h_pair = np.kron(HADAMARD, HADAMARD)
+    return h_pair @ controls @ h_pair.conj().T
 
 
 def stage_one_state(rho: DensityMatrix, k: int, mode: str = "analytic") -> AncillaState:
@@ -210,7 +214,8 @@ def stage_two_distribution(rho: DensityMatrix, k: int, mode: str = "analytic") -
     Tr[(rho^T_B)^k]: exactly in analytic mode, up to the measured calibration
     constant in full-evolution mode."""
     if _analytic(mode):
-        return outcome_distribution(k, stage_two_probabilities(mu_parameters(rho, k)[k - 1]))
+        row = mu_parameters(rho, k)[k - 1]
+        return outcome_distribution(k, stage_two_probabilities(row), rho.d)
     reduced = stage_two_state(rho, k, mode).matrix
     off = reduced - np.diag(np.diag(reduced))
     if np.max(np.abs(off)) > 1e-10:
@@ -218,4 +223,4 @@ def stage_two_distribution(rho: DensityMatrix, k: int, mode: str = "analytic") -
             f"stage-two readout state is not diagonal (max off-diagonal "
             f"{np.max(np.abs(off)):.3e})"
         )
-    return outcome_distribution(k, np.real(np.diag(reduced)))
+    return outcome_distribution(k, np.real(np.diag(reduced)), rho.d)

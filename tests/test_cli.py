@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pptnet import cli
+from pptnet import cli, states
 
 REPORT_KEYS = {
     "dims",
@@ -162,6 +162,20 @@ def test_simulate_too_noisy_exits_2(capsys, tmp_path):
     assert report["classification"] is None
     assert report["power_sums"][0] == 1.0
     assert report["interval"] is None and report["bootstrap_failures"] is None
+
+
+@pytest.mark.parametrize("eps", [5e-10, 9e-10])
+def test_simulate_accepts_state_at_validation_edge(capsys, tmp_path, eps):
+    # an eigenvalue of -eps passes load's 1e-9 tolerance; the outcome
+    # probabilities it drives below zero are clipped, not an uncaught error
+    path = tmp_path / "edge.json"
+    states.save(states.DensityMatrix((2, 2), np.diag([1.0, eps, -eps, 0.0])), path)
+    states.load(path)
+    for mode in ([], ["--exact-probabilities"]):
+        code, report = run(capsys, ["simulate", str(path), "--shots", "1000", *mode])
+        assert code == 0
+        assert report["classification"] == "PPT_CONCLUSIVE_SEPARABLE"
+        assert_allclose(report["power_sums"], [1.0, 1.0, 1.0, 1.0], atol=1e-8)
 
 
 def test_bad_arguments_exit_1(capsys, tmp_path):

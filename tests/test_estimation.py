@@ -14,7 +14,7 @@ BELL_POWER_SUMS = np.array([1.0, 1.0, 0.25, 0.25])
 
 
 def degenerate_dist(k=2):
-    return network.outcome_distribution(k, np.array([1.0, 0.0, 0.0, 0.0]))
+    return network.outcome_distribution(k, np.array([1.0, 0.0, 0.0, 0.0]), 4)
 
 
 def test_sample_shots_degenerate():
@@ -32,7 +32,7 @@ def test_sample_shots_deterministic():
 
 
 def test_sample_shots_uniform_within_binomial_noise():
-    dist = network.outcome_distribution(2, np.full(4, 0.25))
+    dist = network.outcome_distribution(2, np.full(4, 0.25), 4)
     counts = est.sample_shots(dist, 1_000_000, seed=1).as_array()
     assert np.all(np.abs(counts - 250_000) < 5 * math.sqrt(1e6 * 0.25 * 0.75))
 

@@ -4,7 +4,32 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pptnet import linalg, network, states
+from pptnet import estimation, linalg, network, permnet, states
+
+
+def dense_stage_one(rho, k):
+    """Reference stage-one circuit as an explicit n x n unitary, n = 4 d^k <= 256:
+    Hadamards on both controls, controlled-inverse shift of the A factors on
+    the A-side control, controlled-forward shift of the B factors on the
+    B-side control, Hadamards."""
+    n = 4 * rho.d**k
+    assert n <= 256
+    d_a, d_b = rho.dims
+    dims = [2, 2] + [d_a, d_b] * k
+    c_shift_a = permnet.permutation_matrix(
+        permnet.digit_shift_permutation(dims, [2 + 2 * c for c in range(k)], "inverse", control=1)
+    )
+    c_shift_b = permnet.permutation_matrix(
+        permnet.digit_shift_permutation(dims, [3 + 2 * c for c in range(k)], "forward", control=0)
+    )
+    h_pair = np.kron(np.kron(network.HADAMARD, network.HADAMARD), np.eye(n // 4))
+    u = h_pair @ c_shift_a @ c_shift_b @ h_pair
+    rho_k = np.eye(1)
+    for _ in range(k):
+        rho_k = np.kron(rho_k, rho.matrix)
+    rho_in = np.zeros((n, n), dtype=complex)
+    rho_in[: n // 4, : n // 4] = rho_k
+    return linalg.partial_trace(u @ rho_in @ u.conj().T, dims, [0, 1])
 
 
 def eta_exact(rho, k):
@@ -85,6 +110,26 @@ def test_stage_one_circuit_matches_analytic():
             assert np.linalg.norm(full - analytic) < 1e-10
 
 
+def test_stage_one_circuit_matches_dense_unitary():
+    for dims, k in (((2, 2), 2), ((2, 2), 3), ((2, 3), 2)):
+        for seed in (12, 13):
+            rho = states.random_density(dims, seed=seed)
+            full = network.stage_one_state(rho, k, mode="full_evolution").matrix
+            assert np.max(np.abs(full - dense_stage_one(rho, k))) < 1e-12
+
+
+def test_circuit_at_benchmark_sizes_matches_exact_power_sums():
+    for dims, k in (((2, 2), 4), ((2, 3), 3)):
+        rho = states.random_density(dims, seed=14)
+        row = network.mu_parameters(rho, k)[k - 1]
+        full = network.stage_one_state(rho, k, mode="full_evolution").matrix
+        assert np.max(np.abs(full - network.stage_one_template(row))) < 1e-10
+        # the readout gates halve the alternating sum (calibrated eta scale 2)
+        dist = network.stage_two_distribution(rho, k, mode="full_evolution")
+        p_k = estimation.power_sums_exact(rho).p[k - 1]
+        assert abs(2 * dist.alternating_sum() - p_k) < 1e-9
+
+
 def test_stage_one_circuit_guard():
     rho = states.random_density((2, 3), seed=5)
     with pytest.raises(ValueError):
@@ -118,13 +163,19 @@ def test_stage_one_k2_alternating_sum_is_purity():
 
 
 def test_outcome_distribution_validation():
-    with pytest.raises(RuntimeError):
-        network.outcome_distribution(2, np.array([0.5, 0.5, 0.5, -0.5]))
-    with pytest.raises(RuntimeError):
-        network.outcome_distribution(2, np.array([0.5, 0.5, 0.5, 0.5]))
-    dist = network.outcome_distribution(2, np.array([1.0 + 5e-13, 0.0, 0.0, -5e-13]))
+    with pytest.raises(network.OutcomeRangeError):
+        network.outcome_distribution(2, np.array([0.5, 0.5, 0.5, -0.5]), 4)
+    with pytest.raises(network.OutcomeRangeError):
+        network.outcome_distribution(2, np.array([0.5, 0.5, 0.5, 0.5]), 4)
+    dist = network.outcome_distribution(2, np.array([1.0 + 5e-13, 0.0, 0.0, -5e-13]), 4)
     assert dist.p11 == 0.0
     assert dist.as_array().sum() <= 1.0 + 1e-12
+    # the clipping band is k * d * VALIDATION_TOL (8e-9 here), an input error beyond it
+    assert issubclass(network.OutcomeRangeError, ValueError)
+    dist = network.outcome_distribution(2, np.array([1.0 + 7e-9, 0.0, 0.0, -7e-9]), 4)
+    assert dist.p11 == 0.0
+    with pytest.raises(network.OutcomeRangeError):
+        network.outcome_distribution(2, np.array([1.0 + 9e-9, 0.0, 0.0, -9e-9]), 4)
 
 
 def test_stage_two_distribution_bell_frozen():
