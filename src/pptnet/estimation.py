@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .states import DensityMatrix
+from .states import VALIDATION_TOL, DensityMatrix
 
 NPT_ENTANGLED = "NPT_ENTANGLED"
 PPT_CONCLUSIVE_SEPARABLE = "PPT_CONCLUSIVE_SEPARABLE"
@@ -343,21 +343,24 @@ def spectrum_from_power_sums(
 def verdict(
     spectrum: Spectrum, dims: tuple[int, int], sigma_lambda_min: float = 0.0, z: float = 3.0
 ) -> PptVerdict:
-    """Classify: entangled when lambda_min + z*sigma is negative beyond the
-    numerical floor; otherwise PPT, which is conclusive separability only in
-    2x2 and 2x3.
+    """Classify: entangled when lambda_min + z*sigma is below
+    -(d * VALIDATION_TOL + NEGATIVITY_FLOOR), d = d_A d_B; otherwise PPT,
+    which is conclusive separability only in 2x2 and 2x3.
 
-    The floor absorbs eigensolver jitter: exactly-PPT states routinely come
-    back with lambda_min around -1e-16, which a strict sign test would
-    misread as entanglement.  A negative or non-finite z is rejected: it
-    would flip or disable the noise gate.
+    The band is the k = 1 case of network.outcome_distribution's.  A state
+    that passes states.validate may carry a negative part of trace up to
+    d * VALIDATION_TOL, which alone can push lambda_min that far below zero;
+    NEGATIVITY_FLOOR absorbs eigensolver jitter (exactly-PPT states come back
+    with lambda_min around -1e-16).  A negative or non-finite z is rejected:
+    it would flip or disable the noise gate.
     """
     if not (math.isfinite(z) and z >= 0):
         raise ValueError(f"z must be a finite nonnegative number, got {z!r}")
     lam_min = float(spectrum.lambdas[-1])
-    if lam_min + z * sigma_lambda_min < -NEGATIVITY_FLOOR:
+    d = dims[0] * dims[1]
+    if lam_min + z * sigma_lambda_min < -(d * VALIDATION_TOL + NEGATIVITY_FLOOR):
         cls = NPT_ENTANGLED
-    elif dims[0] * dims[1] <= 6:
+    elif d <= 6:
         cls = PPT_CONCLUSIVE_SEPARABLE
     else:
         cls = PPT_INCONCLUSIVE

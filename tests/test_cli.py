@@ -178,6 +178,20 @@ def test_simulate_accepts_state_at_validation_edge(capsys, tmp_path, eps):
         assert_allclose(report["power_sums"], [1.0, 1.0, 1.0, 1.0], atol=1e-8)
 
 
+@pytest.mark.parametrize("eps", [5e-10, 9e-10])
+def test_check_agrees_with_exact_simulate_at_validation_edge(capsys, tmp_path, eps):
+    # lambda_min = -eps lies inside the d * VALIDATION_TOL band that state
+    # validation cannot resolve, so neither way calls the state entangled
+    path = tmp_path / "edge.json"
+    states.save(states.DensityMatrix((2, 2), np.diag([1.0, eps, -eps, 0.0])), path)
+    code, exact = run(capsys, ["check", str(path)])
+    assert code == 0
+    assert_allclose(exact["lambda_min"], -eps, rtol=1e-6)
+    code, sim = run(capsys, ["simulate", str(path), "--exact-probabilities"])
+    assert code == 0
+    assert exact["classification"] == sim["classification"] == "PPT_CONCLUSIVE_SEPARABLE"
+
+
 def test_bad_arguments_exit_1(capsys, tmp_path):
     # exit 2 is reserved for estimation failures
     path = gen(capsys, tmp_path, "bell.json", "bell")

@@ -208,6 +208,21 @@ def test_verdict_frozen_cases():
     assert inc.classification == est.PPT_INCONCLUSIVE
 
 
+def test_verdict_band_is_dimension_times_validation_tolerance():
+    # 4e-9 on 2x2 and 9e-9 on 3x3, plus the 1e-12 eigensolver floor
+    def classify(lam_min, dims, sigma=0.0):
+        d = dims[0] * dims[1]
+        spectrum = est.Spectrum(np.array([1.0 - lam_min] + [0.0] * (d - 2) + [lam_min]), 0.0)
+        return est.verdict(spectrum, dims, sigma_lambda_min=sigma).classification
+
+    assert classify(-3.9e-9, (2, 2)) == est.PPT_CONCLUSIVE_SEPARABLE
+    assert classify(-4.1e-9, (2, 2)) == est.NPT_ENTANGLED
+    assert classify(-8.9e-9, (3, 3)) == est.PPT_INCONCLUSIVE
+    assert classify(-9.1e-9, (3, 3)) == est.NPT_ENTANGLED
+    # the band applies to lambda_min + z * sigma
+    assert classify(-1e-2, (2, 2), sigma=(1e-2 - 3.9e-9) / 3) == est.PPT_CONCLUSIVE_SEPARABLE
+
+
 def test_verdict_noise_gate():
     spec = est.Spectrum(np.array([0.6, 0.3, 0.11, -0.01]), 0.0)
     cautious = est.verdict(spec, (2, 2), sigma_lambda_min=0.005, z=3.0)

@@ -1,10 +1,14 @@
 """Tests for cyclic-shift permutations and replica trace contractions."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pptnet import linalg, permnet, states
+from pptnet import linalg, network, permnet, states
+
+DIRECTIONS = ("forward", "inverse", "identity")
 
 
 def random_complex(rng, d):
@@ -84,6 +88,59 @@ def test_digit_shift_permutation_controlled():
         for b in (0, 1):
             assert perm[2 * a + b] == 2 * a + b
             assert perm[4 + 2 * a + b] == 4 + 2 * b + a
+
+
+def _cycled(t: tuple, direction: str) -> tuple:
+    if direction == "forward":
+        return (t[-1],) + t[:-1]
+    if direction == "inverse":
+        return t[1:] + (t[0],)
+    return t
+
+
+def _loop_reference(rho, k, dir_a, dir_b):
+    """Tr[(V_A ⊗ V_B) rho^⊗k] by a Python loop over every index tuple."""
+    d_a, d_b = rho.dims
+    m = rho.matrix
+    total = 0.0 + 0.0j
+    for ii in itertools.product(range(d_a), repeat=k):
+        ii2 = _cycled(ii, dir_a)
+        rows_a = [i * d_b for i in ii]
+        cols_a = [i * d_b for i in ii2]
+        for jj in itertools.product(range(d_b), repeat=k):
+            jj2 = _cycled(jj, dir_b)
+            term = 1.0 + 0.0j
+            for c in range(k):
+                term *= m[rows_a[c] + jj[c], cols_a[c] + jj2[c]]
+            total += term
+    return total
+
+
+@pytest.mark.parametrize("dims,kmax", [((2, 2), 4), ((2, 3), 3), ((3, 2), 3), ((3, 3), 2)])
+def test_shift_trace_bruteforce_matches_loop_reference(dims, kmax):
+    rho = states.random_density(dims, seed=31)
+    for k in range(1, kmax + 1):
+        for dir_a, dir_b in itertools.product(DIRECTIONS, repeat=2):
+            got = permnet.shift_trace_bruteforce(rho, k, dir_a, dir_b)
+            assert_allclose(got, _loop_reference(rho, k, dir_a, dir_b), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("dims,k", [((2, 2), 8), ((3, 3), 5)])
+def test_shift_trace_bruteforce_at_high_order_matches_moment_table(dims, k):
+    # (d_a d_b)^k = 65536 and 59049 terms, beyond what the loop reference reaches quickly
+    rho = states.random_density(dims, seed=37)
+    t_a, t_b, r, eta = network.mu_parameters(rho, k)[k - 1]
+    want = {
+        ("inverse", "forward"): eta,
+        ("forward", "inverse"): eta,
+        ("forward", "identity"): t_a,
+        ("identity", "forward"): t_b,
+        ("forward", "forward"): r,
+        ("identity", "identity"): 1.0,
+    }
+    for (dir_a, dir_b), value in want.items():
+        got = permnet.shift_trace_bruteforce(rho, k, dir_a, dir_b)
+        assert_allclose(got, value, rtol=0, atol=1e-10)
 
 
 def test_shift_trace_bruteforce_maximally_mixed():
