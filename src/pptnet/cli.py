@@ -173,17 +173,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _identity_rows(
-    rho: states.DensityMatrix, moments_k: np.ndarray, k: int, rng: np.random.Generator
-) -> list[dict]:
-    """Max deviations of every trace identity at order k for one state, against
+def _trace_checks(rho: states.DensityMatrix, moments_k: np.ndarray, k: int) -> dict:
+    """Deviations of the brute-force shift traces of one state at order k from
     `moments_k`, the order-k row of its moment table network.mu_parameters."""
-    d_a, d_b = rho.dims
-    rows = []
-    if (d_a * d_b) ** k > permnet.BRUTEFORCE_TERM_GUARD:
-        return [
-            {"identity": "all_bruteforce", "k": k, "max_dev": None, "status": "skipped"}
-        ]
     t_a, t_b, t_rho, eta = moments_k
     eta_b = permnet.shift_trace_bruteforce(rho, k, "inverse", "forward")
     eta_a = permnet.shift_trace_bruteforce(rho, k, "forward", "inverse")
@@ -200,36 +192,71 @@ def _identity_rows(
     }
     if k == 2:
         checks["purity_equality"] = abs(eta - t_rho)
-    # ordered product against the explicit shift matrix, on each local dimension
-    for label, d in (("A", d_a), ("B", d_b)):
-        if d**k > permnet.MATRIX_SIZE_GUARD:
+    return checks
+
+
+def _shift_product_devs(mats: np.ndarray, v_fwd: np.ndarray) -> np.ndarray:
+    """Per trial, the deviation of Tr[V^dagger (m1 ⊗ ... ⊗ mk)] and
+    Tr[V (m1 ⊗ ... ⊗ mk)] from the traces of the ordered products m1 ... mk
+    and mk ... m1, V = `v_fwd` the explicit forward shift matrix; `mats` is
+    (T, k, d, d)."""
+    trials, k, d, _ = mats.shape
+    # m1 ⊗ ... ⊗ mk as one outer product per trial, row digits before column digits
+    r, c = string.ascii_uppercase[:k], string.ascii_lowercase[:k]
+    subs = ",".join("z" + a + b for a, b in zip(r, c)) + "->z" + r + c
+    big = np.einsum(subs, *mats.transpose(1, 0, 2, 3)).reshape(trials, d**k, d**k)
+    ordered, reversed_ = mats[:, 0], mats[:, k - 1]
+    for j in range(1, k):
+        ordered = ordered @ mats[:, j]
+        reversed_ = reversed_ @ mats[:, k - 1 - j]
+
+    def trace(a):
+        return np.trace(a, axis1=1, axis2=2)
+
+    return np.maximum(
+        np.abs(trace(v_fwd.conj().T @ big) - trace(ordered)),
+        np.abs(trace(v_fwd @ big) - trace(reversed_)),
+    )
+
+
+def _identity_rows(dims: list[int], kmax: int, trials: int, seed: int) -> list[dict]:
+    """Largest deviation over the trials of every trace identity at every order
+    2..kmax, sorted by identity name and order.  Each trial draws its state
+    and its random matrices from its own seeded streams."""
+    d_a, d_b = dims
+    rhos = [
+        states.random_density((d_a, d_b), np.random.SeedSequence([seed, t])) for t in range(trials)
+    ]
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, t, 1])) for t in range(trials)]
+    moments = [network.mu_parameters(rho, kmax) for rho in rhos]
+    rows = []
+    for k in range(2, kmax + 1):
+        if (d_a * d_b) ** k > permnet.BRUTEFORCE_TERM_GUARD:
             rows.append(
-                {"identity": f"shift_product_{label}", "k": k, "max_dev": None, "status": "skipped"}
+                {"identity": "all_bruteforce", "k": k, "max_dev": None, "status": "skipped"}
             )
             continue
-        mats = [
-            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(k)
-        ]
-        # m1 ⊗ ... ⊗ mk as one outer product, row digits before column digits
-        r, c = string.ascii_uppercase[:k], string.ascii_lowercase[:k]
-        subs = ",".join(a + b for a, b in zip(r, c)) + "->" + r + c
-        big = np.einsum(subs, *mats).reshape(d**k, d**k)
-        v_fwd = permnet.build_shift_matrix(k, d, "forward")
-        dev = max(
-            abs(np.trace(v_fwd.conj().T @ big) - np.trace(np.linalg.multi_dot(mats))),
-            abs(np.trace(v_fwd @ big) - np.trace(np.linalg.multi_dot(mats[::-1]))),
-        )
-        checks[f"shift_product_{label}"] = dev
-    for name, dev in checks.items():
-        rows.append(
-            {
-                "identity": name,
-                "k": k,
-                "max_dev": float(dev),
-                "status": "pass" if dev < IDENTITY_TOL else "fail",
-            }
-        )
-    return rows
+        per_trial = [_trace_checks(rho, m[k - 1], k) for rho, m in zip(rhos, moments)]
+        devs = {name: [checks[name] for checks in per_trial] for name in per_trial[0]}
+        # ordered product against the explicit shift matrix, on each local dimension
+        shifts = {
+            d: permnet.build_shift_matrix(k, d, "forward")
+            for d in {d_a, d_b}
+            if d**k <= permnet.MATRIX_SIZE_GUARD
+        }
+        for label, d in (("A", d_a), ("B", d_b)):
+            name = f"shift_product_{label}"
+            if d not in shifts:
+                rows.append({"identity": name, "k": k, "max_dev": None, "status": "skipped"})
+                continue
+            # k complex d x d matrices per trial, real then imaginary part of each
+            draws = np.array([rng.standard_normal((k, 2, d, d)) for rng in rngs])
+            devs[name] = _shift_product_devs(draws[:, :, 0] + 1j * draws[:, :, 1], shifts[d])
+        for name, dev in devs.items():
+            dev = float(np.max(dev))
+            status = "pass" if dev < IDENTITY_TOL else "fail"
+            rows.append({"identity": name, "k": k, "max_dev": dev, "status": status})
+    return sorted(rows, key=lambda row: (row["identity"], row["k"]))
 
 
 def cmd_verify(args) -> int:
@@ -237,26 +264,11 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--kmax must be >= 2, got {args.kmax}")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    d_a, d_b = args.dims
-    merged: dict[tuple[str, int], dict] = {}
-    for trial in range(args.trials):
-        rho = states.random_density((d_a, d_b), np.random.SeedSequence([args.seed, trial]))
-        rng = np.random.default_rng(np.random.SeedSequence([args.seed, trial, 1]))
-        moments = network.mu_parameters(rho, args.kmax)
-        for k in range(2, args.kmax + 1):
-            for row in _identity_rows(rho, moments[k - 1], k, rng):
-                key = (row["identity"], k)
-                prev = merged.get(key)
-                if prev is None or (
-                    row["max_dev"] is not None
-                    and (prev["max_dev"] is None or row["max_dev"] > prev["max_dev"])
-                ):
-                    merged[key] = row
-    rows = [merged[key] for key in sorted(merged)]
+    rows = _identity_rows(args.dims, args.kmax, args.trials, args.seed)
     ok = all(r["status"] != "fail" for r in rows)
     _emit(
         {
-            "dims": [d_a, d_b],
+            "dims": list(args.dims),
             "kmax": args.kmax,
             "trials": args.trials,
             "seed": args.seed,

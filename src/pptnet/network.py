@@ -1,6 +1,6 @@
 """Two-stage local interferometer network evaluated two ways: an analytic fast
-path from trace functionals, and a full unitary-evolution oracle that builds
-the actual circuit on small instances.
+path from trace functionals, and a full-evolution oracle that runs the actual
+circuit on small instances.
 
 Outcome-bit convention (used for ancilla states and four-outcome
 distributions alike): the B-side control qubit is the leading tensor factor,
@@ -26,6 +26,12 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 # the two controlled rotations of the second stage
 R_PLUS = (PAULI_Z + PAULI_Y) / np.sqrt(2)
 R_MINUS = (PAULI_Z - PAULI_Y) / np.sqrt(2)
+# H ⊗ H on a qubit pair; real and symmetric, so its own adjoint
+H_PAIR = np.kron(HADAMARD, HADAMARD)
+# U_xy = R_MINUS^x ⊗ R_PLUS^y on (b-control, a-control), stacked by readout 2x + y
+READOUT_GATES = np.array(
+    [np.kron(u_b, u_a) for u_b in (np.eye(2), R_MINUS) for u_a in (np.eye(2), R_PLUS)]
+)
 
 
 @dataclass(frozen=True)
@@ -134,11 +140,13 @@ def _analytic(mode: str) -> bool:
 
 
 def _stage_one_circuit(rho: DensityMatrix, k: int) -> np.ndarray:
-    """Evolve the full stage-one state: two control qubits, Hadamards,
-    controlled cyclic shifts on the A- and B-factors of rho^⊗k, Hadamards,
-    then trace out everything but the controls.  The shifts are basis
-    permutations, applied to the 4 d^k state as one index gather; no unitary
-    is formed."""
+    """Evolve the stage-one circuit: two control qubits, Hadamards, controlled
+    cyclic shifts on the A- and B-factors of rho^⊗k, Hadamards, then trace out
+    everything but the controls.  Only the 16 d^k entries of the shifted
+    state that the trace reads are evaluated, each as a product of k entries
+    of rho; neither rho^⊗k nor the 4 d^k x 4 d^k state is formed."""
+    if k < 1:
+        raise ValueError(f"kmax must be >= 1, got {k}")
     size = 4 * rho.d**k
     if size > FULL_EVOLUTION_GUARD:
         raise ValueError(f"full-evolution space size {size} exceeds guard {FULL_EVOLUTION_GUARD}")
@@ -151,15 +159,25 @@ def _stage_one_circuit(rho: DensityMatrix, k: int) -> np.ndarray:
     shift_a = permnet.digit_shift_permutation(dims, a_positions, "inverse", control=1)
     shift_b = permnet.digit_shift_permutation(dims, b_positions, "forward", control=0)
     # basis state x goes to shift_a[shift_b[x]], so entry (i, j) of the shifted
-    # state is entry (src[i], src[j]) of the input, src the inverse permutation
+    # state is entry (src[i], src[j]) of the input, src the inverse permutation.
+    # Gathering with shift_a[shift_b] itself would run the inverse evolution,
+    # which reverses every cycle.  No test can tell the two apart: for any
+    # matrix rho, Tr rho_A^k, Tr rho_B^k and Tr rho^k do not change when their
+    # cycle is reversed, and reversing both cycles of the partial-transpose
+    # trace turns Tr[(rho^T_B)^k] into Tr[(rho^T_A)^k], which is equal.  The
+    # argsort keeps the evolution the one the docstring names.
     src = np.argsort(shift_a[shift_b])
-    x = np.full((4, 4), 0.25)  # the first Hadamards take the controls from |00> to |++>
-    for _ in range(k):
-        x = np.kron(x, rho.matrix)
-    controls = linalg.partial_trace(x[src[:, None], src], [4, size // 4], [0])
+    # The input is 1/4 J_4 ⊗ rho^⊗k (the first Hadamards take the controls from
+    # |00> to |++>), so input entry (i, j) is 1/4 of the product over copies t
+    # of rho[e_t(i), e_t(j)], e_t the t-th base-d digit of the environment
+    # index.  The trace reads entry (c m + r, c' m + r) of the shifted state.
+    m = size // 4
+    terms = np.full((4, 4, m), 0.25, dtype=complex)
+    for e in np.unravel_index(src.reshape(4, m) % m, [rho.d] * k):  # e[c, r] = e_t(src[c m + r])
+        terms *= rho.matrix[e[:, None, :], e[None, :, :]]
+    controls = terms.sum(axis=2)
     # the second Hadamards act on the controls alone, so they commute with the trace
-    h_pair = np.kron(HADAMARD, HADAMARD)
-    return h_pair @ controls @ h_pair.conj().T
+    return H_PAIR @ controls @ H_PAIR
 
 
 def stage_one_state(rho: DensityMatrix, k: int, mode: str = "analytic") -> AncillaState:
@@ -169,44 +187,25 @@ def stage_one_state(rho: DensityMatrix, k: int, mode: str = "analytic") -> Ancil
     return AncillaState("stage1_a1b1", _stage_one_circuit(rho, k))
 
 
-def _embed_controlled_qubit_gate(n: int, control: int, target: int, u: np.ndarray) -> np.ndarray:
-    """Controlled-u on an n-qubit register, given control/target factor positions."""
-    proj = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
-    out = np.zeros((2**n, 2**n), dtype=complex)
-    for x in (0, 1):
-        factors = [np.eye(2, dtype=complex)] * n
-        factors[control] = proj[x]
-        if x == 1:
-            factors[target] = u
-        term = factors[0]
-        for f in factors[1:]:
-            term = np.kron(term, f)
-        out += term
-    return out
-
-
 def stage_two_state(rho: DensityMatrix, k: int, mode: str = "analytic") -> AncillaState:
     """Joint state of the two stage-two readout qubits.
 
     In analytic mode this is the diagonal matrix of the four outcome
-    probabilities; in full-evolution mode the second-stage circuit (Hadamards,
-    controlled R+ / R- onto the stage-one controls, Hadamards) is applied
-    explicitly and the readout pair is traced out.
+    probabilities.  In full-evolution mode the second-stage circuit is applied
+    to the stage-one controls: Hadamards take the readouts to |++>, readout
+    (x, y) applies U_xy = R_MINUS^x ⊗ R_PLUS^y to the (b-control, a-control)
+    pair, the controls are traced out and Hadamards act on the readouts.  That
+    leaves H G H with G[xy, x'y'] = Tr(U_x'y'^dagger U_xy sigma) / 4, sigma the
+    stage-one state.
     """
     if _analytic(mode):
         probs = stage_two_distribution(rho, k).as_array()
         return AncillaState("stage2_a2b2", np.diag(probs).astype(complex))
-    stage_one = _stage_one_circuit(rho, k)
-    # factors: (b-readout, a-readout, b-control, a-control)
-    anc0 = np.zeros((4, 4), dtype=complex)
-    anc0[0, 0] = 1.0
-    rho_in = np.kron(anc0, stage_one)
-    h_pair = np.kron(np.kron(HADAMARD, HADAMARD), np.eye(4))
-    c_plus = _embed_controlled_qubit_gate(4, control=1, target=3, u=R_PLUS)
-    c_minus = _embed_controlled_qubit_gate(4, control=0, target=2, u=R_MINUS)
-    u = h_pair @ c_plus @ c_minus @ h_pair
-    rho_out = u @ rho_in @ u.conj().T
-    return AncillaState("stage2_a2b2", linalg.partial_trace(rho_out, [2, 2, 2, 2], [0, 1]))
+    sigma = _stage_one_circuit(rho, k)
+    # Tr(U_x'y'^dagger U_xy sigma) = sum_ij (U_xy sigma)[i, j] conj(U_x'y'[i, j])
+    gates = READOUT_GATES.reshape(4, 16)
+    gram = (READOUT_GATES @ sigma).reshape(4, 16) @ gates.conj().T / 4
+    return AncillaState("stage2_a2b2", H_PAIR @ gram @ H_PAIR)
 
 
 def stage_two_distribution(rho: DensityMatrix, k: int, mode: str = "analytic") -> OutcomeDistribution:

@@ -1,12 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import string
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pptnet import cli, states
+from pptnet import cli, network, permnet, states
 
 REPORT_KEYS = {
     "dims",
@@ -222,6 +223,109 @@ def test_verify_passes(capsys):
     for row in report["identities"]:
         assert row["status"] == "pass"
         assert row["max_dev"] < 1e-10
+
+
+def reference_identity_rows(rho, moments_k, k, rng):
+    """One trial's identity rows at order k, one state and one shift matrix at a time."""
+    d_a, d_b = rho.dims
+    rows = []
+    if (d_a * d_b) ** k > permnet.BRUTEFORCE_TERM_GUARD:
+        return [{"identity": "all_bruteforce", "k": k, "max_dev": None, "status": "skipped"}]
+    t_a, t_b, t_rho, eta = moments_k
+    eta_b = permnet.shift_trace_bruteforce(rho, k, "inverse", "forward")
+    eta_a = permnet.shift_trace_bruteforce(rho, k, "forward", "inverse")
+    checks = {
+        "transpose_power_B": abs(eta_b - eta),
+        "transpose_power_A": abs(eta_a - eta),
+        "conjugate_pair_reality": max(abs(eta_b.imag), abs(eta_a.imag), abs(eta_b - eta_a.conjugate())),
+        "reduced_power_A": abs(permnet.shift_trace_bruteforce(rho, k, "forward", "identity") - t_a),
+        "reduced_power_B": abs(permnet.shift_trace_bruteforce(rho, k, "identity", "forward") - t_b),
+        "combined_shift_power": abs(
+            permnet.shift_trace_bruteforce(rho, k, "forward", "forward") - t_rho
+        ),
+    }
+    if k == 2:
+        checks["purity_equality"] = abs(eta - t_rho)
+    for label, d in (("A", d_a), ("B", d_b)):
+        if d**k > permnet.MATRIX_SIZE_GUARD:
+            rows.append(
+                {"identity": f"shift_product_{label}", "k": k, "max_dev": None, "status": "skipped"}
+            )
+            continue
+        mats = [
+            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(k)
+        ]
+        r, c = string.ascii_uppercase[:k], string.ascii_lowercase[:k]
+        subs = ",".join(a + b for a, b in zip(r, c)) + "->" + r + c
+        big = np.einsum(subs, *mats).reshape(d**k, d**k)
+        v_fwd = permnet.build_shift_matrix(k, d, "forward")
+        dev = max(
+            abs(np.trace(v_fwd.conj().T @ big) - np.trace(np.linalg.multi_dot(mats))),
+            abs(np.trace(v_fwd @ big) - np.trace(np.linalg.multi_dot(mats[::-1]))),
+        )
+        checks[f"shift_product_{label}"] = dev
+    for name, dev in checks.items():
+        rows.append(
+            {
+                "identity": name,
+                "k": k,
+                "max_dev": float(dev),
+                "status": "pass" if dev < cli.IDENTITY_TOL else "fail",
+            }
+        )
+    return rows
+
+
+def reference_verify_rows(dims, kmax, trials, seed):
+    """The identity suite trial by trial, keeping the largest deviation per row."""
+    merged = {}
+    for trial in range(trials):
+        rho = states.random_density(tuple(dims), np.random.SeedSequence([seed, trial]))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, trial, 1]))
+        moments = network.mu_parameters(rho, kmax)
+        for k in range(2, kmax + 1):
+            for row in reference_identity_rows(rho, moments[k - 1], k, rng):
+                key = (row["identity"], k)
+                prev = merged.get(key)
+                if prev is None or (
+                    row["max_dev"] is not None
+                    and (prev["max_dev"] is None or row["max_dev"] > prev["max_dev"])
+                ):
+                    merged[key] = row
+    return [merged[key] for key in sorted(merged)]
+
+
+@pytest.mark.parametrize("broken", [False, True])
+@pytest.mark.parametrize("dims, kmax, trials", [((2, 3), 3, 3), ((2, 2), 4, 4)])
+def test_verify_matches_per_trial_reference(capsys, monkeypatch, dims, kmax, trials, broken):
+    if broken:
+        # On working code every deviation is rounding noise far below 1e-13, so
+        # the rows would match whichever trial or random matrix they came from.
+        # Scaled oracles give deviations that depend on each trial's state and
+        # random matrices, so a lost trial or a shifted stream shows.
+        oracle, shift = permnet.shift_trace_bruteforce, permnet.build_shift_matrix
+        monkeypatch.setattr(
+            permnet,
+            "shift_trace_bruteforce",
+            lambda rho, k, a, b: oracle(rho, k, a, b) * (1 + rho.matrix[0, 0].real),
+        )
+        monkeypatch.setattr(
+            permnet, "build_shift_matrix", lambda k, d, direction: 1.5 * shift(k, d, direction)
+        )
+    argv = ["verify", "--dims", *map(str, dims), "--kmax", str(kmax), "--trials", str(trials)]
+    code, report = run(capsys, argv)
+    assert code == (3 if broken else 0)
+    ref = reference_verify_rows(dims, kmax, trials, seed=0)
+    assert report["pass"] is all(row["status"] != "fail" for row in ref)
+    got = report["identities"]
+    assert [(r["identity"], r["k"], r["status"]) for r in got] == [
+        (r["identity"], r["k"], r["status"]) for r in ref
+    ]
+    # chained matmul in place of multi_dot may differ in the last bits
+    for g, r in zip(got, ref):
+        assert (g["max_dev"] is None) == (r["max_dev"] is None)
+        if r["max_dev"] is not None:
+            assert abs(g["max_dev"] - r["max_dev"]) <= 1e-13 * max(1.0, r["max_dev"])
 
 
 def test_verify_rejects_empty_sweep(capsys):

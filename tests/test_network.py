@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pptnet import estimation, linalg, network, permnet, states
+from pptnet import linalg, network, permnet, states
 
 
 def dense_stage_one(rho, k):
@@ -32,9 +32,63 @@ def dense_stage_one(rho, k):
     return linalg.partial_trace(u @ rho_in @ u.conj().T, dims, [0, 1])
 
 
+def _embed_controlled_qubit_gate(n, control, target, u):
+    """Controlled-u on an n-qubit register, given control/target factor positions."""
+    proj = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for x in (0, 1):
+        factors = [np.eye(2, dtype=complex)] * n
+        factors[control] = proj[x]
+        if x == 1:
+            factors[target] = u
+        term = factors[0]
+        for f in factors[1:]:
+            term = np.kron(term, f)
+        out += term
+    return out
+
+
+def dense_stage_two(rho, k):
+    """Reference stage-two circuit as an explicit 16 x 16 unitary on
+    (b-readout, a-readout, b-control, a-control), fed the dense stage-one state:
+    Hadamards on the readouts, controlled R- from the b-readout onto the
+    b-control, controlled R+ from the a-readout onto the a-control, Hadamards,
+    then the controls traced out."""
+    anc0 = np.zeros((4, 4), dtype=complex)
+    anc0[0, 0] = 1.0
+    rho_in = np.kron(anc0, dense_stage_one(rho, k))
+    h_pair = np.kron(np.kron(network.HADAMARD, network.HADAMARD), np.eye(4))
+    c_plus = _embed_controlled_qubit_gate(4, control=1, target=3, u=network.R_PLUS)
+    c_minus = _embed_controlled_qubit_gate(4, control=0, target=2, u=network.R_MINUS)
+    u = h_pair @ c_plus @ c_minus @ h_pair
+    return linalg.partial_trace(u @ rho_in @ u.conj().T, [2, 2, 2, 2], [0, 1])
+
+
+def circuit_inputs(dims, seeds):
+    """Random states of the given seeds plus one general complex matrix.  The
+    circuit is linear in rho, so it must match a dense reference on any
+    matrix.  A Hermitian rho cannot expose a conjugated rho: conj(rho) = rho^T
+    has the same power traces."""
+    inputs = [states.random_density(dims, seed=seed) for seed in seeds]
+    rng = np.random.default_rng(seeds[0])
+    d = dims[0] * dims[1]
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return inputs + [states.DensityMatrix(dims, g / d)]
+
+
 def eta_exact(rho, k):
     pt = linalg.partial_transpose(rho.matrix, rho.d_a, rho.d_b, "B")
     return np.trace(linalg.mat_power(pt, k)).real
+
+
+def assert_circuit_matches_power_sums(rho, k):
+    row = network.mu_parameters(rho, k)[k - 1]
+    full = network.stage_one_state(rho, k, mode="full_evolution").matrix
+    assert np.max(np.abs(full - network.stage_one_template(row))) < 1e-10
+    # the readout gates halve the alternating sum (calibrated eta scale 2);
+    # eta_exact, not power_sums_exact, since k may exceed d
+    dist = network.stage_two_distribution(rho, k, mode="full_evolution")
+    assert abs(2 * dist.alternating_sum() - eta_exact(rho, k)) < 1e-9
 
 
 def test_mu_parameters_maximally_mixed():
@@ -112,22 +166,38 @@ def test_stage_one_circuit_matches_analytic():
 
 def test_stage_one_circuit_matches_dense_unitary():
     for dims, k in (((2, 2), 2), ((2, 2), 3), ((2, 3), 2)):
-        for seed in (12, 13):
-            rho = states.random_density(dims, seed=seed)
+        for rho in circuit_inputs(dims, (12, 13)):
             full = network.stage_one_state(rho, k, mode="full_evolution").matrix
             assert np.max(np.abs(full - dense_stage_one(rho, k))) < 1e-12
 
 
+def test_stage_two_circuit_matches_dense_unitary():
+    for dims, k in (((2, 2), 2), ((2, 2), 3), ((2, 3), 2)):
+        for rho in circuit_inputs(dims, (15, 16)):
+            full = network.stage_two_state(rho, k, mode="full_evolution").matrix
+            assert np.max(np.abs(full - dense_stage_two(rho, k))) < 1e-12
+
+
 def test_circuit_at_benchmark_sizes_matches_exact_power_sums():
     for dims, k in (((2, 2), 4), ((2, 3), 3)):
-        rho = states.random_density(dims, seed=14)
-        row = network.mu_parameters(rho, k)[k - 1]
-        full = network.stage_one_state(rho, k, mode="full_evolution").matrix
-        assert np.max(np.abs(full - network.stage_one_template(row))) < 1e-10
-        # the readout gates halve the alternating sum (calibrated eta scale 2)
-        dist = network.stage_two_distribution(rho, k, mode="full_evolution")
-        p_k = estimation.power_sums_exact(rho).p[k - 1]
-        assert abs(2 * dist.alternating_sum() - p_k) < 1e-9
+        assert_circuit_matches_power_sums(states.random_density(dims, seed=14), k)
+
+
+def test_circuit_at_guard_edge_matches_exact_power_sums():
+    # 2x2 at k = 5 is n = 4096, exactly the guard; a dense n x n complex state
+    # there takes 268 MB per array
+    assert 4 * 4**5 == network.FULL_EVOLUTION_GUARD
+    for dims, k in (((2, 2), 5), ((3, 3), 3)):
+        assert_circuit_matches_power_sums(states.random_density(dims, seed=17), k)
+
+
+@pytest.mark.parametrize("mode", ["analytic", "full_evolution"])
+@pytest.mark.parametrize("k", [0, -1])
+def test_stage_functions_reject_order_below_one(mode, k):
+    bell = states.bell_state("phi+")
+    for stage in (network.stage_one_state, network.stage_two_state, network.stage_two_distribution):
+        with pytest.raises(ValueError, match="kmax must be >= 1"):
+            stage(bell, k, mode)
 
 
 def test_stage_one_circuit_guard():
