@@ -135,15 +135,14 @@ def cmd_simulate(args) -> int:
     try:
         result = estimation.run_protocol(rho, cfg, exact_probabilities=args.exact_probabilities)
     except estimation.EstimationError as exc:
-        ps = getattr(exc, "power_sums", None)
         partial = _report(
             rho,
             method,
-            power_sums=None if ps is None else ps.p,
-            power_sum_stderr=None if ps is None else ps.stderr,
+            power_sums=exc.power_sums.p,
+            power_sum_stderr=exc.power_sums.stderr,
             shots_per_k=shots,
             seed=cfg.seed,
-            copies_consumed=0 if args.exact_probabilities else shots * sum(range(2, rho.d + 1)),
+            copies_consumed=exc.copies_consumed,
         )
         partial["error"] = str(exc)
         _emit(partial)

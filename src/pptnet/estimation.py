@@ -129,11 +129,10 @@ def _substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, path)]))
 
 
-def sample_shots(dist: network.OutcomeDistribution, n: int, seed) -> ShotCounts:
+def sample_shots(dist: network.OutcomeDistribution, n: int, rng: np.random.Generator) -> ShotCounts:
     """Multinomial draw of n outcomes from the four-outcome distribution."""
     if n < 1:
         raise ValueError(f"shot count must be >= 1, got {n}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     probs = np.clip(dist.as_array(), 0.0, None)
     counts = rng.multinomial(n, probs / probs.sum())
     return ShotCounts(dist.k, *(int(c) for c in counts))
@@ -312,21 +311,18 @@ def _cluster_multiple_roots(roots: np.ndarray, tol: float) -> np.ndarray:
     return np.array(out)
 
 
-def spectrum_from_power_sums(
-    ps: PowerSums, imag_cap: float | None = None, cluster_tol: float = CLUSTER_TOL
-) -> Spectrum:
+def spectrum_from_power_sums(ps: PowerSums) -> Spectrum:
     """Recover the d eigenvalues from power sums: Newton's identities give the
     characteristic polynomial, companion-matrix roots give the spectrum.
 
     The polynomial is real, so roots pair up conjugately; the recorded
-    residual_imag is the largest raw imaginary magnitude.  Above `imag_cap`
-    (source-dependent default) the estimate is rejected as too noisy instead
-    of silently cleaned up.  Exact-source inputs additionally merge root
-    clusters within `cluster_tol`, recovering degenerate eigenvalues that
-    finite precision splits apart.
+    residual_imag is the largest raw imaginary magnitude.  Above the cap of
+    the source (EXACT_IMAG_CAP or SHOT_IMAG_CAP) the estimate is rejected as
+    too noisy instead of silently cleaned up.  Exact-source inputs
+    additionally merge root clusters within CLUSTER_TOL, recovering
+    degenerate eigenvalues that finite precision splits apart.
     """
-    if imag_cap is None:
-        imag_cap = EXACT_IMAG_CAP if ps.source == "exact" else SHOT_IMAG_CAP
+    imag_cap = EXACT_IMAG_CAP if ps.source == "exact" else SHOT_IMAG_CAP
     roots = _companion_roots(_newton_coefficients(ps.p[np.newaxis]))[0]
     residual = float(np.max(np.abs(roots.imag))) if len(roots) else 0.0
     if residual > imag_cap:
@@ -334,7 +330,7 @@ def spectrum_from_power_sums(
             f"root imaginary residual {residual:.3e} exceeds cap {imag_cap:.3e}"
         )
     if ps.source == "exact":
-        lambdas = _cluster_multiple_roots(roots, cluster_tol)
+        lambdas = _cluster_multiple_roots(roots, CLUSTER_TOL)
     else:
         lambdas = roots.real
     return Spectrum(np.sort(lambdas)[::-1], residual)
@@ -414,7 +410,7 @@ def run_protocol(
         else:
             sigma, interval, failures = 0.0, None, None
     except EstimationError as exc:
-        exc.power_sums = ps  # partial result for error reporting
+        exc.power_sums, exc.copies_consumed = ps, copies  # partial result for error reporting
         raise
     v = verdict(spectrum, rho.dims, sigma, cfg.z)
     return ProtocolResult(ps, spectrum, v, counts_per_k, sigma, interval, failures, copies)

@@ -139,10 +139,24 @@ def _analytic(mode: str) -> bool:
     return mode == "analytic"
 
 
+def _shift_sources(dims: tuple[int, int], k: int) -> np.ndarray:
+    """Source rows of the stage-one gather, row 2 x_b + x_a for control value
+    (x_b, x_a): the environment index of (A1, B1, ..., Ak, Bk) each index takes
+    its entry from.  The A-side control applies the inverse shift of the A
+    factors and the B-side control the forward shift of the B factors (which
+    targets the partial transpose on B), so the sources undo those shifts.
+    Traces cannot tell this evolution from its inverse; a test pins them."""
+    env = list(dims) * k
+    a_src = permnet.digit_shift_permutation(env, range(0, 2 * k, 2), "forward")
+    b_src = permnet.digit_shift_permutation(env, range(1, 2 * k, 2), "inverse")
+    return np.stack([np.arange(len(a_src)), a_src, b_src, a_src[b_src]])
+
+
 def _stage_one_circuit(rho: DensityMatrix, k: int) -> np.ndarray:
     """Evolve the stage-one circuit: two control qubits, Hadamards, controlled
     cyclic shifts on the A- and B-factors of rho^⊗k, Hadamards, then trace out
-    everything but the controls.  Only the 16 d^k entries of the shifted
+    everything but the controls.  Each control value gathers through a plain
+    shift of the d^k environment, and only the 16 d^k entries of the shifted
     state that the trace reads are evaluated, each as a product of k entries
     of rho; neither rho^⊗k nor the 4 d^k x 4 d^k state is formed."""
     if k < 1:
@@ -150,30 +164,13 @@ def _stage_one_circuit(rho: DensityMatrix, k: int) -> np.ndarray:
     size = 4 * rho.d**k
     if size > FULL_EVOLUTION_GUARD:
         raise ValueError(f"full-evolution space size {size} exceeds guard {FULL_EVOLUTION_GUARD}")
-    d_a, d_b = rho.dims
-    dims = [2, 2] + [d_a, d_b] * k  # (b-control, a-control, A1, B1, ..., Ak, Bk)
-    a_positions = [2 + 2 * c for c in range(k)]
-    b_positions = [3 + 2 * c for c in range(k)]
-    # the B-side control applies the forward shift and the A-side control the
-    # inverse shift, which targets the partial transpose on B
-    shift_a = permnet.digit_shift_permutation(dims, a_positions, "inverse", control=1)
-    shift_b = permnet.digit_shift_permutation(dims, b_positions, "forward", control=0)
-    # basis state x goes to shift_a[shift_b[x]], so entry (i, j) of the shifted
-    # state is entry (src[i], src[j]) of the input, src the inverse permutation.
-    # Gathering with shift_a[shift_b] itself would run the inverse evolution,
-    # which reverses every cycle.  No test can tell the two apart: for any
-    # matrix rho, Tr rho_A^k, Tr rho_B^k and Tr rho^k do not change when their
-    # cycle is reversed, and reversing both cycles of the partial-transpose
-    # trace turns Tr[(rho^T_B)^k] into Tr[(rho^T_A)^k], which is equal.  The
-    # argsort keeps the evolution the one the docstring names.
-    src = np.argsort(shift_a[shift_b])
     # The input is 1/4 J_4 ⊗ rho^⊗k (the first Hadamards take the controls from
     # |00> to |++>), so input entry (i, j) is 1/4 of the product over copies t
     # of rho[e_t(i), e_t(j)], e_t the t-th base-d digit of the environment
-    # index.  The trace reads entry (c m + r, c' m + r) of the shifted state.
-    m = size // 4
-    terms = np.full((4, 4, m), 0.25, dtype=complex)
-    for e in np.unravel_index(src.reshape(4, m) % m, [rho.d] * k):  # e[c, r] = e_t(src[c m + r])
+    # index.  The trace reads entry (c, r; c', r) of the shifted state, which
+    # is input entry (c, src[c, r]; c', src[c', r]).
+    terms = np.full((4, 4, size // 4), 0.25, dtype=complex)
+    for e in np.unravel_index(_shift_sources(rho.dims, k), [rho.d] * k):  # e[c, r] = e_t(src[c, r])
         terms *= rho.matrix[e[:, None, :], e[None, :, :]]
     controls = terms.sum(axis=2)
     # the second Hadamards act on the controls alone, so they commute with the trace

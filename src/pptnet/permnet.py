@@ -1,5 +1,5 @@
-"""Cyclic shift operators on k tensor copies, their controlled versions, and a
-brute-force index-sum trace oracle.
+"""Cyclic shift operators on k tensor copies and a brute-force index-sum
+trace oracle.
 
 A shift permutation is returned as an integer array `perm` over basis indices,
 with perm[x] = image of basis state x.  The forward shift moves the last
@@ -28,30 +28,17 @@ def _check_direction(direction: str) -> None:
         raise ValueError(f"direction must be one of {tuple(_CYCLE_STEP)}, got {direction!r}")
 
 
-def digit_shift_permutation(
-    dims: list[int], positions: list[int], direction: str, control: int | None = None
-) -> np.ndarray:
+def digit_shift_permutation(dims: list[int], positions: list[int], direction: str) -> np.ndarray:
     """Permutation of a mixed-radix index space cyclically shifting the digits
-    at `positions` (which must share one dimension); with `control` set, only
-    indices whose control digit equals 1 are moved."""
+    at `positions`, which must share one dimension."""
     _check_direction(direction)
     dims = [int(d) for d in dims]
     positions = list(positions)
     if len({dims[p] for p in positions}) > 1:
         raise ValueError("shifted positions must have equal dimensions")
-    size = math.prod(dims)
-    digits = np.array(np.unravel_index(np.arange(size), dims))
-    sel = np.roll(digits[positions], -_CYCLE_STEP[direction], axis=0)
-    if control is not None:
-        mask = digits[control] == 1
-        moved = digits[:, mask].copy()
-        moved[positions] = sel[:, mask]
-        out = digits.copy()
-        out[:, mask] = moved
-    else:
-        out = digits.copy()
-        out[positions] = sel
-    return np.ravel_multi_index(tuple(out), dims)
+    digits = np.array(np.unravel_index(np.arange(math.prod(dims)), dims))
+    digits[positions] = np.roll(digits[positions], -_CYCLE_STEP[direction], axis=0)
+    return np.ravel_multi_index(tuple(digits), dims)
 
 
 def shift_permutation(k: int, d: int, direction: str = "forward") -> np.ndarray:

@@ -163,6 +163,7 @@ def test_simulate_too_noisy_exits_2(capsys, tmp_path):
     assert report["classification"] is None
     assert report["power_sums"][0] == 1.0
     assert report["interval"] is None and report["bootstrap_failures"] is None
+    assert report["copies_consumed"] == 2 * 9  # 2 shots at each of k = 2, 3, 4
 
 
 @pytest.mark.parametrize("eps", [5e-10, 9e-10])

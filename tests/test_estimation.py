@@ -18,28 +18,28 @@ def degenerate_dist(k=2):
 
 
 def test_sample_shots_degenerate():
-    counts = est.sample_shots(degenerate_dist(), 1000, seed=0)
+    counts = est.sample_shots(degenerate_dist(), 1000, np.random.default_rng(0))
     assert (counts.n00, counts.n01, counts.n10, counts.n11) == (1000, 0, 0, 0)
     assert counts.total == 1000
 
 
 def test_sample_shots_deterministic():
     dist = network.stage_two_distribution(states.bell_state("phi+"), 3)
-    a = est.sample_shots(dist, 5000, seed=7)
-    b = est.sample_shots(dist, 5000, seed=7)
+    a = est.sample_shots(dist, 5000, np.random.default_rng(7))
+    b = est.sample_shots(dist, 5000, np.random.default_rng(7))
     assert a == b
-    assert a != est.sample_shots(dist, 5000, seed=8)
+    assert a != est.sample_shots(dist, 5000, np.random.default_rng(8))
 
 
 def test_sample_shots_uniform_within_binomial_noise():
     dist = network.outcome_distribution(2, np.full(4, 0.25), 4)
-    counts = est.sample_shots(dist, 1_000_000, seed=1).as_array()
+    counts = est.sample_shots(dist, 1_000_000, np.random.default_rng(1)).as_array()
     assert np.all(np.abs(counts - 250_000) < 5 * math.sqrt(1e6 * 0.25 * 0.75))
 
 
 def test_sample_shots_rejects_bad_n():
     with pytest.raises(ValueError):
-        est.sample_shots(degenerate_dist(), 0, seed=0)
+        est.sample_shots(degenerate_dist(), 0, np.random.default_rng(0))
 
 
 def test_eta_from_counts_frozen():
@@ -180,9 +180,10 @@ def test_spectrum_from_power_sums_bell():
 
 
 def test_spectrum_cap_override_rejects():
-    ps = est.PowerSums(4, BELL_POWER_SUMS, "exact", np.zeros(4))
+    # residual 0.90 lies above EXACT_IMAG_CAP, so the exact-source cap rejects it
+    ps = est.PowerSums(4, np.array([1.0, -0.9, 0.8, -0.7]), "exact", np.zeros(4))
     with pytest.raises(est.SpectrumTooNoisyError):
-        est.spectrum_from_power_sums(ps, imag_cap=1e-12)
+        est.spectrum_from_power_sums(ps)
 
 
 def test_spectrum_too_noisy_estimated_source():

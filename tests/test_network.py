@@ -1,10 +1,21 @@
 """Tests for the two-stage interference network."""
 
+import math
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from pptnet import linalg, network, permnet, states
+
+
+def controlled_shift(dims, positions, direction, control):
+    """Reference controlled digit shift: moves only the basis indices whose
+    digit at `control` is 1."""
+    index = np.arange(math.prod(dims))
+    control_digit = np.unravel_index(index, dims)[control]
+    shifted = permnet.digit_shift_permutation(dims, positions, direction)
+    return np.where(control_digit == 1, shifted, index)
 
 
 def dense_stage_one(rho, k):
@@ -17,10 +28,10 @@ def dense_stage_one(rho, k):
     d_a, d_b = rho.dims
     dims = [2, 2] + [d_a, d_b] * k
     c_shift_a = permnet.permutation_matrix(
-        permnet.digit_shift_permutation(dims, [2 + 2 * c for c in range(k)], "inverse", control=1)
+        controlled_shift(dims, [2 + 2 * c for c in range(k)], "inverse", control=1)
     )
     c_shift_b = permnet.permutation_matrix(
-        permnet.digit_shift_permutation(dims, [3 + 2 * c for c in range(k)], "forward", control=0)
+        controlled_shift(dims, [3 + 2 * c for c in range(k)], "forward", control=0)
     )
     h_pair = np.kron(np.kron(network.HADAMARD, network.HADAMARD), np.eye(n // 4))
     u = h_pair @ c_shift_a @ c_shift_b @ h_pair
@@ -169,6 +180,22 @@ def test_stage_one_circuit_matches_dense_unitary():
         for rho in circuit_inputs(dims, (12, 13)):
             full = network.stage_one_state(rho, k, mode="full_evolution").matrix
             assert np.max(np.abs(full - dense_stage_one(rho, k))) < 1e-12
+
+
+@pytest.mark.parametrize("dims, kmax", [((2, 2), 5), ((2, 3), 3), ((3, 2), 3), ((3, 3), 3)])
+def test_shift_sources_pin_the_shift_directions(dims, kmax):
+    # The gather sources must invert the controlled shifts of the circuit on
+    # the whole 4 d^k space.  Reversing both cycles runs the inverse evolution,
+    # which leaves every trace (and so every dense-state test) unchanged; only
+    # these indices can tell.
+    for k in range(1, kmax + 1):
+        m = (dims[0] * dims[1]) ** k
+        full = [2, 2] + list(dims) * k
+        shift_a = controlled_shift(full, range(2, 2 * k + 2, 2), "inverse", control=1)
+        shift_b = controlled_shift(full, range(3, 2 * k + 2, 2), "forward", control=0)
+        src = np.argsort(shift_a[shift_b]).reshape(4, m)
+        assert_array_equal(src // m, np.repeat(np.arange(4)[:, None], m, axis=1))
+        assert_array_equal(network._shift_sources(dims, k), src % m)
 
 
 def test_stage_two_circuit_matches_dense_unitary():

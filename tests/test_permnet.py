@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pptnet import linalg, network, permnet, states
+from test_network import controlled_shift
 
 DIRECTIONS = ("forward", "inverse", "identity")
 
@@ -82,8 +83,9 @@ def test_shift_matrix_traces_cyclic_products():
 
 
 def test_digit_shift_permutation_controlled():
-    # A controlled shift acts only on basis states whose control digit is 1.
-    perm = permnet.digit_shift_permutation([2, 2, 2], [1, 2], "forward", control=0)
+    # The circuit references' controlled shift acts only on basis states whose
+    # control digit is 1.
+    perm = controlled_shift([2, 2, 2], [1, 2], "forward", control=0)
     for a in (0, 1):
         for b in (0, 1):
             assert perm[2 * a + b] == 2 * a + b
