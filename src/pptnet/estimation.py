@@ -34,8 +34,6 @@ CLUSTER_TOL = 1e-3
 
 _STREAM_PRIMARY = 0
 _STREAM_BOOTSTRAP = 1
-# outcome weights of eta = P00 - P01 - P10 + P11, as in eta_from_counts
-_PARITY = np.array([1, -1, -1, 1])
 
 
 class EstimationError(RuntimeError):
@@ -53,24 +51,13 @@ class CalibrationError(EstimationError):
 @dataclass(frozen=True)
 class ShotCounts:
     k: int
-    n00: int
-    n01: int
-    n10: int
-    n11: int
-
-    @property
-    def total(self) -> int:
-        return self.n00 + self.n01 + self.n10 + self.n11
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.n00, self.n01, self.n10, self.n11])
+    n: np.ndarray  # (4,) counts by readout 2x + y
 
 
 @dataclass(frozen=True)
 class PowerSums:
     """Power sums p[i] = Tr[(rho^T_B)^(i+1)] for orders 1..d (index offset one)."""
 
-    d: int
     p: np.ndarray
     source: str  # "exact" or "estimated"
     stderr: np.ndarray | None = None
@@ -88,10 +75,7 @@ class Spectrum:
 @dataclass(frozen=True)
 class PptVerdict:
     lambda_min: float
-    sigma: float
     classification: str
-    dims: tuple[int, int]
-    z: float
 
 
 @dataclass(frozen=True)
@@ -133,19 +117,17 @@ def sample_shots(dist: network.OutcomeDistribution, n: int, rng: np.random.Gener
     """Multinomial draw of n outcomes from the four-outcome distribution."""
     if n < 1:
         raise ValueError(f"shot count must be >= 1, got {n}")
-    probs = np.clip(dist.as_array(), 0.0, None)
-    counts = rng.multinomial(n, probs / probs.sum())
-    return ShotCounts(dist.k, *(int(c) for c in counts))
+    return ShotCounts(dist.k, rng.multinomial(n, dist.p / dist.p.sum()))
 
 
-def eta_from_counts(counts: ShotCounts) -> tuple[float, float]:
-    """Estimate eta = P00 - P01 - P10 + P11 plus its standard error."""
-    total = counts.total
-    if total <= 0:
+def eta_from_counts(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate eta = P00 - P01 - P10 + P11 plus its standard error from
+    (..., 4) counts by readout 2x + y, one estimate per row."""
+    total = n.sum(axis=-1)
+    if np.any(total <= 0):
         raise ValueError("cannot estimate from zero total counts")
-    m_hat = (counts.n00 - counts.n01 - counts.n10 + counts.n11) / total
-    stderr = math.sqrt(max(0.0, 1.0 - m_hat**2) / total)
-    return m_hat, stderr
+    eta = n @ network.PARITY / total
+    return eta, np.sqrt(np.maximum(0.0, 1.0 - eta**2) / total)
 
 
 def calibration_report(dims: tuple[int, int]) -> dict:
@@ -197,7 +179,7 @@ def power_sums_exact(rho: DensityMatrix) -> PowerSums:
     """p[k] = Tr[(rho^T_B)^k] for k = 1..d, with p[1] pinned to 1."""
     p = network.mu_parameters(rho, rho.d)[:, 3]  # column 3: Tr[(rho^T_B)^k]
     p[0] = 1.0
-    return PowerSums(rho.d, p, "exact", np.zeros(rho.d))
+    return PowerSums(p, "exact", np.zeros(rho.d))
 
 
 def _distribution_for_k(
@@ -217,42 +199,33 @@ def _distribution_for_k(
     return network.outcome_distribution(k, probs, len(moments))
 
 
-def _power_sums_from_counts(d: int, counts_per_k: list[ShotCounts]) -> PowerSums:
-    p = np.empty(d)
-    se = np.zeros(d)
-    p[0] = 1.0
-    for counts in counts_per_k:
-        p[counts.k - 1], se[counts.k - 1] = eta_from_counts(counts)
-    return PowerSums(d, p, "estimated", se)
-
-
-def _collect_counts(rho: DensityMatrix, cfg: EstimationConfig) -> list[ShotCounts]:
+def _measure(
+    rho: DensityMatrix, cfg: EstimationConfig, exact: bool
+) -> tuple[PowerSums, list[ShotCounts] | None]:
+    """Power sums p[2..d] from the order-k outcome distributions, p[1] pinned
+    to 1: their alternating sums when exact (the infinite-shot limit), else
+    eta estimates from cfg.shots_per_k shots per order, returned with the
+    counts.  Per-k substreams derive from the master seed, so results are
+    reproducible and independent of evaluation order."""
     moments = network.mu_parameters(rho, rho.d)
-    return [
-        sample_shots(
-            _distribution_for_k(moments, k, cfg),
-            cfg.shots_per_k,
-            _substream(cfg.seed, _STREAM_PRIMARY, k),
-        )
-        for k in range(2, rho.d + 1)
+    dists = [_distribution_for_k(moments, k, cfg) for k in range(2, rho.d + 1)]
+    p, se = np.ones(rho.d), np.zeros(rho.d)
+    if exact:
+        p[1:] = [dist.alternating_sum() for dist in dists]
+        return PowerSums(p, "exact", se), None
+    counts = [
+        sample_shots(dist, cfg.shots_per_k, _substream(cfg.seed, _STREAM_PRIMARY, dist.k))
+        for dist in dists
     ]
+    p[1:], se[1:] = eta_from_counts(np.array([c.n for c in counts]))
+    return PowerSums(p, "estimated", se), counts
 
 
 def estimate_power_sums(
     rho: DensityMatrix, cfg: EstimationConfig, exact_probabilities: bool = False
 ) -> PowerSums:
-    """Estimate p[2..d] from per-k outcome statistics; p[1] is pinned to 1.
-
-    Per-k substreams derive from the master seed, so results are reproducible
-    and independent of evaluation order.  With exact_probabilities the exact
-    distributions feed the estimator directly (infinite-shot limit).
-    """
-    d = rho.d
-    if exact_probabilities:
-        moments = network.mu_parameters(rho, d)
-        p = [1.0] + [_distribution_for_k(moments, k, cfg).alternating_sum() for k in range(2, d + 1)]
-        return PowerSums(d, np.array(p), "exact", np.zeros(d))
-    return _power_sums_from_counts(d, _collect_counts(rho, cfg))
+    """Estimate p[2..d] from per-k outcome statistics; p[1] is pinned to 1."""
+    return _measure(rho, cfg, exact_probabilities)[0]
 
 
 def _newton_coefficients(p: np.ndarray) -> np.ndarray:
@@ -360,7 +333,7 @@ def verdict(
         cls = PPT_CONCLUSIVE_SEPARABLE
     else:
         cls = PPT_INCONCLUSIVE
-    return PptVerdict(lam_min, float(sigma_lambda_min), cls, tuple(dims), float(z))
+    return PptVerdict(lam_min, cls)
 
 
 def bootstrap_lambda_min(
@@ -374,11 +347,13 @@ def bootstrap_lambda_min(
     b = cfg.bootstrap_replicas
     if b < 1:
         raise ValueError("bootstrap requires bootstrap_replicas >= 1")
-    p = np.ones((b, len(counts_per_k) + 1))
+    draws = []
     for counts in counts_per_k:
+        total = counts.n.sum()
         rng = _substream(cfg.seed, _STREAM_BOOTSTRAP, counts.k)
-        draws = rng.multinomial(counts.total, counts.as_array() / counts.total, size=b)
-        p[:, counts.k - 1] = draws @ _PARITY / counts.total
+        draws.append(rng.multinomial(total, counts.n / total, size=b))
+    p = np.ones((b, len(counts_per_k) + 1))
+    p[:, 1:] = eta_from_counts(np.stack(draws, axis=1))[0]  # orders k = 2.. in sequence
     roots = _companion_roots(_newton_coefficients(p))
     ok = np.max(np.abs(roots.imag), axis=1) <= SHOT_IMAG_CAP
     failures = b - int(ok.sum())
@@ -395,14 +370,8 @@ def run_protocol(
 ) -> ProtocolResult:
     """Full measurement pipeline: distributions -> (shots) -> power sums ->
     spectrum -> verdict, with bootstrap uncertainty in shot mode."""
-    d = rho.d
-    if exact_probabilities:
-        ps = estimate_power_sums(rho, cfg, exact_probabilities=True)
-        counts_per_k, copies = None, 0
-    else:
-        counts_per_k = _collect_counts(rho, cfg)
-        ps = _power_sums_from_counts(d, counts_per_k)
-        copies = cfg.shots_per_k * sum(range(2, d + 1))
+    ps, counts_per_k = _measure(rho, cfg, exact_probabilities)
+    copies = 0 if exact_probabilities else cfg.shots_per_k * sum(range(2, rho.d + 1))
     try:
         spectrum = spectrum_from_power_sums(ps)
         if counts_per_k is not None and cfg.bootstrap_replicas >= 1:

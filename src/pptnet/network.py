@@ -34,25 +34,22 @@ READOUT_GATES = np.array(
 )
 
 
+# weight of readout 2x + y in the parity P00 - P01 - P10 + P11
+PARITY = np.array([1, -1, -1, 1])
+
+
 @dataclass(frozen=True)
 class AncillaState:
-    which: str  # "stage1_a1b1" or "stage2_a2b2"
     matrix: np.ndarray
 
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
     k: int
-    p00: float
-    p01: float
-    p10: float
-    p11: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p00, self.p01, self.p10, self.p11])
+    p: np.ndarray  # (4,) probabilities by readout 2x + y
 
     def alternating_sum(self) -> float:
-        return self.p00 - self.p01 - self.p10 + self.p11
+        return float(self.p @ PARITY)
 
 
 class OutcomeRangeError(ValueError):
@@ -68,7 +65,7 @@ def outcome_distribution(k: int, probs: np.ndarray, d: int) -> OutcomeDistributi
     tol = k * d * VALIDATION_TOL + 1e-12
     if probs.min() < -tol or abs(probs.sum() - 1.0) > tol:
         raise OutcomeRangeError(f"k={k} outcome probabilities {probs.tolist()} beyond {tol:.1e}")
-    return OutcomeDistribution(k, *(float(p) for p in np.clip(probs, 0.0, None)))
+    return OutcomeDistribution(k, np.clip(probs, 0.0, None))
 
 
 _MOMENT_NAMES = ("Tr(rho_A^k)", "Tr(rho_B^k)", "Tr(rho^k)", "Tr[(rho^T_B)^k]")
@@ -180,8 +177,8 @@ def _stage_one_circuit(rho: DensityMatrix, k: int) -> np.ndarray:
 def stage_one_state(rho: DensityMatrix, k: int, mode: str = "analytic") -> AncillaState:
     """Joint state of the two stage-one control qubits after the interference round."""
     if _analytic(mode):
-        return AncillaState("stage1_a1b1", stage_one_template(mu_parameters(rho, k)[k - 1]))
-    return AncillaState("stage1_a1b1", _stage_one_circuit(rho, k))
+        return AncillaState(stage_one_template(mu_parameters(rho, k)[k - 1]))
+    return AncillaState(_stage_one_circuit(rho, k))
 
 
 def stage_two_state(rho: DensityMatrix, k: int, mode: str = "analytic") -> AncillaState:
@@ -196,13 +193,12 @@ def stage_two_state(rho: DensityMatrix, k: int, mode: str = "analytic") -> Ancil
     stage-one state.
     """
     if _analytic(mode):
-        probs = stage_two_distribution(rho, k).as_array()
-        return AncillaState("stage2_a2b2", np.diag(probs).astype(complex))
+        return AncillaState(np.diag(stage_two_distribution(rho, k).p).astype(complex))
     sigma = _stage_one_circuit(rho, k)
     # Tr(U_x'y'^dagger U_xy sigma) = sum_ij (U_xy sigma)[i, j] conj(U_x'y'[i, j])
     gates = READOUT_GATES.reshape(4, 16)
     gram = (READOUT_GATES @ sigma).reshape(4, 16) @ gates.conj().T / 4
-    return AncillaState("stage2_a2b2", H_PAIR @ gram @ H_PAIR)
+    return AncillaState(H_PAIR @ gram @ H_PAIR)
 
 
 def stage_two_distribution(rho: DensityMatrix, k: int, mode: str = "analytic") -> OutcomeDistribution:

@@ -163,18 +163,19 @@ def load(path, tol: float = VALIDATION_TOL) -> DensityMatrix:
     if not isinstance(payload, dict) or "dims" not in payload or "matrix" not in payload:
         raise StateFormatError(f"{path}: expected object with 'dims' and 'matrix'")
     dims = payload["dims"]
-    if not (isinstance(dims, list) and len(dims) == 2):
-        raise StateFormatError(f"{path}: dims must be a two-element list")
+    # a JSON integer, not a float, string or boolean (bool subclasses int)
+    if not (isinstance(dims, list) and len(dims) == 2 and all(type(x) is int for x in dims)):
+        raise StateFormatError(f"{path}: dims must be a list of two integers, got {dims!r}")
     try:
         raw = np.asarray(payload["matrix"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise StateFormatError(f"{path}: matrix entries must be [re, im] pairs") from exc
-    d = int(dims[0]) * int(dims[1])
+    d = dims[0] * dims[1]
     if raw.ndim != 3 or raw.shape != (d, d, 2):
         raise StateFormatError(
             f"{path}: matrix shape {raw.shape} does not match dims {dims[0]}x{dims[1]}"
         )
-    rho = DensityMatrix((int(dims[0]), int(dims[1])), raw[..., 0] + 1j * raw[..., 1])
+    rho = DensityMatrix(tuple(dims), raw[..., 0] + 1j * raw[..., 1])
     report = validate(rho, tol)
     if not report.ok:
         raise PhysicalityError(report)

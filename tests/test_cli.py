@@ -109,6 +109,19 @@ def test_check_malformed_file(capsys, tmp_path):
     assert "matrix" in captured.err
 
 
+def test_check_non_integer_dims_exits_1(capsys, tmp_path):
+    path = tmp_path / "float_dims.json"
+    states.save(states.bell_state("phi+"), path)
+    doc = json.loads(path.read_text())
+    doc["dims"] = [2.7, 2]
+    path.write_text(json.dumps(doc))
+    code = cli.main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "dims" in captured.err
+
+
 def test_check_missing_file(capsys, tmp_path):
     code, _ = run(capsys, ["check", str(tmp_path / "nope.json")])
     assert code == 1

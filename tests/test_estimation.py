@@ -19,21 +19,22 @@ def degenerate_dist(k=2):
 
 def test_sample_shots_degenerate():
     counts = est.sample_shots(degenerate_dist(), 1000, np.random.default_rng(0))
-    assert (counts.n00, counts.n01, counts.n10, counts.n11) == (1000, 0, 0, 0)
-    assert counts.total == 1000
+    assert counts.k == 2
+    assert_array_equal(counts.n, [1000, 0, 0, 0])
 
 
 def test_sample_shots_deterministic():
     dist = network.stage_two_distribution(states.bell_state("phi+"), 3)
     a = est.sample_shots(dist, 5000, np.random.default_rng(7))
     b = est.sample_shots(dist, 5000, np.random.default_rng(7))
-    assert a == b
-    assert a != est.sample_shots(dist, 5000, np.random.default_rng(8))
+    assert a.k == b.k == 3
+    assert_array_equal(a.n, b.n)
+    assert not np.array_equal(a.n, est.sample_shots(dist, 5000, np.random.default_rng(8)).n)
 
 
 def test_sample_shots_uniform_within_binomial_noise():
     dist = network.outcome_distribution(2, np.full(4, 0.25), 4)
-    counts = est.sample_shots(dist, 1_000_000, np.random.default_rng(1)).as_array()
+    counts = est.sample_shots(dist, 1_000_000, np.random.default_rng(1)).n
     assert np.all(np.abs(counts - 250_000) < 5 * math.sqrt(1e6 * 0.25 * 0.75))
 
 
@@ -43,21 +44,23 @@ def test_sample_shots_rejects_bad_n():
 
 
 def test_eta_from_counts_frozen():
-    eta, se = est.eta_from_counts(est.ShotCounts(2, 1000, 0, 0, 0))
+    eta, se = est.eta_from_counts(np.array([1000, 0, 0, 0]))
     assert eta == 1.0 and se == 0.0
-    eta, se = est.eta_from_counts(est.ShotCounts(3, 4375, 1875, 1875, 1875))
+    eta, se = est.eta_from_counts(np.array([4375, 1875, 1875, 1875]))
     assert_allclose(eta, 0.25)
     assert_allclose(se, math.sqrt(0.9375 / 10_000))
 
 
 def test_eta_from_counts_balanced_is_zero():
-    eta, _ = est.eta_from_counts(est.ShotCounts(2, 2500, 2500, 2500, 2500))
+    eta, _ = est.eta_from_counts(np.array([2500, 2500, 2500, 2500]))
     assert eta == 0.0
 
 
 def test_eta_from_counts_rejects_empty():
     with pytest.raises(ValueError):
-        est.eta_from_counts(est.ShotCounts(2, 0, 0, 0, 0))
+        est.eta_from_counts(np.zeros(4, dtype=int))
+    with pytest.raises(ValueError):  # one empty row among several
+        est.eta_from_counts(np.array([[10, 0, 0, 0], [0, 0, 0, 0]]))
 
 
 def test_calibrate_eta_scale():
@@ -74,7 +77,7 @@ def test_calibration_report_structure():
 
 def test_power_sums_exact_bell():
     ps = est.power_sums_exact(states.bell_state("phi+"))
-    assert ps.d == 4 and ps.source == "exact"
+    assert len(ps.p) == 4 and ps.source == "exact"
     assert_allclose(ps.p, BELL_POWER_SUMS, atol=1e-12)
     assert ps.order(3) == ps.p[2]
 
@@ -159,13 +162,13 @@ def test_estimation_config_validation():
 
 
 def test_spectrum_from_power_sums_rank_one():
-    ps = est.PowerSums(4, np.ones(4), "exact", np.zeros(4))
+    ps = est.PowerSums(np.ones(4), "exact", np.zeros(4))
     spec = est.spectrum_from_power_sums(ps)
     assert_allclose(spec.lambdas, [1.0, 0.0, 0.0, 0.0], atol=1e-8)
 
 
 def test_spectrum_from_power_sums_fourfold_degenerate():
-    ps = est.PowerSums(4, np.array([1.0, 0.25, 0.0625, 0.015625]), "exact", np.zeros(4))
+    ps = est.PowerSums(np.array([1.0, 0.25, 0.0625, 0.015625]), "exact", np.zeros(4))
     spec = est.spectrum_from_power_sums(ps)
     # cluster merging recovers the fourfold root that raw root finding splits
     assert_allclose(spec.lambdas, np.full(4, 0.25), atol=1e-9)
@@ -173,7 +176,7 @@ def test_spectrum_from_power_sums_fourfold_degenerate():
 
 
 def test_spectrum_from_power_sums_bell():
-    ps = est.PowerSums(4, BELL_POWER_SUMS, "exact", np.zeros(4))
+    ps = est.PowerSums(BELL_POWER_SUMS, "exact", np.zeros(4))
     spec = est.spectrum_from_power_sums(ps)
     assert_allclose(spec.lambdas, [0.5, 0.5, 0.5, -0.5], atol=1e-8)
     assert_allclose(spec.lambdas.sum(), 1.0, atol=1e-8)
@@ -181,19 +184,19 @@ def test_spectrum_from_power_sums_bell():
 
 def test_spectrum_cap_override_rejects():
     # residual 0.90 lies above EXACT_IMAG_CAP, so the exact-source cap rejects it
-    ps = est.PowerSums(4, np.array([1.0, -0.9, 0.8, -0.7]), "exact", np.zeros(4))
+    ps = est.PowerSums(np.array([1.0, -0.9, 0.8, -0.7]), "exact", np.zeros(4))
     with pytest.raises(est.SpectrumTooNoisyError):
         est.spectrum_from_power_sums(ps)
 
 
 def test_spectrum_too_noisy_estimated_source():
-    ps = est.PowerSums(4, np.array([1.0, -0.9, 0.8, -0.7]), "estimated", np.zeros(4))
+    ps = est.PowerSums(np.array([1.0, -0.9, 0.8, -0.7]), "estimated", np.zeros(4))
     with pytest.raises(est.SpectrumTooNoisyError):
         est.spectrum_from_power_sums(ps)
 
 
 def test_spectrum_estimated_source_skips_clustering():
-    ps = est.PowerSums(4, BELL_POWER_SUMS, "estimated", np.zeros(4))
+    ps = est.PowerSums(BELL_POWER_SUMS, "estimated", np.zeros(4))
     spec = est.spectrum_from_power_sums(ps)
     assert_allclose(spec.lambdas, [0.5, 0.5, 0.5, -0.5], atol=1e-4)
     assert np.all(np.diff(spec.lambdas) <= 0)
@@ -237,7 +240,7 @@ def test_verdict_noise_gate():
 
 
 def test_bootstrap_lambda_min_degenerate_counts():
-    counts = [est.ShotCounts(k, 1000, 0, 0, 0) for k in (2, 3, 4)]
+    counts = [est.ShotCounts(k, np.array([1000, 0, 0, 0])) for k in (2, 3, 4)]
     cfg = est.EstimationConfig(bootstrap_replicas=20)
     sigma, interval, failures = est.bootstrap_lambda_min(counts, cfg)
     assert sigma == 0.0
@@ -247,9 +250,9 @@ def test_bootstrap_lambda_min_degenerate_counts():
 
 def test_bootstrap_lambda_min_reports_failure():
     counts = [
-        est.ShotCounts(2, 100, 0, 0, 0),
-        est.ShotCounts(3, 100, 0, 0, 0),
-        est.ShotCounts(4, 0, 100, 0, 0),
+        est.ShotCounts(2, np.array([100, 0, 0, 0])),
+        est.ShotCounts(3, np.array([100, 0, 0, 0])),
+        est.ShotCounts(4, np.array([0, 100, 0, 0])),
     ]
     with pytest.raises(est.EstimationError, match="20/20"):
         est.bootstrap_lambda_min(counts, est.EstimationConfig(bootstrap_replicas=20))
@@ -310,8 +313,8 @@ def test_bootstrap_sigma_matches_per_replica_reference():
         for _ in range(cfg.bootstrap_replicas):
             p = [1.0]
             for c in counts:
-                draw = rng.multinomial(c.total, c.as_array() / c.total)
-                p.append(est.eta_from_counts(est.ShotCounts(c.k, *draw))[0])
+                draw = rng.multinomial(c.n.sum(), c.n / c.n.sum())
+                p.append(est.eta_from_counts(draw)[0])
             roots = np.roots(_newton_reference(p))
             if np.max(np.abs(roots.imag)) <= est.SHOT_IMAG_CAP:
                 lam_mins.append(roots.real.min())
@@ -320,12 +323,48 @@ def test_bootstrap_sigma_matches_per_replica_reference():
     assert abs(np.mean(batched) / np.mean(reference) - 1.0) < 0.15
 
 
+def _bootstrap_reference(counts_per_k, cfg):
+    """The per-order bootstrap loop: B replicas of order k in one multinomial
+    draw from substream (seed, 1, k), eta written out order by order, then
+    the batched recovery of bootstrap_lambda_min."""
+    b = cfg.bootstrap_replicas
+    p = np.ones((b, len(counts_per_k) + 1))
+    for c in counts_per_k:
+        total = int(c.n.sum())
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1, c.k]))
+        draws = rng.multinomial(total, c.n / total, size=b)
+        p[:, c.k - 1] = (draws[:, 0] - draws[:, 1] - draws[:, 2] + draws[:, 3]) / total
+    roots = est._companion_roots(est._newton_coefficients(p))
+    ok = np.max(np.abs(roots.imag), axis=1) <= est.SHOT_IMAG_CAP
+    values = roots.real[ok].min(axis=1)
+    sigma = float(values.std(ddof=1)) if len(values) > 1 else 0.0
+    lo, hi = np.percentile(values, [2.5, 97.5])
+    return sigma, (float(lo), float(hi)), b - int(ok.sum())
+
+
+def test_bootstrap_streams_match_per_order_reference_exactly():
+    product = states.random_separable((2, 3), terms=1, seed=3)  # rank-one
+    for rho, seed in ((states.bell_state("phi+"), 4), (states.werner(0.25), 5), (product, 6)):
+        cfg = est.EstimationConfig(shots_per_k=100_000, seed=seed, bootstrap_replicas=200)
+        counts = est.run_protocol(rho, replace(cfg, bootstrap_replicas=0)).counts_per_k
+        assert est.bootstrap_lambda_min(counts, cfg) == _bootstrap_reference(counts, cfg)
+
+
+def test_eta_from_counts_stack_equals_row_by_row():
+    stack = np.random.default_rng(8).integers(0, 1000, size=(50, 3, 4))
+    eta, se = est.eta_from_counts(stack)
+    assert eta.shape == se.shape == (50, 3)
+    for i, j in np.ndindex(50, 3):
+        row_eta, row_se = est.eta_from_counts(stack[i, j])
+        assert eta[i, j] == row_eta and se[i, j] == row_se
+
+
 def test_run_protocol_recovery_matches_per_row_reference():
     product = states.random_separable((2, 3), terms=1, seed=3)  # rank-one, deflated roots
     for rho, seed in ((states.bell_state("phi+"), 4), (states.werner(0.25), 5), (product, 6)):
         cfg = est.EstimationConfig(shots_per_k=100_000, seed=seed, bootstrap_replicas=20)
         res = est.run_protocol(rho, cfg)
-        p = [1.0] + [est.eta_from_counts(c)[0] for c in res.counts_per_k]
+        p = [1.0] + [est.eta_from_counts(c.n)[0] for c in res.counts_per_k]
         assert_array_equal(res.power_sums.p, p)
         expected = np.sort(np.roots(_newton_reference(p)).real)[::-1]
         assert_array_equal(res.spectrum.lambdas, expected)
@@ -377,7 +416,6 @@ def test_run_protocol_deterministic():
 
 def test_run_protocol_attaches_partial_power_sums_on_failure():
     rho = states.DensityMatrix((2, 2), np.eye(4, dtype=complex) / 4)
-    cfg = est.EstimationConfig(shots_per_k=2, seed=101, bootstrap_replicas=0)
     seen = None
     for seed in range(200):
         try:

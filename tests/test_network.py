@@ -265,12 +265,12 @@ def test_outcome_distribution_validation():
     with pytest.raises(network.OutcomeRangeError):
         network.outcome_distribution(2, np.array([0.5, 0.5, 0.5, 0.5]), 4)
     dist = network.outcome_distribution(2, np.array([1.0 + 5e-13, 0.0, 0.0, -5e-13]), 4)
-    assert dist.p11 == 0.0
-    assert dist.as_array().sum() <= 1.0 + 1e-12
+    assert dist.p[3] == 0.0
+    assert dist.p.sum() <= 1.0 + 1e-12
     # the clipping band is k * d * VALIDATION_TOL (8e-9 here), an input error beyond it
     assert issubclass(network.OutcomeRangeError, ValueError)
     dist = network.outcome_distribution(2, np.array([1.0 + 7e-9, 0.0, 0.0, -7e-9]), 4)
-    assert dist.p11 == 0.0
+    assert dist.p[3] == 0.0
     with pytest.raises(network.OutcomeRangeError):
         network.outcome_distribution(2, np.array([1.0 + 9e-9, 0.0, 0.0, -9e-9]), 4)
 
@@ -278,15 +278,15 @@ def test_outcome_distribution_validation():
 def test_stage_two_distribution_bell_frozen():
     bell = states.bell_state("phi+")
     assert_allclose(
-        network.stage_two_distribution(bell, 2).as_array(), [0.75, 0.0, 0.0, 0.25], atol=1e-12
+        network.stage_two_distribution(bell, 2).p, [0.75, 0.0, 0.0, 0.25], atol=1e-12
     )
     assert_allclose(
-        network.stage_two_distribution(bell, 3).as_array(),
+        network.stage_two_distribution(bell, 3).p,
         [0.4375, 0.1875, 0.1875, 0.1875],
         atol=1e-12,
     )
     assert_allclose(
-        network.stage_two_distribution(bell, 4).as_array(),
+        network.stage_two_distribution(bell, 4).p,
         [0.375, 0.1875, 0.1875, 0.25],
         atol=1e-12,
     )
@@ -295,14 +295,14 @@ def test_stage_two_distribution_bell_frozen():
 def test_stage_two_distribution_maximally_mixed_frozen():
     rho = states.DensityMatrix((2, 2), np.eye(4, dtype=complex) / 4)
     dist = network.stage_two_distribution(rho, 2)
-    assert_allclose(dist.as_array(), [0.5625, 0.1875, 0.1875, 0.0625], atol=1e-12)
+    assert_allclose(dist.p, [0.5625, 0.1875, 0.1875, 0.0625], atol=1e-12)
     assert_allclose(dist.alternating_sum(), 0.25, atol=1e-12)
 
 
 def test_stage_two_distribution_pure_product():
     rho = states.random_separable((2, 2), terms=1, seed=7)
     assert_allclose(
-        network.stage_two_distribution(rho, 3).as_array(), [1.0, 0.0, 0.0, 0.0], atol=1e-10
+        network.stage_two_distribution(rho, 3).p, [1.0, 0.0, 0.0, 0.0], atol=1e-10
     )
 
 
@@ -312,8 +312,8 @@ def test_stage_two_alternating_sum_is_transpose_power_trace():
         for k in (2, 3, 4):
             dist = network.stage_two_distribution(rho, k)
             assert_allclose(dist.alternating_sum(), eta_exact(rho, k), atol=1e-10)
-            assert_allclose(dist.as_array().sum(), 1.0, atol=1e-12)
-            assert np.all(dist.as_array() >= 0)
+            assert_allclose(dist.p.sum(), 1.0, atol=1e-12)
+            assert np.all(dist.p >= 0)
 
 
 def test_stage_two_circuit_output_is_diagonal():
@@ -332,7 +332,7 @@ def test_stage_two_circuit_halves_the_alternating_sum():
         for k in (2, 3):
             dist = network.stage_two_distribution(rho, k, mode="full_evolution")
             assert_allclose(dist.alternating_sum(), eta_exact(rho, k) / 2, atol=1e-10)
-            p = dist.as_array()
+            p = dist.p
             t_a = np.trace(linalg.mat_power(rho.reduced("A"), k)).real
             t_b = np.trace(linalg.mat_power(rho.reduced("B"), k)).real
             assert_allclose((p[0] + p[1]) - (p[2] + p[3]), t_b / np.sqrt(2), atol=1e-10)

@@ -133,6 +133,18 @@ def test_load_rejects_shape_mismatch(tmp_path):
         states.load(path)
 
 
+@pytest.mark.parametrize("dims", [[2.7, 2], ["2", "2"], [2.0, 2], [True, 4]])
+def test_load_rejects_non_integer_dims(tmp_path, dims):
+    # each of these once loaded as a 2x2 state or failed with a misleading (1, 4)
+    path = tmp_path / "state.json"
+    states.save(states.random_density((2, 2), seed=6), path)
+    doc = json.loads(path.read_text())
+    doc["dims"] = dims
+    path.write_text(json.dumps(doc))
+    with pytest.raises(states.StateFormatError, match="two integers"):
+        states.load(path)
+
+
 def test_load_rejects_malformed_entries(tmp_path):
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"dims": [2, 2], "matrix": [[1.0] * 4] * 4}))
