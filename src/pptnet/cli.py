@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import string
 import sys
 
@@ -28,37 +29,23 @@ def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2))
 
 
-def _report(
-    rho: states.DensityMatrix,
-    method: str,
-    power_sums=None,
-    power_sum_stderr=None,
-    spectrum=None,
-    lambda_min=None,
-    sigma=None,
-    interval=None,
-    bootstrap_failures=None,
-    classification=None,
-    shots_per_k=0,
-    seed=None,
-    copies_consumed=0,
-) -> dict:
+def _report(rho, method, ps, result=None, shots_per_k=0, seed=None, copies_consumed=0) -> dict:
+    """The one `check` / `simulate` report, from a PowerSums and a ProtocolResult;
+    with no result (a failed run's partial report) the six result fields are null."""
     return {
         "dims": [rho.d_a, rho.d_b],
         "method": method,
-        "power_sums": None if power_sums is None else [float(x) for x in power_sums],
-        "power_sum_stderr": None
-        if power_sum_stderr is None
-        else [float(x) for x in power_sum_stderr],
-        "spectrum": None if spectrum is None else [float(x) for x in spectrum],
-        "lambda_min": None if lambda_min is None else float(lambda_min),
-        "sigma": None if sigma is None else float(sigma),
-        "interval": None if interval is None else [float(x) for x in interval],
-        "bootstrap_failures": bootstrap_failures,
-        "classification": classification,
-        "shots_per_k": int(shots_per_k),
+        "power_sums": ps.p.tolist(),
+        "power_sum_stderr": ps.stderr.tolist(),
+        "spectrum": None if result is None else result.spectrum.lambdas.tolist(),
+        "lambda_min": None if result is None else result.verdict.lambda_min,
+        "sigma": None if result is None else result.sigma,
+        "interval": None if result is None or result.interval is None else list(result.interval),
+        "bootstrap_failures": None if result is None else result.bootstrap_failures,
+        "classification": None if result is None else result.verdict.classification,
+        "shots_per_k": shots_per_k,
         "seed": seed,
-        "copies_consumed": int(copies_consumed),
+        "copies_consumed": copies_consumed,
         "tool_version": __version__,
     }
 
@@ -82,8 +69,9 @@ def cmd_gen(args) -> int:
         if any(p.dims != dims for p in parts):
             raise states.StateFormatError("mix inputs must share dimensions")
         weights = args.weights or [1.0] * len(parts)
-        if len(weights) != len(parts) or any(w < 0 for w in weights) or sum(weights) == 0:
-            raise ValueError("weights must be nonnegative, one per input")
+        total = sum(weights)  # NaN or inf when a weight is, or when the weights overflow
+        if len(weights) != len(parts) or any(w < 0 for w in weights) or not 0 < total < math.inf:
+            raise ValueError("weights must be finite and nonnegative, one per input")
         weights = np.asarray(weights, dtype=float)
         weights /= weights.sum()
         m = sum(w * p.matrix for w, p in zip(weights, parts))
@@ -102,21 +90,13 @@ def cmd_gen(args) -> int:
 def cmd_check(args) -> int:
     rho = states.load(args.state)
     pt = linalg.partial_transpose(rho.matrix, rho.d_a, rho.d_b, "B")
-    spectrum = linalg.hermitian_eigenvalues(pt)
+    spectrum = estimation.Spectrum(linalg.hermitian_eigenvalues(pt), 0.0)
     ps = estimation.power_sums_exact(rho)
-    v = estimation.verdict(estimation.Spectrum(spectrum, 0.0), rho.dims, 0.0, args.z)
-    _emit(
-        _report(
-            rho,
-            "exact",
-            power_sums=ps.p,
-            power_sum_stderr=ps.stderr,
-            spectrum=spectrum,
-            lambda_min=v.lambda_min,
-            sigma=0.0,
-            classification=v.classification,
-        )
+    v = estimation.verdict(spectrum, rho.dims, 0.0, args.z)
+    result = estimation.ProtocolResult(
+        ps, spectrum, v, None, sigma=0.0, interval=None, bootstrap_failures=None, copies_consumed=0
     )
+    _emit(_report(rho, "exact", ps, result))
     _info(f"lambda_min = {v.lambda_min:+.6f} -> {v.classification}")
     return 0
 
@@ -133,41 +113,16 @@ def cmd_simulate(args) -> int:
     method = "locc_exact" if args.exact_probabilities else "locc_shots"
     shots = 0 if args.exact_probabilities else cfg.shots_per_k
     try:
-        result = estimation.run_protocol(rho, cfg, exact_probabilities=args.exact_probabilities)
+        r = estimation.run_protocol(rho, cfg, exact_probabilities=args.exact_probabilities)
     except estimation.EstimationError as exc:
-        partial = _report(
-            rho,
-            method,
-            power_sums=exc.power_sums.p,
-            power_sum_stderr=exc.power_sums.stderr,
-            shots_per_k=shots,
-            seed=cfg.seed,
-            copies_consumed=exc.copies_consumed,
-        )
-        partial["error"] = str(exc)
-        _emit(partial)
+        partial = _report(rho, method, exc.power_sums, None, shots, cfg.seed, exc.copies_consumed)
+        _emit({**partial, "error": str(exc)})
         _info(f"estimation failed: {exc}")
         return 2
-    _emit(
-        _report(
-            rho,
-            method,
-            power_sums=result.power_sums.p,
-            power_sum_stderr=result.power_sums.stderr,
-            spectrum=result.spectrum.lambdas,
-            lambda_min=result.verdict.lambda_min,
-            sigma=result.sigma,
-            interval=result.interval,
-            bootstrap_failures=result.bootstrap_failures,
-            classification=result.verdict.classification,
-            shots_per_k=shots,
-            seed=cfg.seed,
-            copies_consumed=result.copies_consumed,
-        )
-    )
+    _emit(_report(rho, method, r.power_sums, r, shots, cfg.seed, r.copies_consumed))
     _info(
-        f"lambda_min = {result.verdict.lambda_min:+.6f} (sigma {result.sigma:.2e}) "
-        f"-> {result.verdict.classification}"
+        f"lambda_min = {r.verdict.lambda_min:+.6f} (sigma {r.sigma:.2e}) "
+        f"-> {r.verdict.classification}"
     )
     return 0
 

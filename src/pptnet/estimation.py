@@ -48,13 +48,13 @@ class CalibrationError(EstimationError):
     """Calibration states disagree on the readout scale constant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShotCounts:
     k: int
     n: np.ndarray  # (4,) counts by readout 2x + y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerSums:
     """Power sums p[i] = Tr[(rho^T_B)^(i+1)] for orders 1..d (index offset one)."""
 
@@ -66,7 +66,7 @@ class PowerSums:
         return float(self.p[k - 1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     lambdas: np.ndarray  # descending
     residual_imag: float
@@ -97,7 +97,7 @@ class EstimationConfig:
             raise ValueError(f"z must be a finite nonnegative number, got {self.z!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolResult:
     power_sums: PowerSums
     spectrum: Spectrum

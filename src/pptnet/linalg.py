@@ -80,13 +80,15 @@ def partial_trace(rho: np.ndarray, dims: list[int], keep) -> np.ndarray:
     return out.reshape(d_keep, d_keep)
 
 
-def hermitian_eigenvalues(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending.
 
-    Raises if max|a - a^dagger| exceeds `tol`.
+    Raises if max|a - a^dagger| exceeds HERMITICITY_TOL.
     """
     a = _as_square(a)
     dev = np.max(np.abs(a - a.conj().T))
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian within {tol} (deviation {dev:.3e})")
+    if dev > HERMITICITY_TOL:
+        raise ValueError(
+            f"matrix is not Hermitian within {HERMITICITY_TOL} (deviation {dev:.3e})"
+        )
     return np.linalg.eigvalsh(a)[::-1]

@@ -38,12 +38,12 @@ READOUT_GATES = np.array(
 PARITY = np.array([1, -1, -1, 1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AncillaState:
     matrix: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     k: int
     p: np.ndarray  # (4,) probabilities by readout 2x + y

@@ -31,7 +31,7 @@ class PhysicalityError(ValueError):
         super().__init__(f"state is not physical: {report.summary()}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A bipartite state: local dims (d_a, d_b) plus a (d_a*d_b)^2 matrix, A-major basis."""
 
@@ -71,32 +71,31 @@ class ValidationReport:
     hermiticity_dev: float
     trace_dev: float
     min_eigenvalue: float
-    tol: float
 
     @property
     def ok(self) -> bool:
         return (
-            self.hermiticity_dev <= self.tol
-            and self.trace_dev <= self.tol
-            and self.min_eigenvalue >= -self.tol
+            self.hermiticity_dev <= VALIDATION_TOL
+            and self.trace_dev <= VALIDATION_TOL
+            and self.min_eigenvalue >= -VALIDATION_TOL
         )
 
     def summary(self) -> str:
         return (
             f"hermiticity_dev={self.hermiticity_dev:.3e} trace_dev={self.trace_dev:.3e} "
-            f"min_eigenvalue={self.min_eigenvalue:.3e} tol={self.tol:.1e} "
+            f"min_eigenvalue={self.min_eigenvalue:.3e} tol={VALIDATION_TOL:.1e} "
             f"-> {'pass' if self.ok else 'fail'}"
         )
 
 
-def validate(rho: DensityMatrix, tol: float = VALIDATION_TOL) -> ValidationReport:
-    """Check Hermiticity, unit trace, and positive semidefiniteness within tol."""
+def validate(rho: DensityMatrix) -> ValidationReport:
+    """Check Hermiticity, unit trace, and positive semidefiniteness within VALIDATION_TOL."""
     m = rho.matrix
     herm_dev = float(np.max(np.abs(m - m.conj().T)))
     trace_dev = float(abs(np.trace(m) - 1.0))
     # eigvalsh on the Hermitian part; the deviation itself is reported separately
     min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-    return ValidationReport(herm_dev, trace_dev, min_eig, tol)
+    return ValidationReport(herm_dev, trace_dev, min_eig)
 
 
 def bell_state(which: str = "phi+") -> DensityMatrix:
@@ -153,7 +152,7 @@ def save(rho: DensityMatrix, path) -> None:
         fh.write("\n")
 
 
-def load(path, tol: float = VALIDATION_TOL) -> DensityMatrix:
+def load(path) -> DensityMatrix:
     """Read and validate a state file; structural and physicality errors are distinct."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -175,8 +174,11 @@ def load(path, tol: float = VALIDATION_TOL) -> DensityMatrix:
         raise StateFormatError(
             f"{path}: matrix shape {raw.shape} does not match dims {dims[0]}x{dims[1]}"
         )
+    # json reads NaN and Infinity, which no physical state holds
+    if not np.all(np.isfinite(raw)):
+        raise StateFormatError(f"{path}: matrix entries must be finite")
     rho = DensityMatrix(tuple(dims), raw[..., 0] + 1j * raw[..., 1])
-    report = validate(rho, tol)
+    report = validate(rho)
     if not report.ok:
         raise PhysicalityError(report)
     return rho

@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 
 from pptnet import cli, network, permnet, states
 
-REPORT_KEYS = {
+# the report keys in the order every report writes them
+REPORT_KEYS = [
     "dims",
     "method",
     "power_sums",
@@ -24,7 +25,7 @@ REPORT_KEYS = {
     "seed",
     "copies_consumed",
     "tool_version",
-}
+]
 
 
 def run(capsys, argv):
@@ -44,7 +45,7 @@ def test_check_bell(capsys, tmp_path):
     path = gen(capsys, tmp_path, "bell.json", "bell", "--which", "phi+")
     code, report = run(capsys, ["check", path])
     assert code == 0
-    assert set(report) == REPORT_KEYS
+    assert list(report) == REPORT_KEYS
     assert report["method"] == "exact"
     assert report["classification"] == "NPT_ENTANGLED"
     assert_allclose(report["lambda_min"], -0.5, atol=1e-10)
@@ -122,6 +123,26 @@ def test_check_non_integer_dims_exits_1(capsys, tmp_path):
     assert "dims" in captured.err
 
 
+def test_non_finite_input_exits_1(capsys, tmp_path):
+    # json reads NaN; both inputs once failed as "Eigenvalues did not converge"
+    path = tmp_path / "nan.json"
+    states.save(states.bell_state("phi+"), path)
+    doc = json.loads(path.read_text())
+    doc["matrix"][0][1][1] = float("nan")
+    path.write_text(json.dumps(doc))  # written as a bare NaN token
+    bell = gen(capsys, tmp_path, "bell.json", "bell")
+    for argv, message in (
+        (["check", str(path)], "matrix entries must be finite"),
+        (["gen", "mix", "--inputs", bell, bell, "--weights", "nan", "1", "--out", str(path)],
+         "weights must be finite"),
+    ):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert message in captured.err
+
+
 def test_check_missing_file(capsys, tmp_path):
     code, _ = run(capsys, ["check", str(tmp_path / "nope.json")])
     assert code == 1
@@ -132,6 +153,7 @@ def test_simulate_exact_matches_check(capsys, tmp_path):
     _, exact = run(capsys, ["check", path])
     code, sim = run(capsys, ["simulate", path, "--exact-probabilities"])
     assert code == 0
+    assert list(sim) == REPORT_KEYS
     assert sim["method"] == "locc_exact"
     assert sim["classification"] == exact["classification"] == "NPT_ENTANGLED"
     assert_allclose(sim["spectrum"], exact["spectrum"], atol=1e-8)
@@ -143,7 +165,7 @@ def test_simulate_shots_report(capsys, tmp_path):
     argv = ["simulate", path, "--shots", "50000", "--seed", "3", "--bootstrap", "50"]
     code, report = run(capsys, argv)
     assert code == 0
-    assert set(report) == REPORT_KEYS
+    assert list(report) == REPORT_KEYS
     assert report["method"] == "locc_shots"
     assert report["shots_per_k"] == 50000 and report["seed"] == 3
     assert report["copies_consumed"] == 50000 * 9
@@ -172,10 +194,10 @@ def test_simulate_too_noisy_exits_2(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2
     report = json.loads(captured.out)
-    assert "error" in report
-    assert report["classification"] is None
+    assert list(report) == REPORT_KEYS + ["error"]
+    result_keys = ["spectrum", "lambda_min", "sigma", "interval", "bootstrap_failures", "classification"]
+    assert all(report[key] is None for key in result_keys)
     assert report["power_sums"][0] == 1.0
-    assert report["interval"] is None and report["bootstrap_failures"] is None
     assert report["copies_consumed"] == 2 * 9  # 2 shots at each of k = 2, 3, 4
 
 

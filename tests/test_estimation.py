@@ -426,3 +426,26 @@ def test_run_protocol_attaches_partial_power_sums_on_failure():
     assert seen is not None, "expected at least one noisy failure at 2 shots per k"
     assert isinstance(seen.power_sums, est.PowerSums)
     assert seen.power_sums.p[0] == 1.0
+
+
+def test_array_records_compare_without_raising():
+    # the generated __eq__ compared array fields and raised "truth value of an
+    # array is ambiguous"; records holding arrays compare and hash by identity
+    def records():
+        rho = states.bell_state("phi+")
+        ps = est.power_sums_exact(rho)
+        result = est.run_protocol(rho, est.EstimationConfig(shots_per_k=1000, bootstrap_replicas=10))
+        dist = network.stage_two_distribution(rho, 2)
+        ancilla = network.stage_one_state(rho, 2)
+        return [rho, ps, est.spectrum_from_power_sums(ps), result, result.counts_per_k[0], dist, ancilla]
+
+    for a, b in zip(records(), records()):
+        assert a == a and a != b
+        assert a in [b, a] and b not in [a]
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+    cfg = est.EstimationConfig(seed=1)
+    assert cfg == est.EstimationConfig(seed=1) and hash(cfg) == hash(est.EstimationConfig(seed=1))
+    assert est.PptVerdict(-0.5, est.NPT_ENTANGLED) == est.PptVerdict(-0.5, est.NPT_ENTANGLED)
+    report = states.validate(states.bell_state("phi+"))
+    assert report == states.validate(states.bell_state("phi+"))

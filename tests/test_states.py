@@ -145,6 +145,18 @@ def test_load_rejects_non_integer_dims(tmp_path, dims):
         states.load(path)
 
 
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+def test_load_rejects_non_finite_entries(tmp_path, entry):
+    # json reads these; they once failed as "Eigenvalues did not converge"
+    path = tmp_path / "state.json"
+    states.save(states.random_density((2, 2), seed=7), path)
+    doc = json.loads(path.read_text())
+    doc["matrix"][1][2][1] = float(entry)
+    path.write_text(json.dumps(doc))  # written as the bare token
+    with pytest.raises(states.StateFormatError, match="must be finite"):
+        states.load(path)
+
+
 def test_load_rejects_malformed_entries(tmp_path):
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"dims": [2, 2], "matrix": [[1.0] * 4] * 4}))
