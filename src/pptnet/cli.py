@@ -127,62 +127,77 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _trace_checks(rho: states.DensityMatrix, moments_k: np.ndarray, k: int) -> dict:
-    """Deviations of the brute-force shift traces of one state at order k from
-    `moments_k`, the order-k row of its moment table network.mu_parameters."""
-    t_a, t_b, t_rho, eta = moments_k
-    eta_b = permnet.shift_trace_bruteforce(rho, k, "inverse", "forward")
-    eta_a = permnet.shift_trace_bruteforce(rho, k, "forward", "inverse")
+def _trace_checks(mats: np.ndarray, dims: tuple[int, int], moments_k: np.ndarray, k: int) -> dict:
+    """Per trial, the deviations of the brute-force shift traces at order k of
+    a (T, d, d) stack of states from `moments_k`, the (T, 4) order-k rows of
+    their moment tables (network.moment_tables)."""
+    t_a, t_b, t_rho, eta = moments_k.T
+
+    def oracle(dir_a, dir_b):
+        return permnet.shift_traces(mats, dims, k, dir_a, dir_b)
+
+    eta_b = oracle("inverse", "forward")
+    eta_a = oracle("forward", "inverse")
     checks = {
-        "transpose_power_B": abs(eta_b - eta),
+        "transpose_power_B": np.abs(eta_b - eta),
         # rho^T_A = (rho^T_B)^T has the same power traces
-        "transpose_power_A": abs(eta_a - eta),
-        "conjugate_pair_reality": max(abs(eta_b.imag), abs(eta_a.imag), abs(eta_b - eta_a.conjugate())),
-        "reduced_power_A": abs(permnet.shift_trace_bruteforce(rho, k, "forward", "identity") - t_a),
-        "reduced_power_B": abs(permnet.shift_trace_bruteforce(rho, k, "identity", "forward") - t_b),
-        "combined_shift_power": abs(
-            permnet.shift_trace_bruteforce(rho, k, "forward", "forward") - t_rho
+        "transpose_power_A": np.abs(eta_a - eta),
+        "conjugate_pair_reality": np.max(
+            np.abs([eta_b.imag, eta_a.imag, eta_b - eta_a.conjugate()]), axis=0
         ),
+        "reduced_power_A": np.abs(oracle("forward", "identity") - t_a),
+        "reduced_power_B": np.abs(oracle("identity", "forward") - t_b),
+        "combined_shift_power": np.abs(oracle("forward", "forward") - t_rho),
     }
     if k == 2:
-        checks["purity_equality"] = abs(eta - t_rho)
+        checks["purity_equality"] = np.abs(eta - t_rho)
     return checks
+
+
+# Trials whose Kronecker products together hold at most this many entries (1 MiB
+# of complex128) go through _shift_product_devs at once, one at a time when a
+# single product is larger, so its memory does not grow with the trial count.
+_PRODUCT_CHUNK_ENTRIES = 2**16
 
 
 def _shift_product_devs(mats: np.ndarray, v_fwd: np.ndarray) -> np.ndarray:
     """Per trial, the deviation of Tr[V^dagger (m1 ⊗ ... ⊗ mk)] and
     Tr[V (m1 ⊗ ... ⊗ mk)] from the traces of the ordered products m1 ... mk
     and mk ... m1, V = `v_fwd` the explicit forward shift matrix; `mats` is
-    (T, k, d, d)."""
+    (T, k, d, d).  Each trace is an elementwise sum, Tr(V X) = sum_ij V_ij X_ji,
+    not a matrix product."""
     trials, k, d, _ = mats.shape
     # m1 ⊗ ... ⊗ mk as one outer product per trial, row digits before column digits
     r, c = string.ascii_uppercase[:k], string.ascii_lowercase[:k]
     subs = ",".join("z" + a + b for a, b in zip(r, c)) + "->z" + r + c
-    big = np.einsum(subs, *mats.transpose(1, 0, 2, 3)).reshape(trials, d**k, d**k)
+    v_adj_t = v_fwd.conj()  # (V^dagger)^T, so Tr(V^dagger X) = sum_ij (V^dagger)^T_ij X_ij
+    chunk = max(1, _PRODUCT_CHUNK_ENTRIES // d ** (2 * k))
+    shifted = np.empty((2, trials), dtype=complex)
+    for start in range(0, trials, chunk):
+        part = mats[start : start + chunk]
+        big = np.einsum(subs, *part.transpose(1, 0, 2, 3)).reshape(len(part), d**k, d**k)
+        shifted[0, start : start + chunk] = np.einsum("ij,zij->z", v_adj_t, big)
+        shifted[1, start : start + chunk] = np.einsum("ij,zji->z", v_fwd, big)
     ordered, reversed_ = mats[:, 0], mats[:, k - 1]
     for j in range(1, k):
         ordered = ordered @ mats[:, j]
         reversed_ = reversed_ @ mats[:, k - 1 - j]
-
-    def trace(a):
-        return np.trace(a, axis1=1, axis2=2)
-
     return np.maximum(
-        np.abs(trace(v_fwd.conj().T @ big) - trace(ordered)),
-        np.abs(trace(v_fwd @ big) - trace(reversed_)),
+        np.abs(shifted[0] - np.trace(ordered, axis1=1, axis2=2)),
+        np.abs(shifted[1] - np.trace(reversed_, axis1=1, axis2=2)),
     )
 
 
 def _identity_rows(dims: list[int], kmax: int, trials: int, seed: int) -> list[dict]:
     """Largest deviation over the trials of every trace identity at every order
     2..kmax, sorted by identity name and order.  Each trial draws its state
-    and its random matrices from its own seeded streams."""
+    and its random matrices from its own seeded streams; the moment tables
+    and each brute-force trace are computed for all trials at once."""
     d_a, d_b = dims
-    rhos = [
-        states.random_density((d_a, d_b), np.random.SeedSequence([seed, t])) for t in range(trials)
-    ]
+    seeds = [np.random.SeedSequence([seed, t]) for t in range(trials)]
+    mats = np.array([states.random_density((d_a, d_b), s).matrix for s in seeds])
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, t, 1])) for t in range(trials)]
-    moments = [network.mu_parameters(rho, kmax) for rho in rhos]
+    moments = network.moment_tables(mats, (d_a, d_b), kmax)
     rows = []
     for k in range(2, kmax + 1):
         if (d_a * d_b) ** k > permnet.BRUTEFORCE_TERM_GUARD:
@@ -190,8 +205,7 @@ def _identity_rows(dims: list[int], kmax: int, trials: int, seed: int) -> list[d
                 {"identity": "all_bruteforce", "k": k, "max_dev": None, "status": "skipped"}
             )
             continue
-        per_trial = [_trace_checks(rho, m[k - 1], k) for rho, m in zip(rhos, moments)]
-        devs = {name: [checks[name] for checks in per_trial] for name in per_trial[0]}
+        devs = _trace_checks(mats, (d_a, d_b), moments[:, k - 1], k)
         # ordered product against the explicit shift matrix, on each local dimension
         shifts = {
             d: permnet.build_shift_matrix(k, d, "forward")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, permnet
+from . import permnet
 from .states import VALIDATION_TOL, DensityMatrix
 
 FULL_EVOLUTION_GUARD = 4096
@@ -71,37 +71,62 @@ def outcome_distribution(k: int, probs: np.ndarray, d: int) -> OutcomeDistributi
 _MOMENT_NAMES = ("Tr(rho_A^k)", "Tr(rho_B^k)", "Tr(rho^k)", "Tr[(rho^T_B)^k]")
 
 
-def mu_parameters(rho: DensityMatrix, kmax: int) -> np.ndarray:
-    """Moment table of every trace functional the network reads out: a
-    (kmax, 4) array whose row k-1 holds
+def _power_traces(bases: np.ndarray, kmax: int) -> np.ndarray:
+    """Tr(b^k) for k = 1..kmax of every matrix b in a (..., n, n) stack, from
+    accumulated products, as a (..., kmax) array."""
+    traces = np.empty(bases.shape[:-2] + (kmax,), dtype=complex)
+    acc = bases
+    traces[..., 0] = np.trace(acc, axis1=-2, axis2=-1)
+    for k in range(1, kmax):
+        acc = acc @ bases
+        traces[..., k] = np.trace(acc, axis1=-2, axis2=-1)
+    return traces
+
+
+def moment_tables(mats: np.ndarray, dims: tuple[int, int], kmax: int) -> np.ndarray:
+    """Moment tables of a (T, d, d) stack of states with local dims (d_a, d_b):
+    a (T, kmax, 4) array whose row k-1 of table t holds
 
         Tr(rho_A^k), Tr(rho_B^k), Tr(rho^k), Tr[(rho^T_B)^k]
 
-    computed from accumulated products of the reduced states, rho and its
-    partial transpose (never from rho^⊗k).  No column is needed for the other
-    transpose: rho^T_A = (rho^T_B)^T has the same power traces.
+    of state t, computed from accumulated products of the reduced states, rho
+    and its partial transpose (never from rho^⊗k).  No column is needed for
+    the other transpose: rho^T_A = (rho^T_B)^T has the same power traces.
+
+    rho_A and rho_B each run their own chain of products and (rho, rho^T_B)
+    share one; every product has the size of a single state's, so a table
+    does not depend on the other states of the stack, bit for bit.
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    bases = (
-        rho.reduced("A"),
-        rho.reduced("B"),
-        rho.matrix,
-        linalg.partial_transpose(rho.matrix, rho.d_a, rho.d_b, "B"),
+    mats = np.asarray(mats, dtype=complex)
+    if not np.all(np.isfinite(mats)):
+        raise ValueError("states contain non-finite entries")
+    d_a, d_b = dims
+    trials = len(mats)
+    t = mats.reshape(trials, d_a, d_b, d_a, d_b)
+    pt = t.transpose(0, 1, 4, 3, 2).reshape(mats.shape)
+    full = _power_traces(np.concatenate([mats, pt]), kmax)
+    columns = (
+        _power_traces(np.einsum("zabcb->zac", t), kmax),
+        _power_traces(np.einsum("zabac->zbc", t), kmax),
+        full[:trials],
+        full[trials:],
     )
-    table = np.empty((kmax, len(bases)), dtype=complex)
-    for j, base in enumerate(bases):
-        acc = base
-        table[0, j] = np.trace(acc)
-        for k in range(1, kmax):
-            acc = acc @ base
-            table[k, j] = np.trace(acc)
-    k, j = np.unravel_index(np.argmax(np.abs(table.imag)), table.shape)
-    if abs(table[k, j].imag) > 1e-10:
+    tables = np.stack(columns, axis=-1)
+    z, k, j = np.unravel_index(np.argmax(np.abs(tables.imag)), tables.shape)
+    if abs(tables[z, k, j].imag) > 1e-10:
         raise ValueError(
-            f"{_MOMENT_NAMES[j]} at k={k + 1} has imaginary part {table[k, j].imag:.3e} beyond 1e-10"
+            f"{_MOMENT_NAMES[j]} at k={k + 1} has imaginary part "
+            f"{tables[z, k, j].imag:.3e} beyond 1e-10"
         )
-    return table.real.copy()
+    return tables.real.copy()
+
+
+def mu_parameters(rho: DensityMatrix, kmax: int) -> np.ndarray:
+    """Moment table of every trace functional the network reads out: the
+    (kmax, 4) table of `moment_tables` for the one state rho."""
+    return moment_tables(rho.matrix[None], rho.dims, kmax)[0]
 
 
 def stage_one_template(row: np.ndarray) -> np.ndarray:

@@ -63,24 +63,34 @@ def build_shift_matrix(k: int, d: int, direction: str = "forward") -> np.ndarray
     return permutation_matrix(shift_permutation(k, d, direction))
 
 
-def shift_trace_bruteforce(rho: DensityMatrix, k: int, dir_a: str, dir_b: str) -> complex:
-    """Tr[(V_A ⊗ V_B) rho^⊗k] as one unoptimized einsum over rho's entries.
+def shift_traces(
+    mats: np.ndarray, dims: tuple[int, int], k: int, dir_a: str, dir_b: str
+) -> np.ndarray:
+    """Tr[(V_A ⊗ V_B) rho^⊗k] of every state of a (T, d, d) stack with local
+    dims (d_a, d_b), as a (T,) complex array, in one unoptimized einsum over
+    the states' entries.
 
     Copy c carries the indices (a_c, b_c, a_σA(c), b_σB(c)), where σ takes c
     to c + step (mod k), step -1 for forward, +1 for inverse and 0 for
-    identity.  With optimize=False numpy adds up the product over all
-    (d_a d_b)^k index tuples in C: no rho^⊗k, no contraction path and no
-    matrix product.  Correctness oracle, not a production path."""
+    identity, and every copy shares the state index Z.  With optimize=False
+    numpy adds up the product over all (d_a d_b)^k index tuples of each state
+    in C: no rho^⊗k, no contraction path and no matrix product.  Correctness
+    oracle, not a production path."""
     _check_direction(dir_a)
     _check_direction(dir_b)
-    d_a, d_b = rho.dims
+    d_a, d_b = dims
     if (d_a * d_b) ** k > BRUTEFORCE_TERM_GUARD:
         raise ValueError(f"(d_a*d_b)^k = {(d_a * d_b) ** k} exceeds brute-force guard")
-    # the guard keeps k <= 13, so the 2k index letters fit in ascii_letters
+    # the guard keeps k <= 13, so the 2k index letters are lowercase and Z is free
     a, b = string.ascii_letters[:k], string.ascii_letters[k : 2 * k]
     step_a, step_b = _CYCLE_STEP[dir_a], _CYCLE_STEP[dir_b]
     subs = ",".join(
-        a[c] + b[c] + a[(c + step_a) % k] + b[(c + step_b) % k] for c in range(k)
+        "Z" + a[c] + b[c] + a[(c + step_a) % k] + b[(c + step_b) % k] for c in range(k)
     )
-    t = rho.matrix.reshape(d_a, d_b, d_a, d_b)
-    return complex(np.einsum(subs + "->", *[t] * k, optimize=False))
+    t = np.asarray(mats, dtype=complex).reshape(-1, d_a, d_b, d_a, d_b)
+    return np.einsum(subs + "->Z", *[t] * k, optimize=False)
+
+
+def shift_trace_bruteforce(rho: DensityMatrix, k: int, dir_a: str, dir_b: str) -> complex:
+    """Tr[(V_A ⊗ V_B) rho^⊗k] of one state: `shift_traces` of the stack [rho]."""
+    return complex(shift_traces(rho.matrix[None], rho.dims, k, dir_a, dir_b)[0])

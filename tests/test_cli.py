@@ -2,6 +2,7 @@
 
 import json
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,12 +339,14 @@ def test_verify_matches_per_trial_reference(capsys, monkeypatch, dims, kmax, tri
         # On working code every deviation is rounding noise far below 1e-13, so
         # the rows would match whichever trial or random matrix they came from.
         # Scaled oracles give deviations that depend on each trial's state and
-        # random matrices, so a lost trial or a shifted stream shows.
-        oracle, shift = permnet.shift_trace_bruteforce, permnet.build_shift_matrix
+        # random matrices, so a lost trial or a shifted stream shows.  The
+        # stacked oracle is scaled state by state; the reference reaches it
+        # through shift_trace_bruteforce, a stack of one.
+        oracle, shift = permnet.shift_traces, permnet.build_shift_matrix
         monkeypatch.setattr(
             permnet,
-            "shift_trace_bruteforce",
-            lambda rho, k, a, b: oracle(rho, k, a, b) * (1 + rho.matrix[0, 0].real),
+            "shift_traces",
+            lambda mats, dims, k, a, b: oracle(mats, dims, k, a, b) * (1 + mats[:, 0, 0].real),
         )
         monkeypatch.setattr(
             permnet, "build_shift_matrix", lambda k, d, direction: 1.5 * shift(k, d, direction)
@@ -362,6 +365,25 @@ def test_verify_matches_per_trial_reference(capsys, monkeypatch, dims, kmax, tri
         assert (g["max_dev"] is None) == (r["max_dev"] is None)
         if r["max_dev"] is not None:
             assert abs(g["max_dev"] - r["max_dev"]) <= 1e-13 * max(1.0, r["max_dev"])
+
+
+def test_shift_product_memory_does_not_grow_with_trials():
+    # d = 2, k = 8: each Kronecker product is 256 x 256 (1 MiB); a stacked
+    # product and matmul over 20 trials peaked at 41 MiB against 3 MiB for one
+    v_fwd = permnet.build_shift_matrix(8, 2, "forward")
+    rng = np.random.default_rng(3)
+    peaks, devs = [], []
+    for trials in (1, 20):
+        mats = rng.standard_normal((trials, 8, 2, 2)) + 1j * rng.standard_normal((trials, 8, 2, 2))
+        tracemalloc.start()
+        try:
+            devs.append(cli._shift_product_devs(mats, v_fwd))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert devs[1].shape == (20,)
+    assert np.all(np.concatenate(devs) < cli.IDENTITY_TOL)
+    assert peaks[1] < 2 * peaks[0]
 
 
 def test_verify_rejects_empty_sweep(capsys):

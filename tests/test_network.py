@@ -132,6 +132,78 @@ def test_mu_parameters_invariants():
             assert_allclose(t_b, np.trace(linalg.mat_power(rho.reduced("B"), k)).real, atol=1e-10)
 
 
+def reference_moment_table(rho, kmax):
+    """One state's moment table, one basis and one chain of 2-D products at a time."""
+    bases = (
+        linalg.partial_trace(rho.matrix, list(rho.dims), 0),
+        linalg.partial_trace(rho.matrix, list(rho.dims), 1),
+        rho.matrix,
+        linalg.partial_transpose(rho.matrix, rho.d_a, rho.d_b, "B"),
+    )
+    table = np.empty((kmax, 4), dtype=complex)
+    for j, base in enumerate(bases):
+        acc = base
+        table[0, j] = np.trace(acc)
+        for k in range(1, kmax):
+            acc = acc @ base
+            table[k, j] = np.trace(acc)
+    return table.real
+
+
+def state_family(dims, seed):
+    """Five random, five separable, five Bell-like and five Werner-like states:
+    the Bell-like ones are sum_i e^{i theta_i} |ii> / sqrt(m), m = min(dims),
+    and the Werner-like ones mix the first of them with white noise."""
+    d_a, d_b = dims
+    d, m = d_a * d_b, min(dims)
+    rng = np.random.default_rng(seed)
+    out = [states.random_density(dims, seed=seed + s) for s in range(5)]
+    out += [states.random_separable(dims, 3, seed=seed + s) for s in range(5)]
+    bells = []
+    for _ in range(5):
+        v = np.zeros(d, dtype=complex)
+        v[[i * d_b + i for i in range(m)]] = np.exp(1j * rng.uniform(0, 2 * np.pi, m)) / np.sqrt(m)
+        bells.append(states.DensityMatrix(dims, np.outer(v, v.conj())))
+    out += bells
+    out += [
+        states.DensityMatrix(dims, p * bells[0].matrix + (1 - p) * np.eye(d) / d)
+        for p in (0.0, 0.2, 0.4, 0.7, 1.0)
+    ]
+    if dims == (2, 2):
+        out[10:] = [states.bell_state(w) for w in ("phi+", "phi-", "psi+", "psi-")] + [
+            states.werner(p) for p in (0.0, 0.2, 0.34, 0.5, 0.8, 1.0)
+        ]
+    return out
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4)])
+def test_moment_tables_equal_per_state_reference_bit_for_bit(dims):
+    # every product of a stacked chain has one state's size, so neither the
+    # stack nor its neighbours may move a single bit of a state's table
+    family = state_family(dims, seed=41)
+    assert len(family) == 20
+    kmax = dims[0] * dims[1]
+    want = np.array([reference_moment_table(rho, kmax) for rho in family])
+    for rho, table in zip(family, want):
+        assert_array_equal(network.mu_parameters(rho, kmax), table)
+        assert_array_equal(network.moment_tables(rho.matrix[None], dims, kmax)[0], table)
+    stacked = network.moment_tables(np.array([rho.matrix for rho in family]), dims, kmax)
+    assert stacked.shape == (20, kmax, 4)
+    assert_array_equal(stacked, want)
+
+
+def test_moment_tables_reject_non_finite_and_complex_traces():
+    mats = np.array([np.eye(4, dtype=complex) / 4] * 3)
+    mats[1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        network.moment_tables(mats, (2, 2), 2)
+    # a non-Hermitian pair of entries gives the order-2 traces an imaginary part
+    mats[1] = np.eye(4) / 4
+    mats[2, 0, 1], mats[2, 1, 0] = 0.1j, 0.1
+    with pytest.raises(ValueError, match="at k=2 has imaginary part"):
+        network.moment_tables(mats, (2, 2), 2)
+
+
 def test_stage_one_state_maximally_mixed_frozen():
     rho = states.DensityMatrix((2, 2), np.eye(4, dtype=complex) / 4)
     got = network.stage_one_state(rho, 2).matrix

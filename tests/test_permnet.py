@@ -127,6 +127,32 @@ def test_shift_trace_bruteforce_matches_loop_reference(dims, kmax):
             assert_allclose(got, _loop_reference(rho, k, dir_a, dir_b), rtol=0, atol=1e-13)
 
 
+# the five (A, B) shift pairs the identity suite reads
+SUITE_PAIRS = [
+    ("inverse", "forward"),
+    ("forward", "inverse"),
+    ("forward", "identity"),
+    ("identity", "forward"),
+    ("forward", "forward"),
+]
+
+
+@pytest.mark.parametrize("dims,kmax", [((2, 2), 4), ((2, 3), 3), ((3, 2), 3), ((3, 3), 2)])
+def test_shift_traces_of_a_stack_match_loop_reference_state_by_state(dims, kmax):
+    rhos = [states.random_density(dims, seed=s) for s in range(5)]
+    # a general complex matrix too: the oracle is multilinear in its entries
+    rng = np.random.default_rng(5)
+    d = dims[0] * dims[1]
+    rhos.append(states.DensityMatrix(dims, random_complex(rng, d) / d))
+    mats = np.array([rho.matrix for rho in rhos])
+    for k in range(1, kmax + 1):
+        for dir_a, dir_b in SUITE_PAIRS:
+            got = permnet.shift_traces(mats, dims, k, dir_a, dir_b)
+            want = [_loop_reference(rho, k, dir_a, dir_b) for rho in rhos]
+            assert got.shape == (len(rhos),)
+            assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
 @pytest.mark.parametrize("dims,k", [((2, 2), 8), ((3, 3), 5)])
 def test_shift_trace_bruteforce_at_high_order_matches_moment_table(dims, k):
     # (d_a d_b)^k = 65536 and 59049 terms, beyond what the loop reference reaches quickly
