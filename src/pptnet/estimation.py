@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .states import VALIDATION_TOL, DensityMatrix
+from .states import VALIDATION_TOL, DensityMatrix, check_dims
 
 NPT_ENTANGLED = "NPT_ENTANGLED"
 PPT_CONCLUSIVE_SEPARABLE = "PPT_CONCLUSIVE_SEPARABLE"
@@ -140,6 +140,7 @@ def calibration_report(dims: tuple[int, int]) -> dict:
     sum is the power sum itself); the constant applies only to the circuit's
     readout.
     """
+    check_dims(dims)
     d = dims[0] * dims[1]
     product = np.zeros((d, d), dtype=complex)
     product[0, 0] = 1.0

@@ -11,6 +11,7 @@ the second-bit one Tr(rho_A^k).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ from . import permnet
 from .states import VALIDATION_TOL, DensityMatrix
 
 FULL_EVOLUTION_GUARD = 4096
+# cached stage-one gather plans, each at most 16*k*d^k indices (655 KB at the guard)
+GATHER_PLAN_CACHE_SIZE = 16
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -32,6 +35,8 @@ H_PAIR = np.kron(HADAMARD, HADAMARD)
 READOUT_GATES = np.array(
     [np.kron(u_b, u_a) for u_b in (np.eye(2), R_MINUS) for u_a in (np.eye(2), R_PLUS)]
 )
+# column xy holds the entries of U_xy, conjugated, row-major
+READOUT_GATES_CONJ_T = READOUT_GATES.reshape(4, 16).conj().T
 
 
 # weight of readout 2x + y in the parity P00 - P01 - P10 + P11
@@ -174,6 +179,18 @@ def _shift_sources(dims: tuple[int, int], k: int) -> np.ndarray:
     return np.stack([np.arange(len(a_src)), a_src, b_src, a_src[b_src]])
 
 
+@functools.lru_cache(maxsize=GATHER_PLAN_CACHE_SIZE)
+def _gather_plan(dims: tuple[int, int], k: int) -> np.ndarray:
+    """Read-only (k, 4, 4, d^k) flat indices into a d x d matrix: entry
+    [t, c, c', r] = e_t(src[c, r]) d + e_t(src[c', r]), src the rows of
+    `_shift_sources` and e_t the t-th base-d digit of an environment index."""
+    d = dims[0] * dims[1]
+    digits = np.unravel_index(_shift_sources(dims, k), [d] * k)
+    plan = np.stack([e[:, None, :] * d + e[None, :, :] for e in digits])
+    plan.flags.writeable = False
+    return plan
+
+
 def _stage_one_circuit(rho: DensityMatrix, k: int) -> np.ndarray:
     """Evolve the stage-one circuit: two control qubits, Hadamards, controlled
     cyclic shifts on the A- and B-factors of rho^⊗k, Hadamards, then trace out
@@ -192,8 +209,9 @@ def _stage_one_circuit(rho: DensityMatrix, k: int) -> np.ndarray:
     # index.  The trace reads entry (c, r; c', r) of the shifted state, which
     # is input entry (c, src[c, r]; c', src[c', r]).
     terms = np.full((4, 4, size // 4), 0.25, dtype=complex)
-    for e in np.unravel_index(_shift_sources(rho.dims, k), [rho.d] * k):  # e[c, r] = e_t(src[c, r])
-        terms *= rho.matrix[e[:, None, :], e[None, :, :]]
+    flat = rho.matrix.ravel()
+    for plan in _gather_plan(tuple(rho.dims), k):
+        terms *= flat[plan]
     controls = terms.sum(axis=2)
     # the second Hadamards act on the controls alone, so they commute with the trace
     return H_PAIR @ controls @ H_PAIR
@@ -221,8 +239,7 @@ def stage_two_state(rho: DensityMatrix, k: int, mode: str = "analytic") -> Ancil
         return AncillaState(np.diag(stage_two_distribution(rho, k).p).astype(complex))
     sigma = _stage_one_circuit(rho, k)
     # Tr(U_x'y'^dagger U_xy sigma) = sum_ij (U_xy sigma)[i, j] conj(U_x'y'[i, j])
-    gates = READOUT_GATES.reshape(4, 16)
-    gram = (READOUT_GATES @ sigma).reshape(4, 16) @ gates.conj().T / 4
+    gram = (READOUT_GATES @ sigma).reshape(4, 16) @ READOUT_GATES_CONJ_T / 4
     return AncillaState(H_PAIR @ gram @ H_PAIR)
 
 

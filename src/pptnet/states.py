@@ -31,6 +31,12 @@ class PhysicalityError(ValueError):
         super().__init__(f"state is not physical: {report.summary()}")
 
 
+def check_dims(dims) -> None:
+    """Reject local dimensions below 2 before any array is sized from them."""
+    if min(dims) < 2:
+        raise StateFormatError(f"local dimensions must be >= 2, got {tuple(dims)}")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A bipartite state: local dims (d_a, d_b) plus a (d_a*d_b)^2 matrix, A-major basis."""
@@ -39,9 +45,8 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
+        check_dims(self.dims)
         d_a, d_b = self.dims
-        if d_a < 2 or d_b < 2:
-            raise StateFormatError(f"local dimensions must be >= 2, got {self.dims}")
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape != (d_a * d_b, d_a * d_b):
             raise StateFormatError(
@@ -117,6 +122,7 @@ def werner(p: float) -> DensityMatrix:
 
 def random_density(dims: tuple[int, int], seed: int) -> DensityMatrix:
     """Ginibre-induced random state G G^dagger / Tr, deterministic per seed."""
+    check_dims(dims)
     d = dims[0] * dims[1]
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -128,6 +134,7 @@ def random_separable(dims: tuple[int, int], terms: int, seed: int) -> DensityMat
     """Convex mixture of `terms` random pure product states with simplex weights."""
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
+    check_dims(dims)
     d_a, d_b = dims
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(terms))

@@ -412,6 +412,22 @@ def test_calibrate(capsys):
     assert all(row["residual"] < 1e-9 for row in report["states"])
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["calibrate"], ["verify"], ["gen", "random", "--out", "x.json"]],
+    ids=["calibrate", "verify", "gen"],
+)
+@pytest.mark.parametrize("d_a", ["0", "-2", "1"])
+def test_dims_below_two_exit_1(capsys, tmp_path, monkeypatch, command, d_a):
+    # checked before any array is sized from the dims, so no IndexError or numpy message
+    monkeypatch.chdir(tmp_path)
+    code = cli.main([*command, "--dims", d_a, "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"local dimensions must be >= 2, got ({d_a}, 2)" in captured.err
+
+
 def test_gen_rejects_bad_parameters(capsys, tmp_path):
     code, _ = run(capsys, ["gen", "werner", "--p", "1.5", "--out", str(tmp_path / "x.json")])
     assert code == 1

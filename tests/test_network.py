@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from pptnet import linalg, network, permnet, states
+from pptnet import estimation, linalg, network, permnet, states
 
 
 def controlled_shift(dims, positions, direction, control):
@@ -268,6 +268,59 @@ def test_shift_sources_pin_the_shift_directions(dims, kmax):
         src = np.argsort(shift_a[shift_b]).reshape(4, m)
         assert_array_equal(src // m, np.repeat(np.arange(4)[:, None], m, axis=1))
         assert_array_equal(network._shift_sources(dims, k), src % m)
+
+
+def per_call_stage_one(rho, k):
+    """Reference stage one that gathers per call, without a plan: the digits of
+    the shift sources, then one broadcast fancy index into rho per copy."""
+    terms = np.full((4, 4, rho.d**k), 0.25, dtype=complex)
+    for e in np.unravel_index(network._shift_sources(rho.dims, k), [rho.d] * k):
+        terms *= rho.matrix[e[:, None, :], e[None, :, :]]
+    return network.H_PAIR @ terms.sum(axis=2) @ network.H_PAIR
+
+
+@pytest.mark.parametrize("dims, kmax", [((2, 2), 5), ((2, 3), 3), ((3, 2), 3), ((3, 3), 3)])
+def test_planned_stage_one_equals_per_call_gather_bit_for_bit(dims, kmax):
+    for k in range(1, kmax + 1):
+        for rho in circuit_inputs(dims, (21, 22)):
+            planned = network.stage_one_state(rho, k, mode="full_evolution").matrix
+            assert_array_equal(planned, per_call_stage_one(rho, k))
+
+
+def test_gather_plan_is_cached_read_only():
+    plan = network._gather_plan((2, 3), 2)
+    assert plan.shape == (2, 4, 4, 36)
+    assert network._gather_plan((2, 3), 2) is plan
+    with pytest.raises(ValueError):
+        plan[0, 0, 0, 0] = 0
+    # unequal local dims swap which digits each control shifts
+    assert not np.array_equal(plan, network._gather_plan((3, 2), 2))
+    for dims in ((2, 3), (3, 2)):
+        assert_allclose(estimation.calibrate_eta_scale(dims), 2.0, atol=1e-9)
+
+
+def test_gather_plan_cache_stays_bounded():
+    network._gather_plan.cache_clear()
+    bound = network.GATHER_PLAN_CACHE_SIZE
+    for d_b in range(2, bound + 5):
+        network._gather_plan((2, d_b), 1)
+    info = network._gather_plan.cache_info()
+    assert info.maxsize == bound
+    assert info.misses == bound + 3 and info.currsize == bound
+
+
+def test_rejected_circuit_calls_build_no_plan():
+    network._gather_plan.cache_clear()
+    for rho, k in (
+        (states.bell_state("phi+"), 0),
+        (states.bell_state("phi+"), -1),
+        (states.random_density((2, 3), seed=5), 4),
+        (states.random_density((2, 2), seed=5), 6),
+    ):
+        with pytest.raises(ValueError):
+            network.stage_two_distribution(rho, k, mode="full_evolution")
+    info = network._gather_plan.cache_info()
+    assert info.misses == info.currsize == 0
 
 
 def test_stage_two_circuit_matches_dense_unitary():
