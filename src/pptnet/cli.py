@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import string
 import sys
 
 import numpy as np
@@ -92,7 +91,7 @@ def cmd_check(args) -> int:
     pt = linalg.partial_transpose(rho.matrix, rho.d_a, rho.d_b, "B")
     spectrum = estimation.Spectrum(linalg.hermitian_eigenvalues(pt), 0.0)
     ps = estimation.power_sums_exact(rho)
-    v = estimation.verdict(spectrum, rho.dims, 0.0, args.z)
+    v = estimation.verdict(spectrum, rho.dims)
     result = estimation.ProtocolResult(
         ps, spectrum, v, None, sigma=0.0, interval=None, bootstrap_failures=None, copies_consumed=0
     )
@@ -107,7 +106,6 @@ def cmd_simulate(args) -> int:
         shots_per_k=args.shots,
         seed=args.seed,
         bootstrap_replicas=args.bootstrap,
-        z=args.z,
         use_k2_shortcut=not args.no_k2_shortcut,
     )
     method = "locc_exact" if args.exact_probabilities else "locc_shots"
@@ -154,37 +152,28 @@ def _trace_checks(mats: np.ndarray, dims: tuple[int, int], moments_k: np.ndarray
     return checks
 
 
-# Trials whose Kronecker products together hold at most this many entries (1 MiB
-# of complex128) go through _shift_product_devs at once, one at a time when a
-# single product is larger, so its memory does not grow with the trial count.
-_PRODUCT_CHUNK_ENTRIES = 2**16
-
-
 def _shift_product_devs(mats: np.ndarray, v_fwd: np.ndarray) -> np.ndarray:
     """Per trial, the deviation of Tr[V^dagger (m1 ⊗ ... ⊗ mk)] and
     Tr[V (m1 ⊗ ... ⊗ mk)] from the traces of the ordered products m1 ... mk
     and mk ... m1, V = `v_fwd` the explicit forward shift matrix; `mats` is
-    (T, k, d, d).  Each trace is an elementwise sum, Tr(V X) = sum_ij V_ij X_ji,
-    not a matrix product."""
-    trials, k, d, _ = mats.shape
-    # m1 ⊗ ... ⊗ mk as one outer product per trial, row digits before column digits
-    r, c = string.ascii_uppercase[:k], string.ascii_lowercase[:k]
-    subs = ",".join("z" + a + b for a, b in zip(r, c)) + "->z" + r + c
-    v_adj_t = v_fwd.conj()  # (V^dagger)^T, so Tr(V^dagger X) = sum_ij (V^dagger)^T_ij X_ij
-    chunk = max(1, _PRODUCT_CHUNK_ENTRIES // d ** (2 * k))
-    shifted = np.empty((2, trials), dtype=complex)
-    for start in range(0, trials, chunk):
-        part = mats[start : start + chunk]
-        big = np.einsum(subs, *part.transpose(1, 0, 2, 3)).reshape(len(part), d**k, d**k)
-        shifted[0, start : start + chunk] = np.einsum("ij,zij->z", v_adj_t, big)
-        shifted[1, start : start + chunk] = np.einsum("ij,zji->z", v_fwd, big)
+    (T, k, d, d).  Each trace runs over the nonzeros V_ij of the matrix itself,
+    Tr(V^dagger X) = sum conj(V_ij) X_ij and Tr(V X) = sum V_ij X_ji, with the
+    Kronecker entry X_ij = prod_t m_t[i_t, j_t] gathered from the base-d digits
+    of i and j (most significant first), so no product is formed."""
+    _, k, d, _ = mats.shape
+    rows, cols = np.nonzero(v_fwd)
+    w = v_fwd[rows, cols]
+    i, j = np.unravel_index(rows, (d,) * k), np.unravel_index(cols, (d,) * k)
+    x_ij, x_ji = mats[:, 0, i[0], j[0]], mats[:, 0, j[0], i[0]]
     ordered, reversed_ = mats[:, 0], mats[:, k - 1]
-    for j in range(1, k):
-        ordered = ordered @ mats[:, j]
-        reversed_ = reversed_ @ mats[:, k - 1 - j]
+    for t in range(1, k):
+        x_ij = x_ij * mats[:, t, i[t], j[t]]
+        x_ji = x_ji * mats[:, t, j[t], i[t]]
+        ordered = ordered @ mats[:, t]
+        reversed_ = reversed_ @ mats[:, k - 1 - t]
     return np.maximum(
-        np.abs(shifted[0] - np.trace(ordered, axis1=1, axis2=2)),
-        np.abs(shifted[1] - np.trace(reversed_, axis1=1, axis2=2)),
+        np.abs(x_ij @ w.conj() - np.trace(ordered, axis1=1, axis2=2)),
+        np.abs(x_ji @ w - np.trace(reversed_, axis1=1, axis2=2)),
     )
 
 
@@ -260,6 +249,13 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """Type of every --seed flag: numpy seeds are nonnegative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"--seed must be a nonnegative integer, got {text}")
+    return int(text)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     # a bad argument is an input error (exit 1); argparse's 2 means estimation failure here
     def error(self, message):
@@ -278,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--p", type=float, default=None, help="werner mixing parameter")
     p_gen.add_argument("--dims", type=int, nargs=2, default=[2, 2], metavar=("DA", "DB"))
     p_gen.add_argument("--terms", type=int, default=5, help="separable: product terms")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("--inputs", nargs="+", default=None, help="mix: state files")
     p_gen.add_argument("--weights", type=float, nargs="+", default=None, help="mix: weights")
     p_gen.add_argument("--out", required=True, help="output state file")
@@ -286,14 +282,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="exact PPT check of a state file")
     p_check.add_argument("state")
-    p_check.add_argument("--z", type=float, default=3.0)
     p_check.set_defaults(func=cmd_check)
 
     p_sim = sub.add_parser("simulate", help="simulate the measurement protocol")
     p_sim.add_argument("state")
     p_sim.add_argument("--shots", type=int, default=100_000, help="shots per order k")
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--z", type=float, default=3.0)
+    p_sim.add_argument("--seed", type=_seed, default=0)
     p_sim.add_argument("--bootstrap", type=int, default=200, help="bootstrap replicas")
     p_sim.add_argument(
         "--exact-probabilities",
@@ -311,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--dims", type=int, nargs=2, default=[2, 2], metavar=("DA", "DB"))
     p_verify.add_argument("--kmax", type=int, default=4)
     p_verify.add_argument("--trials", type=int, default=20)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.set_defaults(func=cmd_verify)
 
     p_cal = sub.add_parser("calibrate", help="measure the circuit readout scale")

@@ -3,7 +3,6 @@ power sums, spectrum recovery via Newton's identities, and the PPT verdict."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,8 @@ EXACT_IMAG_CAP = 1e-3
 SHOT_IMAG_CAP = 0.25
 
 NEGATIVITY_FLOOR = 1e-12
+# the entanglement call needs lambda_min this many bootstrap sigmas below the band
+NOISE_GATE_SIGMAS = 3.0
 
 COEFF_SNAP_TOL = 1e-12
 # the calibration states must agree on the readout constant within this
@@ -83,7 +84,6 @@ class EstimationConfig:
     shots_per_k: int = 100_000
     seed: int = 0
     bootstrap_replicas: int = 200
-    z: float = 3.0
     use_k2_shortcut: bool = True
 
     def __post_init__(self):
@@ -93,8 +93,6 @@ class EstimationConfig:
             raise ValueError(f"bootstrap_replicas must be >= 0, got {self.bootstrap_replicas}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        if not (math.isfinite(self.z) and self.z >= 0):
-            raise ValueError(f"z must be a finite nonnegative number, got {self.z!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,19 +249,22 @@ def _newton_coefficients(p: np.ndarray) -> np.ndarray:
 
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     """Roots of each monic row of (B, n+1) coefficients, equal to np.roots row
-    by row: one eigvals call on the stacked companion matrices, laid out as
-    np.roots lays them out.  Rows ending in zeros go through np.roots, which
-    deflates those exact zero roots; output is real only if every root is."""
+    by row: a row ending in z zeros has the eigenvalues of its degree-(n - z)
+    companion matrix, laid out as np.roots lays it out, followed by z exact
+    zero roots; one stacked eigvals call per distinct z.  Output is real only
+    if every root is."""
     n = coeffs.shape[1] - 1
-    full = coeffs[:, -1] != 0
-    companion = np.zeros((int(full.sum()), n, n))
-    companion[:, 0, :] = -coeffs[full, 1:]
-    companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-    roots = np.linalg.eigvals(companion)
-    deflated = np.reshape([np.roots(row) for row in coeffs[~full]], (-1, n))
-    out = np.empty((len(coeffs), n), dtype=np.result_type(roots, deflated))
-    out[full] = roots
-    out[~full] = deflated
+    trailing = np.argmax(coeffs[:, ::-1] != 0, axis=1)  # column 0 is 1, so every row has a nonzero
+    groups = []
+    for z in set(trailing.tolist()):
+        rows, m = trailing == z, n - z
+        companion = np.zeros((int(rows.sum()), m, m))
+        companion[:, 0, :] = -coeffs[rows, 1 : m + 1]
+        companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+        groups.append((rows, np.linalg.eigvals(companion)))
+    out = np.zeros((len(coeffs), n), dtype=np.result_type(*[roots for _, roots in groups]))
+    for rows, roots in groups:
+        out[rows, : roots.shape[1]] = roots
     return out
 
 
@@ -311,9 +312,9 @@ def spectrum_from_power_sums(ps: PowerSums) -> Spectrum:
 
 
 def verdict(
-    spectrum: Spectrum, dims: tuple[int, int], sigma_lambda_min: float = 0.0, z: float = 3.0
+    spectrum: Spectrum, dims: tuple[int, int], sigma_lambda_min: float = 0.0
 ) -> PptVerdict:
-    """Classify: entangled when lambda_min + z*sigma is below
+    """Classify: entangled when lambda_min + NOISE_GATE_SIGMAS*sigma is below
     -(d * VALIDATION_TOL + NEGATIVITY_FLOOR), d = d_A d_B; otherwise PPT,
     which is conclusive separability only in 2x2 and 2x3.
 
@@ -321,14 +322,11 @@ def verdict(
     that passes states.validate may carry a negative part of trace up to
     d * VALIDATION_TOL, which alone can push lambda_min that far below zero;
     NEGATIVITY_FLOOR absorbs eigensolver jitter (exactly-PPT states come back
-    with lambda_min around -1e-16).  A negative or non-finite z is rejected:
-    it would flip or disable the noise gate.
+    with lambda_min around -1e-16).
     """
-    if not (math.isfinite(z) and z >= 0):
-        raise ValueError(f"z must be a finite nonnegative number, got {z!r}")
     lam_min = float(spectrum.lambdas[-1])
     d = dims[0] * dims[1]
-    if lam_min + z * sigma_lambda_min < -(d * VALIDATION_TOL + NEGATIVITY_FLOOR):
+    if lam_min + NOISE_GATE_SIGMAS * sigma_lambda_min < -(d * VALIDATION_TOL + NEGATIVITY_FLOOR):
         cls = NPT_ENTANGLED
     elif d <= 6:
         cls = PPT_CONCLUSIVE_SEPARABLE
@@ -382,5 +380,5 @@ def run_protocol(
     except EstimationError as exc:
         exc.power_sums, exc.copies_consumed = ps, copies  # partial result for error reporting
         raise
-    v = verdict(spectrum, rho.dims, sigma, cfg.z)
+    v = verdict(spectrum, rho.dims, sigma)
     return ProtocolResult(ps, spectrum, v, counts_per_k, sigma, interval, failures, copies)

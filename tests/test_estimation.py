@@ -157,8 +157,9 @@ def test_estimation_config_validation():
         est.EstimationConfig(seed=-1)
     with pytest.raises(ValueError):
         est.EstimationConfig(bootstrap_replicas=-1)
-    with pytest.raises(ValueError):
-        est.EstimationConfig(z=float("nan"))
+    # the noise gate is fixed at NOISE_GATE_SIGMAS; it is not a setting
+    with pytest.raises(TypeError):
+        est.EstimationConfig(z=3.0)
 
 
 def test_spectrum_from_power_sums_rank_one():
@@ -223,20 +224,20 @@ def test_verdict_band_is_dimension_times_validation_tolerance():
     assert classify(-4.1e-9, (2, 2)) == est.NPT_ENTANGLED
     assert classify(-8.9e-9, (3, 3)) == est.PPT_INCONCLUSIVE
     assert classify(-9.1e-9, (3, 3)) == est.NPT_ENTANGLED
-    # the band applies to lambda_min + z * sigma
+    # the band applies to lambda_min + 3 * sigma
     assert classify(-1e-2, (2, 2), sigma=(1e-2 - 3.9e-9) / 3) == est.PPT_CONCLUSIVE_SEPARABLE
 
 
 def test_verdict_noise_gate():
+    # lambda_min = -0.01 is entangled only when it lies more than 3 sigma below the band
+    assert est.NOISE_GATE_SIGMAS == 3.0
     spec = est.Spectrum(np.array([0.6, 0.3, 0.11, -0.01]), 0.0)
-    cautious = est.verdict(spec, (2, 2), sigma_lambda_min=0.005, z=3.0)
+    cautious = est.verdict(spec, (2, 2), sigma_lambda_min=0.005)
     assert cautious.classification == est.PPT_CONCLUSIVE_SEPARABLE
-    eager = est.verdict(spec, (2, 2), sigma_lambda_min=0.005, z=1.0)
-    assert eager.classification == est.NPT_ENTANGLED
-    # a negative z would flip the gate and a NaN one would disable it
-    for bad in (-50.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            est.verdict(spec, (2, 2), sigma_lambda_min=0.005, z=bad)
+    sharp = est.verdict(spec, (2, 2), sigma_lambda_min=0.003)
+    assert sharp.classification == est.NPT_ENTANGLED
+    with pytest.raises(TypeError):
+        est.verdict(spec, (2, 2), 0.005, 3.0)
 
 
 def test_bootstrap_lambda_min_degenerate_counts():
@@ -277,19 +278,21 @@ def _newton_reference(p):
 def test_companion_roots_match_np_roots_row_by_row():
     rng = np.random.default_rng(5)
     for d in (4, 6, 9):
-        # random monic rows, and power sums of spectra with zero eigenvalues,
-        # whose snapped coefficients end in exact zeros
+        # random monic rows, and power sums of spectra with 1..d-1 zero
+        # eigenvalues, whose snapped coefficients end in that many exact zeros
         random_rows = np.hstack([np.ones((40, 1)), rng.standard_normal((40, d))])
         spectra = rng.uniform(-0.2, 1.0, (40, d))
-        spectra[:, : d // 2] = 0.0
+        zeros = 1 + np.arange(40) % (d - 1)
+        spectra[np.arange(d) < zeros[:, None]] = 0.0
         sums = np.stack([np.sum(spectra**k, axis=1) for k in range(1, d + 1)], axis=1)
         snapped = np.array([_newton_reference(p) for p in sums])
-        assert np.all(snapped[:, -1] == 0)
+        assert_array_equal(np.argmax(snapped[:, ::-1] != 0, axis=1), zeros)
         coeffs = np.concatenate([random_rows, snapped])[rng.permutation(80)]
         roots = est._companion_roots(coeffs)
         assert roots.shape == (80, d)
+        # same values in the same order as np.roots, its trailing zero roots last
         for row, got in zip(coeffs, roots):
-            assert_allclose(np.sort_complex(got), np.sort_complex(np.roots(row)), rtol=0, atol=1e-12)
+            assert_array_equal(got, np.roots(row))
 
 
 def test_newton_coefficients_batched_equal_scalar_loop():
