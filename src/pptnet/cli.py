@@ -103,10 +103,7 @@ def cmd_check(args) -> int:
 def cmd_simulate(args) -> int:
     rho = states.load(args.state)
     cfg = estimation.EstimationConfig(
-        shots_per_k=args.shots,
-        seed=args.seed,
-        bootstrap_replicas=args.bootstrap,
-        use_k2_shortcut=not args.no_k2_shortcut,
+        shots_per_k=args.shots, seed=args.seed, bootstrap_replicas=args.bootstrap
     )
     method = "locc_exact" if args.exact_probabilities else "locc_shots"
     shots = 0 if args.exact_probabilities else cfg.shots_per_k
@@ -293,11 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--exact-probabilities",
         action="store_true",
         help="feed exact outcome probabilities to the estimator (infinite-shot limit)",
-    )
-    p_sim.add_argument(
-        "--no-k2-shortcut",
-        action="store_true",
-        help="estimate order 2 from the second-stage readout instead of the first",
     )
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .states import VALIDATION_TOL, DensityMatrix, check_dims
+from .states import NEGATIVITY_FLOOR, DensityMatrix, check_dims, load_band  # noqa: F401
 
 NPT_ENTANGLED = "NPT_ENTANGLED"
 PPT_CONCLUSIVE_SEPARABLE = "PPT_CONCLUSIVE_SEPARABLE"
@@ -23,7 +23,6 @@ PPT_INCONCLUSIVE = "PPT_INCONCLUSIVE"
 EXACT_IMAG_CAP = 1e-3
 SHOT_IMAG_CAP = 0.25
 
-NEGATIVITY_FLOOR = 1e-12
 # the entanglement call needs lambda_min this many bootstrap sigmas below the band
 NOISE_GATE_SIGMAS = 3.0
 
@@ -140,6 +139,7 @@ def calibration_report(dims: tuple[int, int]) -> dict:
     """
     check_dims(dims)
     d = dims[0] * dims[1]
+    network.check_circuit_size(d, 2)  # before the d x d probes are built
     product = np.zeros((d, d), dtype=complex)
     product[0, 0] = 1.0
     probes = [
@@ -315,18 +315,11 @@ def verdict(
     spectrum: Spectrum, dims: tuple[int, int], sigma_lambda_min: float = 0.0
 ) -> PptVerdict:
     """Classify: entangled when lambda_min + NOISE_GATE_SIGMAS*sigma is below
-    -(d * VALIDATION_TOL + NEGATIVITY_FLOOR), d = d_A d_B; otherwise PPT,
-    which is conclusive separability only in 2x2 and 2x3.
-
-    The band is the k = 1 case of network.outcome_distribution's.  A state
-    that passes states.validate may carry a negative part of trace up to
-    d * VALIDATION_TOL, which alone can push lambda_min that far below zero;
-    NEGATIVITY_FLOOR absorbs eigensolver jitter (exactly-PPT states come back
-    with lambda_min around -1e-16).
-    """
+    -states.load_band(d), d = d_A d_B; otherwise PPT, which is conclusive
+    separability only in 2x2 and 2x3."""
     lam_min = float(spectrum.lambdas[-1])
     d = dims[0] * dims[1]
-    if lam_min + NOISE_GATE_SIGMAS * sigma_lambda_min < -(d * VALIDATION_TOL + NEGATIVITY_FLOOR):
+    if lam_min + NOISE_GATE_SIGMAS * sigma_lambda_min < -load_band(d):
         cls = NPT_ENTANGLED
     elif d <= 6:
         cls = PPT_CONCLUSIVE_SEPARABLE

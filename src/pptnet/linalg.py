@@ -1,5 +1,5 @@
 """Dense complex matrix kernel: Kronecker products, matrix powers, partial
-transpose, partial trace, Hermitian eigendecomposition.
+transpose, two-factor partial trace, Hermitian eigendecomposition.
 
 Composite basis convention used throughout the package: the bipartite basis
 state |ij> (i on A, j on B) sits at index i*d_b + j (row-major, A-major).
@@ -7,11 +7,11 @@ state |ij> (i on A, j on B) sits at index i*d_b + j (row-major, A-major).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-HERMITICITY_TOL = 1e-9
+# the input tolerance, whose rule states owns (states.load_band); it sits here,
+# below states in the import graph, so hermitian_eigenvalues reads the same one
+VALIDATION_TOL = 1e-9
 
 
 def _as_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -56,39 +56,27 @@ def partial_transpose(rho: np.ndarray, d_a: int, d_b: int, subsystem: str = "B")
     return t.reshape(d_a * d_b, d_a * d_b)
 
 
-def partial_trace(rho: np.ndarray, dims: list[int], keep) -> np.ndarray:
-    """Trace out all tensor factors except those listed in `keep`.
-
-    `dims` lists the factor dimensions with the leading (leftmost Kronecker)
-    factor first; `keep` is one factor index or a list of them.  Kept factors
-    stay in their original relative order.
-    """
+def partial_trace(rho: np.ndarray, dims: list[int], keep: int) -> np.ndarray:
+    """Reduced matrix of factor `keep` (0 or 1) of a two-factor matrix whose
+    factor dimensions `dims` list the leading (leftmost Kronecker) factor first."""
     rho = _as_square(rho, "rho")
-    dims = [int(d) for d in dims]
-    if math.prod(dims) != rho.shape[0]:
-        raise ValueError(f"dims {dims} inconsistent with matrix size {rho.shape[0]}")
-    keep_list = [keep] if isinstance(keep, (int, np.integer)) else sorted(int(i) for i in keep)
-    n = len(dims)
-    if not keep_list or any(i < 0 or i >= n for i in keep_list):
-        raise ValueError(f"keep indices {keep_list} out of range for {n} factors")
-    t = rho.reshape(dims + dims)
-    row_sub = list(range(n))
-    col_sub = [i + n if i in keep_list else i for i in range(n)]
-    out_sub = keep_list + [i + n for i in keep_list]
-    out = np.einsum(t, row_sub + col_sub, out_sub)
-    d_keep = math.prod(dims[i] for i in keep_list)
-    return out.reshape(d_keep, d_keep)
+    if len(dims) != 2 or dims[0] * dims[1] != rho.shape[0]:
+        raise ValueError(f"dims {list(dims)} inconsistent with matrix size {rho.shape[0]}")
+    if keep not in (0, 1):
+        raise ValueError(f"keep must be 0 or 1, got {keep!r}")
+    t = rho.reshape(dims[0], dims[1], dims[0], dims[1])
+    return np.einsum("abcb->ac" if keep == 0 else "abad->bd", t)
 
 
 def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending.
 
-    Raises if max|a - a^dagger| exceeds HERMITICITY_TOL.
+    Raises if max|a - a^dagger| exceeds VALIDATION_TOL.
     """
     a = _as_square(a)
     dev = np.max(np.abs(a - a.conj().T))
-    if dev > HERMITICITY_TOL:
+    if dev > VALIDATION_TOL:
         raise ValueError(
-            f"matrix is not Hermitian within {HERMITICITY_TOL} (deviation {dev:.3e})"
+            f"matrix is not Hermitian within {VALIDATION_TOL} (deviation {dev:.3e})"
         )
     return np.linalg.eigvalsh(a)[::-1]

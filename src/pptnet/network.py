@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import permnet
-from .states import VALIDATION_TOL, DensityMatrix
+from .states import DensityMatrix, load_band
 
 FULL_EVOLUTION_GUARD = 4096
 # cached stage-one gather plans, each at most 16*k*d^k indices (655 KB at the guard)
@@ -63,11 +63,10 @@ class OutcomeRangeError(ValueError):
 
 def outcome_distribution(k: int, probs: np.ndarray, d: int) -> OutcomeDistribution:
     """Order-k four-outcome distribution of a d-dimensional state, clipped to
-    nonnegative values.  A state that passes states.validate moves each k-copy
-    probability, and their sum, by less than k * d * VALIDATION_TOL; beyond that
-    band (plus 1e-12 of rounding) OutcomeRangeError is raised."""
+    nonnegative values; OutcomeRangeError when a probability, or their sum,
+    strays beyond states.load_band(d, k)."""
     probs = np.asarray(probs, dtype=float)
-    tol = k * d * VALIDATION_TOL + 1e-12
+    tol = load_band(d, k)
     if probs.min() < -tol or abs(probs.sum() - 1.0) > tol:
         raise OutcomeRangeError(f"k={k} outcome probabilities {probs.tolist()} beyond {tol:.1e}")
     return OutcomeDistribution(k, np.clip(probs, 0.0, None))
@@ -100,7 +99,8 @@ def moment_tables(mats: np.ndarray, dims: tuple[int, int], kmax: int) -> np.ndar
 
     rho_A and rho_B each run their own chain of products and (rho, rho^T_B)
     share one; every product has the size of a single state's, so a table
-    does not depend on the other states of the stack, bit for bit.
+    does not depend on the other states of the stack, bit for bit.  An
+    imaginary part beyond order k's states.load_band is an input error.
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
@@ -119,11 +119,13 @@ def moment_tables(mats: np.ndarray, dims: tuple[int, int], kmax: int) -> np.ndar
         full[trials:],
     )
     tables = np.stack(columns, axis=-1)
-    z, k, j = np.unravel_index(np.argmax(np.abs(tables.imag)), tables.shape)
-    if abs(tables[z, k, j].imag) > 1e-10:
+    bands = load_band(d_a * d_b, np.arange(1, kmax + 1))
+    excess = np.abs(tables.imag) - bands[:, None]
+    z, k, j = np.unravel_index(np.argmax(excess), tables.shape)
+    if excess[z, k, j] > 0:
         raise ValueError(
             f"{_MOMENT_NAMES[j]} at k={k + 1} has imaginary part "
-            f"{tables[z, k, j].imag:.3e} beyond 1e-10"
+            f"{tables[z, k, j].imag:.3e} beyond the load band {bands[k]:.3e}"
         )
     return tables.real.copy()
 
@@ -191,6 +193,16 @@ def _gather_plan(dims: tuple[int, int], k: int) -> np.ndarray:
     return plan
 
 
+def check_circuit_size(d: int, k: int) -> None:
+    """Refuse an order-k circuit on a d-dimensional state that the
+    full-evolution guard does not admit, before anything is sized from it."""
+    if k < 1:
+        raise ValueError(f"kmax must be >= 1, got {k}")
+    size = 4 * d**k
+    if size > FULL_EVOLUTION_GUARD:
+        raise ValueError(f"full-evolution space size {size} exceeds guard {FULL_EVOLUTION_GUARD}")
+
+
 def _stage_one_circuit(rho: DensityMatrix, k: int) -> np.ndarray:
     """Evolve the stage-one circuit: two control qubits, Hadamards, controlled
     cyclic shifts on the A- and B-factors of rho^⊗k, Hadamards, then trace out
@@ -198,17 +210,13 @@ def _stage_one_circuit(rho: DensityMatrix, k: int) -> np.ndarray:
     shift of the d^k environment, and only the 16 d^k entries of the shifted
     state that the trace reads are evaluated, each as a product of k entries
     of rho; neither rho^⊗k nor the 4 d^k x 4 d^k state is formed."""
-    if k < 1:
-        raise ValueError(f"kmax must be >= 1, got {k}")
-    size = 4 * rho.d**k
-    if size > FULL_EVOLUTION_GUARD:
-        raise ValueError(f"full-evolution space size {size} exceeds guard {FULL_EVOLUTION_GUARD}")
+    check_circuit_size(rho.d, k)
     # The input is 1/4 J_4 ⊗ rho^⊗k (the first Hadamards take the controls from
     # |00> to |++>), so input entry (i, j) is 1/4 of the product over copies t
     # of rho[e_t(i), e_t(j)], e_t the t-th base-d digit of the environment
     # index.  The trace reads entry (c, r; c', r) of the shifted state, which
     # is input entry (c, src[c, r]; c', src[c', r]).
-    terms = np.full((4, 4, size // 4), 0.25, dtype=complex)
+    terms = np.full((4, 4, rho.d**k), 0.25, dtype=complex)
     flat = rho.matrix.ravel()
     for plan in _gather_plan(tuple(rho.dims), k):
         terms *= flat[plan]

@@ -8,8 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .linalg import VALIDATION_TOL
 
-VALIDATION_TOL = 1e-9
+# rounding slack on top of every band load_band gives
+NEGATIVITY_FLOOR = 1e-12
 
 _BELL_VECTORS = {
     "phi+": np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),
@@ -17,6 +19,18 @@ _BELL_VECTORS = {
     "psi+": np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2),
     "psi-": np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2),
 }
+
+
+def load_band(d: int, k=1):
+    """Tolerance of every range check downstream of `load`, for an order-k
+    quantity of a d-dimensional state: k * d * VALIDATION_TOL + NEGATIVITY_FLOOR.
+
+    `validate` lets through eigenvalues down to -VALIDATION_TOL, so a negative
+    part of trace up to d * VALIDATION_TOL (and Hermiticity and trace errors
+    up to VALIDATION_TOL); an order-k trace, outcome probability or lambda_min
+    moves by about k times that.  NEGATIVITY_FLOOR absorbs rounding (exactly-PPT
+    states come back with lambda_min around -1e-16).  `k` may be an array."""
+    return k * d * VALIDATION_TOL + NEGATIVITY_FLOOR
 
 
 class StateFormatError(ValueError):

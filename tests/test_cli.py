@@ -181,12 +181,15 @@ def test_simulate_shots_report(capsys, tmp_path):
 
 
 def test_simulate_no_k2_shortcut(capsys, tmp_path):
+    # order 2 reads the same distribution either way, so the flag is gone
     path = gen(capsys, tmp_path, "bell.json", "bell")
-    code, report = run(
-        capsys, ["simulate", path, "--shots", "20000", "--seed", "2", "--no-k2-shortcut"]
-    )
-    assert code == 0
-    assert abs(report["power_sums"][1] - 1.0) < 0.05
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", path, "--shots", "20000", "--seed", "2", "--no-k2-shortcut"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert "unrecognized arguments: --no-k2-shortcut" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_simulate_too_noisy_exits_2(capsys, tmp_path):
@@ -228,6 +231,62 @@ def test_check_agrees_with_exact_simulate_at_validation_edge(capsys, tmp_path, e
     code, sim = run(capsys, ["simulate", str(path), "--exact-probabilities"])
     assert code == 0
     assert exact["classification"] == sim["classification"] == "PPT_CONCLUSIVE_SEPARABLE"
+
+
+def near_limit_state(dims, seed, rank_one):
+    """A state at load's limit: a random state, or a maximally entangled one
+    with a rank-one part, plus an anti-Hermitian part with zero trace and
+    largest entry 4.99e-10, so Hermiticity is off by just under 1e-9."""
+    d = dims[0] * dims[1]
+    rng = np.random.default_rng(seed)
+    if rank_one:
+        m = min(dims)
+        v = np.zeros(d, dtype=complex)
+        v[[i * dims[1] + i for i in range(m)]] = 1 / np.sqrt(m)
+        base = np.outer(v, v.conj())
+        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        h = np.outer(psi, psi.conj())
+    else:
+        base = states.random_density(dims, seed).matrix
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = (g + g.conj().T) / 2
+    anti = 1j * (h - np.trace(h) / d * np.eye(d))
+    return states.DensityMatrix(dims, base + anti * (4.99e-10 / np.max(np.abs(anti))))
+
+
+NEAR_LIMIT_STATES = {
+    # I/4 off by 4.9e-10 i on two diagonal entries: Hermiticity and trace both 9.8e-10 off
+    "diagonal": states.DensityMatrix((2, 2), np.eye(4) / 4 + np.diag([4.9e-10j, 4.9e-10j, 0, 0])),
+    **{
+        f"{dims[0]}x{dims[1]}-{kind}-{seed}": near_limit_state(dims, seed, kind == "rank1")
+        for dims in ((2, 2), (2, 3), (3, 3))
+        for kind in ("random", "rank1")
+        for seed in range(3)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(NEAR_LIMIT_STATES))
+def test_states_at_the_load_limit_run_like_their_hermitian_part(capsys, tmp_path, name):
+    # load accepts the state, so no later stage refuses it as input (exit 1):
+    # check passes, and each simulate mode ends exactly as it does on the
+    # Hermitian part, some with the recovery's own exit 2
+    rho = NEAR_LIMIT_STATES[name]
+    m = rho.matrix
+    path, herm_path = tmp_path / "limit.json", tmp_path / "hermitian.json"
+    states.save(rho, path)
+    states.save(states.DensityMatrix(rho.dims, (m + m.conj().T) / 2), herm_path)
+    report = states.validate(states.load(path))
+    assert 9e-10 < report.hermiticity_dev <= states.VALIDATION_TOL
+    code, _ = run(capsys, ["check", str(path)])
+    assert code == 0
+    for mode in (["--exact-probabilities"], ["--shots", "10000", "--bootstrap", "20"]):
+        code, sim = run(capsys, ["simulate", str(path), *mode])
+        herm_code, herm = run(capsys, ["simulate", str(herm_path), *mode])
+        assert code == herm_code != 1
+        assert sim["classification"] == herm["classification"]
+        if name == "diagonal" and mode == ["--exact-probabilities"]:
+            assert code == 0 and sim["classification"] == "PPT_CONCLUSIVE_SEPARABLE"
 
 
 def test_bad_arguments_exit_1(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for shot sampling, power-sum estimation, and spectrum recovery."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -73,6 +74,18 @@ def test_calibration_report_structure():
     assert set(report) == {"eta_scale", "states"}
     assert [row["state"] for row in report["states"]] == ["maximally_mixed", "pure_product"]
     assert all(row["residual"] < 1e-9 for row in report["states"])
+
+
+def test_calibration_refuses_oversize_dims_before_building_probes():
+    # two 3600 x 3600 complex probes would take 415 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds guard 4096"):
+            est.calibration_report((60, 60))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_power_sums_exact_bell():

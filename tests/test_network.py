@@ -40,7 +40,8 @@ def dense_stage_one(rho, k):
         rho_k = np.kron(rho_k, rho.matrix)
     rho_in = np.zeros((n, n), dtype=complex)
     rho_in[: n // 4, : n // 4] = rho_k
-    return linalg.partial_trace(u @ rho_in @ u.conj().T, dims, [0, 1])
+    # keep the two controls, one factor of dimension 4
+    return linalg.partial_trace(u @ rho_in @ u.conj().T, [4, n // 4], 0)
 
 
 def _embed_controlled_qubit_gate(n, control, target, u):
@@ -72,7 +73,7 @@ def dense_stage_two(rho, k):
     c_plus = _embed_controlled_qubit_gate(4, control=1, target=3, u=network.R_PLUS)
     c_minus = _embed_controlled_qubit_gate(4, control=0, target=2, u=network.R_MINUS)
     u = h_pair @ c_plus @ c_minus @ h_pair
-    return linalg.partial_trace(u @ rho_in @ u.conj().T, [2, 2, 2, 2], [0, 1])
+    return linalg.partial_trace(u @ rho_in @ u.conj().T, [4, 4], 0)
 
 
 def circuit_inputs(dims, seeds):
@@ -202,6 +203,20 @@ def test_moment_tables_reject_non_finite_and_complex_traces():
     mats[2, 0, 1], mats[2, 1, 0] = 0.1j, 0.1
     with pytest.raises(ValueError, match="at k=2 has imaginary part"):
         network.moment_tables(mats, (2, 2), 2)
+
+
+def test_moment_tables_gate_imaginary_parts_at_the_load_band():
+    # Tr(rho) = Tr(rho_A) = Tr(rho_B) carry the whole imaginary trace, so the
+    # order-1 band decides; states.load_band(4) is 4.001e-9
+    band = states.load_band(4)
+    for scale in (0.99, 1.01, 10.0):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 0] += 1j * scale * band
+        if scale < 1:
+            assert network.moment_tables(m[None], (2, 2), 4).shape == (1, 4, 4)
+        else:
+            with pytest.raises(ValueError, match="at k=1 has imaginary part .* beyond the load band"):
+                network.moment_tables(m[None], (2, 2), 4)
 
 
 def test_stage_one_state_maximally_mixed_frozen():

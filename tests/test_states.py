@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pptnet import linalg, states
+from pptnet import estimation, linalg, states
+
+
+def test_load_band_is_order_times_dimension_times_tolerance_plus_floor():
+    assert states.load_band(4) == 4 * states.VALIDATION_TOL + states.NEGATIVITY_FLOOR
+    assert states.load_band(9, 3) == 3 * 9 * states.VALIDATION_TOL + states.NEGATIVITY_FLOOR
+    bands = states.load_band(6, np.arange(1, 6))
+    assert bands.tolist() == [states.load_band(6, k) for k in range(1, 6)]
+    assert estimation.NEGATIVITY_FLOOR is states.NEGATIVITY_FLOOR
+    assert linalg.VALIDATION_TOL is states.VALIDATION_TOL
+    assert not hasattr(linalg, "HERMITICITY_TOL")
 
 
 def test_validate_maximally_mixed():
