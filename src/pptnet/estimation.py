@@ -181,37 +181,27 @@ def power_sums_exact(rho: DensityMatrix) -> PowerSums:
     return PowerSums(p, "exact", np.zeros(rho.d))
 
 
-def _distribution_for_k(
-    moments: np.ndarray, k: int, cfg: EstimationConfig
-) -> network.OutcomeDistribution:
-    """Analytic outcome distribution for order k from the (d, 4) moment table
-    of mu_parameters(rho, rho.d).
-
-    The k=2 shortcut reads the stage-one control qubits directly: their
-    alternating diagonal sum already equals Tr(rho^2) = Tr[(rho^T_B)^2].
-    """
-    row = moments[k - 1]
-    if k == 2 and cfg.use_k2_shortcut:
-        probs = np.real(np.diag(network.stage_one_template(row)))
-    else:
-        probs = network.stage_two_probabilities(row)
-    return network.outcome_distribution(k, probs, len(moments))
-
-
 def _measure(
     rho: DensityMatrix, cfg: EstimationConfig, exact: bool
 ) -> tuple[PowerSums, list[ShotCounts] | None]:
-    """Power sums p[2..d] from the order-k outcome distributions, p[1] pinned
-    to 1: their alternating sums when exact (the infinite-shot limit), else
-    eta estimates from cfg.shots_per_k shots per order, returned with the
-    counts.  Per-k substreams derive from the master seed, so results are
-    reproducible and independent of evaluation order."""
-    moments = network.mu_parameters(rho, rho.d)
-    dists = [_distribution_for_k(moments, k, cfg) for k in range(2, rho.d + 1)]
+    """Power sums p[2..d] from the order-k outcome distributions, the rows of
+    one (d-1, 4) array, p[1] pinned to 1: their alternating sums when exact
+    (the infinite-shot limit), else eta estimates from cfg.shots_per_k shots
+    per order, returned with the counts.  The k=2 shortcut reads the stage-one
+    controls: the stage-two row with mu3 = (Tr(rho^2) + eta) / 2 for eta, whose
+    alternating sum is Tr(rho^2) = Tr[(rho^T_B)^2] too.  Per-k substreams of
+    the master seed make results reproducible and independent of order."""
+    rows = network.mu_parameters(rho, rho.d)[1:]
+    if cfg.use_k2_shortcut:
+        rows[0, 3] = (rows[0, 2] + rows[0, 3]) / 2
+    ks = np.arange(2, rho.d + 1)
+    probs = network.outcome_rows(ks, network.stage_two_probabilities(rows), rho.d)
     p, se = np.ones(rho.d), np.zeros(rho.d)
     if exact:
-        p[1:] = [dist.alternating_sum() for dist in dists]
+        # row by row: a stacked (d-1, 4) @ PARITY product rounds differently
+        p[1:] = [row @ network.PARITY for row in probs]
         return PowerSums(p, "exact", se), None
+    dists = [network.OutcomeDistribution(k, row) for k, row in zip(ks.tolist(), probs)]
     counts = [
         sample_shots(dist, cfg.shots_per_k, _substream(cfg.seed, _STREAM_PRIMARY, dist.k))
         for dist in dists
@@ -272,18 +262,18 @@ def _cluster_multiple_roots(roots: np.ndarray, tol: float) -> np.ndarray:
     """Replace groups of mutually close roots by their common centroid; the
     centroid of a conjugate-closed cluster cancels the leading splitting error
     of a multiple root."""
-    order = np.argsort(roots.real)
     clusters: list[list[complex]] = []
-    for r in roots[order]:
-        if clusters and abs(r - np.mean(clusters[-1])) < tol:
+    for r in roots[np.argsort(roots.real)]:
+        if clusters and abs(r - _centroid(clusters[-1])) < tol:
             clusters[-1].append(r)
         else:
             clusters.append([r])
-    out = []
-    for cluster in clusters:
-        centroid = float(np.mean(cluster).real)
-        out.extend([centroid] * len(cluster))
-    return np.array(out)
+    return np.array([_centroid(c).real for c in clusters for _ in c])
+
+
+def _centroid(cluster: list[complex]) -> complex:
+    # the mean of one root is that root: np.mean runs only on clusters of two or more
+    return cluster[0] if len(cluster) == 1 else np.mean(cluster)
 
 
 def spectrum_from_power_sums(ps: PowerSums) -> Spectrum:

@@ -41,6 +41,7 @@ READOUT_GATES_CONJ_T = READOUT_GATES.reshape(4, 16).conj().T
 
 # weight of readout 2x + y in the parity P00 - P01 - P10 + P11
 PARITY = np.array([1, -1, -1, 1])
+OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,30 +62,39 @@ class OutcomeRangeError(ValueError):
     """Outcome probabilities out of range beyond what state validation allows."""
 
 
+def outcome_rows(ks: np.ndarray, probs: np.ndarray, d: int) -> np.ndarray:
+    """The (K, 4) outcome distributions of orders ks of a d-dimensional state,
+    clipped to nonnegative values; OutcomeRangeError, naming the first order
+    out of range, when a probability or a row's sum strays beyond that order's
+    states.load_band(d, k)."""
+    tols = load_band(d, ks)
+    bad = np.maximum(-probs.min(axis=-1), np.abs(probs.sum(axis=-1) - 1.0)) > tols
+    i = bad.argmax()
+    if bad[i]:
+        row, tol = probs[i].tolist(), tols[i]
+        raise OutcomeRangeError(f"k={ks[i]} outcome probabilities {row} beyond {tol:.1e}")
+    return np.maximum(probs, 0.0)
+
+
 def outcome_distribution(k: int, probs: np.ndarray, d: int) -> OutcomeDistribution:
-    """Order-k four-outcome distribution of a d-dimensional state, clipped to
-    nonnegative values; OutcomeRangeError when a probability, or their sum,
-    strays beyond states.load_band(d, k)."""
-    probs = np.asarray(probs, dtype=float)
-    tol = load_band(d, k)
-    if probs.min() < -tol or abs(probs.sum() - 1.0) > tol:
-        raise OutcomeRangeError(f"k={k} outcome probabilities {probs.tolist()} beyond {tol:.1e}")
-    return OutcomeDistribution(k, np.clip(probs, 0.0, None))
+    """Order-k four-outcome distribution of a d-dimensional state: one row of `outcome_rows`."""
+    probs = np.asarray(probs, dtype=float)[None]
+    return OutcomeDistribution(k, outcome_rows(np.array([k]), probs, d)[0])
 
 
 _MOMENT_NAMES = ("Tr(rho_A^k)", "Tr(rho_B^k)", "Tr(rho^k)", "Tr[(rho^T_B)^k]")
 
 
 def _power_traces(bases: np.ndarray, kmax: int) -> np.ndarray:
-    """Tr(b^k) for k = 1..kmax of every matrix b in a (..., n, n) stack, from
-    accumulated products, as a (..., kmax) array."""
-    traces = np.empty(bases.shape[:-2] + (kmax,), dtype=complex)
+    """Tr(b^k) for k = 1..kmax of every matrix b in a (..., n, n) stack, as a (..., kmax)
+    array: the diagonals of accumulated products, one (..., kmax, n) array summed once."""
+    diags = np.empty(bases.shape[:-2] + (kmax, bases.shape[-1]), dtype=complex)
     acc = bases
-    traces[..., 0] = np.trace(acc, axis1=-2, axis2=-1)
+    diags[..., 0, :] = acc.diagonal(axis1=-2, axis2=-1)
     for k in range(1, kmax):
         acc = acc @ bases
-        traces[..., k] = np.trace(acc, axis1=-2, axis2=-1)
-    return traces
+        diags[..., k, :] = acc.diagonal(axis1=-2, axis2=-1)
+    return diags.sum(axis=-1)
 
 
 def moment_tables(mats: np.ndarray, dims: tuple[int, int], kmax: int) -> np.ndarray:
@@ -154,12 +164,12 @@ def stage_one_template(row: np.ndarray) -> np.ndarray:
     return m / 4.0
 
 
-def stage_two_probabilities(row: np.ndarray) -> np.ndarray:
-    """Analytic four-outcome readout probabilities from one row of the moment
-    table; their alternating sum is eta = Tr[(rho^T_B)^k]."""
-    t_a, t_b, _, eta = row
+def stage_two_probabilities(rows: np.ndarray) -> np.ndarray:
+    """Analytic four-outcome readout probabilities, (..., 4), from (..., 4)
+    rows of the moment table; their alternating sum is eta = Tr[(rho^T_B)^k]."""
+    t_a, t_b, _, eta = np.moveaxis(rows, -1, 0)
     mu1, mu2 = t_a + t_b, t_a - t_b
-    return np.array([1 + mu1 + eta, 1 - mu2 - eta, 1 + mu2 - eta, 1 - mu1 + eta]) / 4.0
+    return np.stack([1 + mu1 + eta, 1 - mu2 - eta, 1 + mu2 - eta, 1 - mu1 + eta], axis=-1) / 4.0
 
 
 def _analytic(mode: str) -> bool:
@@ -259,10 +269,7 @@ def stage_two_distribution(rho: DensityMatrix, k: int, mode: str = "analytic") -
         row = mu_parameters(rho, k)[k - 1]
         return outcome_distribution(k, stage_two_probabilities(row), rho.d)
     reduced = stage_two_state(rho, k, mode).matrix
-    off = reduced - np.diag(np.diag(reduced))
-    if np.max(np.abs(off)) > 1e-10:
-        raise RuntimeError(
-            f"stage-two readout state is not diagonal (max off-diagonal "
-            f"{np.max(np.abs(off)):.3e})"
-        )
-    return outcome_distribution(k, np.real(np.diag(reduced)), rho.d)
+    off = np.abs(reduced[OFF_DIAGONAL]).max()
+    if off > 1e-10:
+        raise RuntimeError(f"stage-two readout state is not diagonal (max off-diagonal {off:.3e})")
+    return outcome_distribution(k, reduced.diagonal().real, rho.d)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pptnet import cli, network, permnet, states
+from pptnet import cli, linalg, network, permnet, states
 
 # the report keys in the order every report writes them
 REPORT_KEYS = [
@@ -287,6 +287,22 @@ def test_states_at_the_load_limit_run_like_their_hermitian_part(capsys, tmp_path
         assert sim["classification"] == herm["classification"]
         if name == "diagonal" and mode == ["--exact-probabilities"]:
             assert code == 0 and sim["classification"] == "PPT_CONCLUSIVE_SEPARABLE"
+
+
+def test_check_spectrum_equals_hermitian_eigenvalues_bit_for_bit(capsys, tmp_path):
+    # check reads the spectrum with one eigvalsh call and no Hermiticity check:
+    # the partial transpose permutes the entries of rho - rho^dagger, so its
+    # deviation is rho's, which load already bounds by the same tolerance
+    path = tmp_path / "state.json"
+    extra = [states.random_density((4, 4), seed=1), states.bell_state("psi-"), states.werner(0.3)]
+    for rho in [*NEAR_LIMIT_STATES.values(), *extra]:
+        states.save(rho, path)
+        m = states.load(path).matrix
+        pt = linalg.partial_transpose(m, rho.d_a, rho.d_b, "B")
+        assert np.max(np.abs(pt - pt.conj().T)) == np.max(np.abs(m - m.conj().T))
+        code, report = run(capsys, ["check", str(path)])
+        assert code == 0
+        assert report["spectrum"] == linalg.hermitian_eigenvalues(pt).tolist()
 
 
 def test_bad_arguments_exit_1(capsys, tmp_path):

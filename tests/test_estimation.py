@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from pptnet import estimation as est
 from pptnet import linalg, network, states
+from test_network import state_family
 
 BELL_POWER_SUMS = np.array([1.0, 1.0, 0.25, 0.25])
 
@@ -465,3 +466,72 @@ def test_array_records_compare_without_raising():
     assert est.PptVerdict(-0.5, est.NPT_ENTANGLED) == est.PptVerdict(-0.5, est.NPT_ENTANGLED)
     report = states.validate(states.bell_state("phi+"))
     assert report == states.validate(states.bell_state("phi+"))
+
+
+def _measure_reference(rho, cfg, exact):
+    """The per-order pipeline: for each order k one moment-table row, one
+    probability vector (the stage-one diagonal for the k=2 shortcut), one
+    range check and clip, then one alternating sum or one multinomial draw
+    from substream (seed, 0, k)."""
+    moments = network.mu_parameters(rho, rho.d)
+    p, se, counts = np.ones(rho.d), np.zeros(rho.d), []
+    for k in range(2, rho.d + 1):
+        row = moments[k - 1]
+        if k == 2 and cfg.use_k2_shortcut:
+            probs = np.real(np.diag(network.stage_one_template(row)))
+        else:
+            t_a, t_b, _, eta = row
+            mu1, mu2 = t_a + t_b, t_a - t_b
+            probs = np.array([1 + mu1 + eta, 1 - mu2 - eta, 1 + mu2 - eta, 1 - mu1 + eta]) / 4.0
+        tol = states.load_band(rho.d, k)
+        assert probs.min() >= -tol and abs(probs.sum() - 1.0) <= tol
+        probs = np.clip(probs, 0.0, None)
+        if exact:
+            p[k - 1] = float(probs @ network.PARITY)
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0, k]))
+            counts.append(rng.multinomial(cfg.shots_per_k, probs / probs.sum()))
+    if not exact:
+        p[1:], se[1:] = est.eta_from_counts(np.array(counts))
+    return p, se, counts
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4)])
+def test_measure_equals_per_order_reference_bit_for_bit(dims):
+    # all orders' distributions as one array, one range check, and the
+    # alternating sums row by row: not one bit moves against the per-order loop
+    for seed, rho in enumerate(state_family(dims, seed=43)):
+        for shortcut in (True, False):
+            cfg = est.EstimationConfig(shots_per_k=10_000, seed=seed, use_k2_shortcut=shortcut)
+            ps, counts = est._measure(rho, cfg, exact=True)
+            p, se, _ = _measure_reference(rho, cfg, exact=True)
+            assert counts is None and ps.source == "exact"
+            assert_array_equal(ps.p, p)
+            assert_array_equal(ps.stderr, se)
+        ps, counts = est._measure(rho, cfg, exact=False)
+        p, se, want = _measure_reference(rho, cfg, exact=False)
+        assert [c.k for c in counts] == list(range(2, rho.d + 1))
+        assert_array_equal([c.n for c in counts], want)
+        assert_array_equal(ps.p, p)
+        assert_array_equal(ps.stderr, se)
+
+
+def maximally_entangled(m):
+    v = np.zeros(m * m, dtype=complex)
+    v[[i * m + i for i in range(m)]] = 1 / np.sqrt(m)
+    return states.DensityMatrix((m, m), np.outer(v, v.conj()))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=est.SpectrumTooNoisyError,
+    reason="exact recovery leaves root imaginary residual 1.704e-3 against the 1e-3 cap",
+)
+def test_exact_probabilities_call_3x3_maximally_entangled_state_entangled():
+    # partial-transpose spectrum 1/3 (x6) and -1/3 (x3): check calls it entangled
+    rho = maximally_entangled(3)
+    pt = linalg.partial_transpose(rho.matrix, 3, 3, "B")
+    exact = est.verdict(est.Spectrum(linalg.hermitian_eigenvalues(pt), 0.0), rho.dims)
+    assert exact.classification == est.NPT_ENTANGLED
+    res = est.run_protocol(rho, est.EstimationConfig(), exact_probabilities=True)
+    assert res.verdict.classification == est.NPT_ENTANGLED

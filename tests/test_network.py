@@ -1,6 +1,7 @@
 """Tests for the two-stage interference network."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,14 +184,29 @@ def test_moment_tables_equal_per_state_reference_bit_for_bit(dims):
     # stack nor its neighbours may move a single bit of a state's table
     family = state_family(dims, seed=41)
     assert len(family) == 20
-    kmax = dims[0] * dims[1]
-    want = np.array([reference_moment_table(rho, kmax) for rho in family])
-    for rho, table in zip(family, want):
-        assert_array_equal(network.mu_parameters(rho, kmax), table)
-        assert_array_equal(network.moment_tables(rho.matrix[None], dims, kmax)[0], table)
-    stacked = network.moment_tables(np.array([rho.matrix for rho in family]), dims, kmax)
-    assert stacked.shape == (20, kmax, 4)
-    assert_array_equal(stacked, want)
+    d = dims[0] * dims[1]
+    # kmax = d for the power sums; past d as verify runs it (2x2 at kmax 10)
+    for kmax in (d, d + 6):
+        want = np.array([reference_moment_table(rho, kmax) for rho in family])
+        for rho, table in zip(family, want):
+            assert_array_equal(network.mu_parameters(rho, kmax), table)
+            assert_array_equal(network.moment_tables(rho.matrix[None], dims, kmax)[0], table)
+        stacked = network.moment_tables(np.array([rho.matrix for rho in family]), dims, kmax)
+        assert stacked.shape == (20, kmax, 4)
+        assert_array_equal(stacked, want)
+
+
+def test_moment_table_keeps_no_whole_power():
+    # the chains keep one product and the diagonals of the powers: a
+    # (kmax, 64, 64) stack of powers would take 4 MiB per chain here
+    rho = states.random_density((8, 8), seed=5)
+    tracemalloc.start()
+    try:
+        network.mu_parameters(rho, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_moment_tables_reject_non_finite_and_complex_traces():
@@ -413,6 +429,30 @@ def test_outcome_distribution_validation():
     assert dist.p[3] == 0.0
     with pytest.raises(network.OutcomeRangeError):
         network.outcome_distribution(2, np.array([1.0 + 9e-9, 0.0, 0.0, -9e-9]), 4)
+
+
+def test_outcome_rows_name_the_first_order_out_of_range():
+    # one check for every order, each against its own band k * d * VALIDATION_TOL
+    ks = np.array([2, 3, 4])
+    probs = np.full((3, 4), 0.25)
+    probs[0] = [1.0 + 7e-9, 0.0, 0.0, -7e-9]  # inside k=2's band 8e-9: clipped
+    probs[1] = [0.5, 0.5, 0.5, -0.5]
+    probs[2] = [0.5, 0.5, 0.5, 0.5]
+    with pytest.raises(network.OutcomeRangeError) as err:
+        network.outcome_rows(ks, probs, 4)
+    assert str(err.value) == "k=3 outcome probabilities [0.5, 0.5, 0.5, -0.5] beyond 1.2e-08"
+    with pytest.raises(network.OutcomeRangeError, match="^k=4 outcome probabilities "):
+        network.outcome_rows(ks[[0, 2]], probs[[0, 2]], 4)
+    probs[1:] = [1.0 + 1e-8, 0.0, 0.0, -1e-8]  # beyond k=2's band 8e-9, inside k=3's and k=4's
+    clipped = network.outcome_rows(ks, probs, 4)
+    assert_array_equal(clipped[:, 3], 0.0)
+    assert_array_equal(clipped[:, :3], probs[:, :3])
+    with pytest.raises(network.OutcomeRangeError, match="^k=2 outcome probabilities "):
+        network.outcome_rows(ks[:1], probs[1:2], 4)
+    # the one-order call keeps its message
+    with pytest.raises(network.OutcomeRangeError) as err:
+        network.outcome_distribution(2, np.array([0.5, 0.5, 0.5, -0.5]), 4)
+    assert str(err.value) == "k=2 outcome probabilities [0.5, 0.5, 0.5, -0.5] beyond 8.0e-09"
 
 
 def test_stage_two_distribution_bell_frozen():
