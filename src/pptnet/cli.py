@@ -187,12 +187,12 @@ def _identity_rows(dims: list[int], kmax: int, trials: int, seed: int) -> list[d
     moments = network.moment_tables(mats, (d_a, d_b), kmax)
     rows = []
     for k in range(2, kmax + 1):
-        if (d_a * d_b) ** k > permnet.BRUTEFORCE_TERM_GUARD:
+        brute = (d_a * d_b) ** k <= permnet.BRUTEFORCE_TERM_GUARD
+        devs = _trace_checks(mats, (d_a, d_b), moments[:, k - 1], k) if brute else {}
+        if not brute:  # its guard skips the brute-force rows only, not the shift products
             rows.append(
                 {"identity": "all_bruteforce", "k": k, "max_dev": None, "status": "skipped"}
             )
-            continue
-        devs = _trace_checks(mats, (d_a, d_b), moments[:, k - 1], k)
         # ordered product against the explicit shift matrix, on each local dimension
         shifts = {
             d: permnet.build_shift_matrix(k, d, "forward")

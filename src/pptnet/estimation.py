@@ -60,7 +60,7 @@ class PowerSums:
 
     p: np.ndarray
     source: str  # "exact" or "estimated"
-    stderr: np.ndarray | None = None
+    stderr: np.ndarray
 
     def order(self, k: int) -> float:
         return float(self.p[k - 1])
@@ -88,8 +88,8 @@ class EstimationConfig:
     def __post_init__(self):
         if self.shots_per_k < 1:
             raise ValueError(f"shots_per_k must be >= 1, got {self.shots_per_k}")
-        if self.bootstrap_replicas < 0:
-            raise ValueError(f"bootstrap_replicas must be >= 0, got {self.bootstrap_replicas}")
+        if self.bootstrap_replicas < 0 or self.bootstrap_replicas == 1:  # 1 has no spread
+            raise ValueError(f"bootstrap_replicas must be 0 or >= 2, got {self.bootstrap_replicas}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
@@ -103,7 +103,7 @@ class ProtocolResult:
     sigma: float
     interval: tuple[float, float] | None
     bootstrap_failures: int | None  # replicas dropped from sigma; None without bootstrap
-    copies_consumed: int
+    copies_consumed: int  # k copies of rho per order-k shot drawn
 
 
 def _substream(seed: int, *path: int) -> np.random.Generator:
@@ -327,8 +327,8 @@ def bootstrap_lambda_min(
     central 95% interval of lambda_min over the surviving replicas and the
     number that failed.  Fails if more than 10% of replicas fail."""
     b = cfg.bootstrap_replicas
-    if b < 1:
-        raise ValueError("bootstrap requires bootstrap_replicas >= 1")
+    if b < 2:
+        raise ValueError("bootstrap requires bootstrap_replicas >= 2")
     draws = []
     for counts in counts_per_k:
         total = counts.n.sum()
@@ -341,10 +341,9 @@ def bootstrap_lambda_min(
     failures = b - int(ok.sum())
     if failures > 0.1 * b:
         raise EstimationError(f"{failures}/{b} bootstrap replicas failed root recovery")
-    values = roots.real[ok].min(axis=1)
-    sigma = float(values.std(ddof=1)) if len(values) > 1 else 0.0
+    values = roots.real[ok].min(axis=1)  # at least 2: the gate keeps 90% of b >= 2
     lo, hi = np.percentile(values, [2.5, 97.5])
-    return sigma, (float(lo), float(hi)), failures
+    return float(values.std(ddof=1)), (float(lo), float(hi)), failures
 
 
 def run_protocol(
@@ -353,7 +352,7 @@ def run_protocol(
     """Full measurement pipeline: distributions -> (shots) -> power sums ->
     spectrum -> verdict, with bootstrap uncertainty in shot mode."""
     ps, counts_per_k = _measure(rho, cfg, exact_probabilities)
-    copies = 0 if exact_probabilities else cfg.shots_per_k * sum(range(2, rho.d + 1))
+    copies = sum(c.k * int(c.n.sum()) for c in counts_per_k or [])
     try:
         spectrum = spectrum_from_power_sums(ps)
         if counts_per_k is not None and cfg.bootstrap_replicas >= 1:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import permnet
+from . import linalg, permnet
 from .states import DensityMatrix, load_band
 
 FULL_EVOLUTION_GUARD = 4096
@@ -104,8 +104,9 @@ def moment_tables(mats: np.ndarray, dims: tuple[int, int], kmax: int) -> np.ndar
         Tr(rho_A^k), Tr(rho_B^k), Tr(rho^k), Tr[(rho^T_B)^k]
 
     of state t, computed from accumulated products of the reduced states, rho
-    and its partial transpose (never from rho^⊗k).  No column is needed for
-    the other transpose: rho^T_A = (rho^T_B)^T has the same power traces.
+    and its partial transpose, each taken by `linalg` on the whole stack
+    (never from rho^⊗k).  No column is needed for the other transpose:
+    rho^T_A = (rho^T_B)^T has the same power traces.
 
     rho_A and rho_B each run their own chain of products and (rho, rho^T_B)
     share one; every product has the size of a single state's, so a table
@@ -114,22 +115,17 @@ def moment_tables(mats: np.ndarray, dims: tuple[int, int], kmax: int) -> np.ndar
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    mats = np.asarray(mats, dtype=complex)
-    if not np.all(np.isfinite(mats)):
-        raise ValueError("states contain non-finite entries")
-    d_a, d_b = dims
     trials = len(mats)
-    t = mats.reshape(trials, d_a, d_b, d_a, d_b)
-    pt = t.transpose(0, 1, 4, 3, 2).reshape(mats.shape)
+    pt = linalg.partial_transpose(mats, *dims, "B")
     full = _power_traces(np.concatenate([mats, pt]), kmax)
     columns = (
-        _power_traces(np.einsum("zabcb->zac", t), kmax),
-        _power_traces(np.einsum("zabac->zbc", t), kmax),
+        _power_traces(linalg.partial_trace(mats, dims, 0), kmax),
+        _power_traces(linalg.partial_trace(mats, dims, 1), kmax),
         full[:trials],
         full[trials:],
     )
     tables = np.stack(columns, axis=-1)
-    bands = load_band(d_a * d_b, np.arange(1, kmax + 1))
+    bands = load_band(pt.shape[-1], np.arange(1, kmax + 1))
     excess = np.abs(tables.imag) - bands[:, None]
     z, k, j = np.unravel_index(np.argmax(excess), tables.shape)
     if excess[z, k, j] > 0:
@@ -151,17 +147,12 @@ def stage_one_template(row: np.ndarray) -> np.ndarray:
     terms of mu1,2 = Tr(rho_A^k) ± Tr(rho_B^k) and mu3,4 = (Tr(rho^k) ± eta) / 2
     with eta = Tr[(rho^T_B)^k]."""
     t_a, t_b, r, eta = row
-    mu1, mu2, mu3, mu4 = t_a + t_b, t_a - t_b, (r + eta) / 2, (r - eta) / 2
-    m = np.array(
-        [
-            [1 + mu1 + mu3, 0, 0, -mu4],
-            [0, 1 - mu2 - mu3, mu4, 0],
-            [0, mu4, 1 + mu2 - mu3, 0],
-            [-mu4, 0, 0, 1 - mu1 + mu3],
-        ],
-        dtype=complex,
-    )
-    return m / 4.0
+    mu3, mu4 = (r + eta) / 2, (r - eta) / 2
+    # the diagonal is the stage-two distribution with mu3 in place of eta
+    m = np.diag(stage_two_probabilities(np.array([t_a, t_b, r, mu3]))).astype(complex)
+    m[[0, 3], [3, 0]] = -mu4 / 4.0
+    m[[1, 2], [2, 1]] = mu4 / 4.0
+    return m
 
 
 def stage_two_probabilities(rows: np.ndarray) -> np.ndarray:
@@ -169,7 +160,8 @@ def stage_two_probabilities(rows: np.ndarray) -> np.ndarray:
     rows of the moment table; their alternating sum is eta = Tr[(rho^T_B)^k]."""
     t_a, t_b, _, eta = np.moveaxis(rows, -1, 0)
     mu1, mu2 = t_a + t_b, t_a - t_b
-    return np.stack([1 + mu1 + eta, 1 - mu2 - eta, 1 + mu2 - eta, 1 - mu1 + eta], axis=-1) / 4.0
+    marginals = np.stack([1 + mu1, 1 - mu2, 1 + mu2, 1 - mu1], axis=-1)
+    return (marginals + eta[..., None] * PARITY) / 4.0
 
 
 def _analytic(mode: str) -> bool:

@@ -371,24 +371,32 @@ def test_verify_passes(capsys):
 def reference_identity_rows(rho, moments_k, k, rng):
     """One trial's identity rows at order k, one state and one shift matrix at a time."""
     d_a, d_b = rho.dims
-    rows = []
+    rows, checks = [], {}
+    # the brute-force guard skips the brute-force rows only; the shift products still run
     if (d_a * d_b) ** k > permnet.BRUTEFORCE_TERM_GUARD:
-        return [{"identity": "all_bruteforce", "k": k, "max_dev": None, "status": "skipped"}]
-    t_a, t_b, t_rho, eta = moments_k
-    eta_b = permnet.shift_trace_bruteforce(rho, k, "inverse", "forward")
-    eta_a = permnet.shift_trace_bruteforce(rho, k, "forward", "inverse")
-    checks = {
-        "transpose_power_B": abs(eta_b - eta),
-        "transpose_power_A": abs(eta_a - eta),
-        "conjugate_pair_reality": max(abs(eta_b.imag), abs(eta_a.imag), abs(eta_b - eta_a.conjugate())),
-        "reduced_power_A": abs(permnet.shift_trace_bruteforce(rho, k, "forward", "identity") - t_a),
-        "reduced_power_B": abs(permnet.shift_trace_bruteforce(rho, k, "identity", "forward") - t_b),
-        "combined_shift_power": abs(
-            permnet.shift_trace_bruteforce(rho, k, "forward", "forward") - t_rho
-        ),
-    }
-    if k == 2:
-        checks["purity_equality"] = abs(eta - t_rho)
+        rows.append({"identity": "all_bruteforce", "k": k, "max_dev": None, "status": "skipped"})
+    else:
+        t_a, t_b, t_rho, eta = moments_k
+        eta_b = permnet.shift_trace_bruteforce(rho, k, "inverse", "forward")
+        eta_a = permnet.shift_trace_bruteforce(rho, k, "forward", "inverse")
+        checks = {
+            "transpose_power_B": abs(eta_b - eta),
+            "transpose_power_A": abs(eta_a - eta),
+            "conjugate_pair_reality": max(
+                abs(eta_b.imag), abs(eta_a.imag), abs(eta_b - eta_a.conjugate())
+            ),
+            "reduced_power_A": abs(
+                permnet.shift_trace_bruteforce(rho, k, "forward", "identity") - t_a
+            ),
+            "reduced_power_B": abs(
+                permnet.shift_trace_bruteforce(rho, k, "identity", "forward") - t_b
+            ),
+            "combined_shift_power": abs(
+                permnet.shift_trace_bruteforce(rho, k, "forward", "forward") - t_rho
+            ),
+        }
+        if k == 2:
+            checks["purity_equality"] = abs(eta - t_rho)
     for label, d in (("A", d_a), ("B", d_b)):
         if d**k > permnet.MATRIX_SIZE_GUARD:
             rows.append(
@@ -541,6 +549,62 @@ def test_verify_marks_guarded_checks_skipped(capsys):
     assert by_name["shift_product_B"]["status"] == "skipped"
     assert by_name["shift_product_B"]["max_dev"] is None
     assert by_name["transpose_power_B"]["status"] == "pass"
+
+
+def test_verify_brute_force_guard_skips_only_the_brute_force_rows(capsys, monkeypatch):
+    # 4^4 = 256 terms pass the guard at 64 only up to k = 3, while the shift
+    # matrices (2^4 = 16 <= MATRIX_SIZE_GUARD) are still checked at k = 4
+    monkeypatch.setattr(permnet, "BRUTEFORCE_TERM_GUARD", 64)
+    argv = ["verify", "--dims", "2", "2", "--kmax", "4", "--trials", "3"]
+    code, report = run(capsys, argv)
+    assert code == 0 and report["pass"] is True
+    at_4 = {row["identity"]: row for row in report["identities"] if row["k"] == 4}
+    assert at_4["all_bruteforce"] == {
+        "identity": "all_bruteforce", "k": 4, "max_dev": None, "status": "skipped"
+    }
+    assert at_4.keys() == {"all_bruteforce", "shift_product_A", "shift_product_B"}
+    for name in ("shift_product_A", "shift_product_B"):
+        assert at_4[name]["status"] == "pass" and at_4[name]["max_dev"] < cli.IDENTITY_TOL
+    # the orders below the guard are unchanged by the rows past it
+    _, low = run(capsys, argv[:-3] + ["3", "--trials", "3"])
+    assert low["identities"] == [row for row in report["identities"] if row["k"] <= 3]
+    # a scaled shift matrix makes each deviation depend on its trial's random
+    # matrices, so the draws past the guard must come from the reference's streams
+    shift = permnet.build_shift_matrix
+    monkeypatch.setattr(
+        permnet, "build_shift_matrix", lambda k, d, direction: 1.5 * shift(k, d, direction)
+    )
+    code, broken = run(capsys, argv)
+    assert code == 3
+    ref = reference_verify_rows((2, 2), 4, 3, seed=0)
+    assert [(r["identity"], r["k"], r["status"]) for r in broken["identities"]] == [
+        (r["identity"], r["k"], r["status"]) for r in ref
+    ]
+    for g, r in zip(broken["identities"], ref):
+        assert (g["max_dev"] is None) == (r["max_dev"] is None)
+        if r["max_dev"] is not None:
+            assert abs(g["max_dev"] - r["max_dev"]) <= 1e-13 * max(1.0, r["max_dev"])
+
+
+def test_verify_shift_product_runs_past_the_brute_force_guard(capsys):
+    # 140^4 terms are past the brute-force guard, 2^4 is far inside the matrix guard
+    code, report = run(capsys, ["verify", "--dims", "2", "70", "--kmax", "4", "--trials", "1"])
+    assert code == 0 and report["pass"] is True
+    at_4 = {row["identity"]: row["status"] for row in report["identities"] if row["k"] == 4}
+    assert at_4 == {
+        "all_bruteforce": "skipped", "shift_product_A": "pass", "shift_product_B": "skipped"
+    }
+
+
+def test_simulate_rejects_one_bootstrap_replica(capsys, tmp_path):
+    # one replica has no spread: its sigma of 0 would switch the 3 sigma noise gate off
+    path = gen(capsys, tmp_path, "bell.json", "bell")
+    code = cli.main(["simulate", path, "--bootstrap", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "bootstrap_replicas must be 0 or >= 2, got 1" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_calibrate(capsys):

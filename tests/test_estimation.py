@@ -176,6 +176,23 @@ def test_estimation_config_validation():
         est.EstimationConfig(z=3.0)
 
 
+def test_one_bootstrap_replica_is_an_input_error():
+    # one replica has no spread, so its sigma of 0 would turn the 3 sigma noise gate off
+    with pytest.raises(ValueError, match="bootstrap_replicas must be 0 or >= 2, got 1"):
+        est.EstimationConfig(bootstrap_replicas=1)
+    bell = states.bell_state("phi+")
+    # 0 stays the no-bootstrap mode; 2 replicas, the fewest allowed, have a spread
+    none = est.run_protocol(bell, est.EstimationConfig(shots_per_k=1000, bootstrap_replicas=0))
+    assert none.sigma == 0.0 and none.interval is None and none.bootstrap_failures is None
+    two = est.run_protocol(bell, est.EstimationConfig(shots_per_k=1000, bootstrap_replicas=2))
+    assert two.sigma > 0 and two.bootstrap_failures == 0
+
+
+def test_power_sums_stderr_is_required():
+    with pytest.raises(TypeError):
+        est.PowerSums(np.ones(4), "exact")
+
+
 def test_spectrum_from_power_sums_rank_one():
     ps = est.PowerSums(np.ones(4), "exact", np.zeros(4))
     spec = est.spectrum_from_power_sums(ps)
@@ -408,6 +425,8 @@ def test_run_protocol_bell_shots():
     assert res.interval[0] <= res.verdict.lambda_min <= res.interval[1]
     assert res.copies_consumed == 100_000 * (2 + 3 + 4)
     assert [c.k for c in res.counts_per_k] == [2, 3, 4]
+    # copies are counted from the shots drawn: k copies per order-k shot
+    assert res.copies_consumed == sum(c.k * int(c.n.sum()) for c in res.counts_per_k)
 
 
 def test_run_protocol_sigma_shrinks_with_shots():

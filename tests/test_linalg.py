@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from pptnet import linalg
 
@@ -172,3 +172,62 @@ def test_hermitian_eigenvalues_descending_and_trace():
 def test_hermitian_eigenvalues_rejects_non_hermitian():
     with pytest.raises(ValueError):
         linalg.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def stack_views(rng, trials, n):
+    """A contiguous (trials, n, n) stack and two non-contiguous views of stacks:
+    every other matrix of a longer stack, and the transposes of a stack."""
+    g = rng.standard_normal((2 * trials, n, n)) + 1j * rng.standard_normal((2 * trials, n, n))
+    return [g[:trials], g[::2], g[trials:].transpose(0, 2, 1)]
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 4)])
+def test_stacked_partial_transpose_and_trace_equal_per_matrix_calls_bit_for_bit(dims):
+    d_a, d_b = dims
+    rng = np.random.default_rng(d_a * 10 + d_b)
+    for stack in stack_views(rng, 5, d_a * d_b):
+        for side in ("A", "B"):
+            want = np.array([linalg.partial_transpose(m, d_a, d_b, side) for m in stack])
+            assert_array_equal(linalg.partial_transpose(stack, d_a, d_b, side), want)
+        for keep in (0, 1):
+            want = np.array([linalg.partial_trace(m, list(dims), keep) for m in stack])
+            assert_array_equal(linalg.partial_trace(stack, list(dims), keep), want)
+    # two leading axes, and the stack of one
+    grid = stack_views(rng, 6, d_a * d_b)[1].reshape(2, 3, d_a * d_b, d_a * d_b)
+    assert_array_equal(
+        linalg.partial_transpose(grid, d_a, d_b, "B")[1, 2],
+        linalg.partial_transpose(grid[1, 2], d_a, d_b, "B"),
+    )
+    assert_array_equal(
+        linalg.partial_trace(grid[:1, 0], list(dims), 1)[0],
+        linalg.partial_trace(grid[0, 0], list(dims), 1),
+    )
+
+
+def test_stacked_kernels_reject_non_square_stacks():
+    for bad in (np.ones(4), np.ones((3, 4, 6))):
+        with pytest.raises(ValueError, match="must be square"):
+            linalg.partial_transpose(bad, 2, 2, "B")
+        with pytest.raises(ValueError, match="must be square"):
+            linalg.partial_trace(bad, [2, 2], 0)
+    with pytest.raises(ValueError, match="does not match dims"):
+        linalg.partial_transpose(np.ones((3, 6, 6)), 2, 2, "B")
+    stack = np.ones((3, 4, 4), dtype=complex)
+    stack[2, 1, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.partial_trace(stack, [2, 2], 0)
+
+
+def test_hermitian_eigenvalues_on_stacks_equal_per_matrix_calls():
+    # a (1, 4, 4) stack of a Werner state, whose transpose is not itself on
+    # the leading axis, and a stack of random states
+    werner = 0.3 * np.diag([0, 1, 1, 0]) / 2 + 0.7 * np.eye(4) / 4
+    werner[1, 2] = werner[2, 1] = -0.3 / 2
+    rng = np.random.default_rng(15)
+    for stack in (werner[None], np.array([random_state(rng, 6) for _ in range(4)])):
+        want = np.array([linalg.hermitian_eigenvalues(m) for m in stack])
+        assert_array_equal(linalg.hermitian_eigenvalues(stack), want)
+        assert np.all(np.diff(want, axis=-1) <= 0)
+    stack = np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        linalg.hermitian_eigenvalues(stack)

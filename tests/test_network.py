@@ -196,6 +196,78 @@ def test_moment_tables_equal_per_state_reference_bit_for_bit(dims):
         assert_array_equal(stacked, want)
 
 
+def inline_layout_moment_tables(mats, dims, kmax):
+    """Moment tables with the partial transpose and both partial traces written
+    inline on the (T, d_a, d_b, d_a, d_b) view of the stack, not through linalg."""
+    mats = np.asarray(mats, dtype=complex)
+    d_a, d_b = dims
+    trials = len(mats)
+    t = mats.reshape(trials, d_a, d_b, d_a, d_b)
+    pt = t.transpose(0, 1, 4, 3, 2).reshape(mats.shape)
+    full = network._power_traces(np.concatenate([mats, pt]), kmax)
+    columns = (
+        network._power_traces(np.einsum("zabcb->zac", t), kmax),
+        network._power_traces(np.einsum("zabac->zbc", t), kmax),
+        full[:trials],
+        full[trials:],
+    )
+    return np.stack(columns, axis=-1).real
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4), (4, 4)])
+def test_moment_tables_equal_inline_layout_reference_bit_for_bit(dims):
+    d = dims[0] * dims[1]
+    for trials in (1, 5, 20):
+        seeds = range(7 * trials, 8 * trials)
+        mats = np.array([states.random_density(dims, seed=s).matrix for s in seeds])
+        # contiguous, every other state of a longer stack, and conj(rho^T) = rho as a view
+        for stack in (mats, np.repeat(mats, 2, axis=0)[::2], mats.transpose(0, 2, 1).conj()):
+            for kmax in (1, d, d + 6):
+                want = inline_layout_moment_tables(stack, dims, kmax)
+                assert_array_equal(network.moment_tables(stack, dims, kmax), want)
+
+
+def literal_stage_one_template(row):
+    """The stage-one control state written out entry by entry."""
+    t_a, t_b, r, eta = row
+    mu1, mu2, mu3, mu4 = t_a + t_b, t_a - t_b, (r + eta) / 2, (r - eta) / 2
+    m = np.array(
+        [
+            [1 + mu1 + mu3, 0, 0, -mu4],
+            [0, 1 - mu2 - mu3, mu4, 0],
+            [0, mu4, 1 + mu2 - mu3, 0],
+            [-mu4, 0, 0, 1 - mu1 + mu3],
+        ],
+        dtype=complex,
+    )
+    return m / 4.0
+
+
+def hand_signed_probabilities(rows):
+    """The four readout probabilities with each parity sign of eta written by hand."""
+    t_a, t_b, _, eta = np.moveaxis(rows, -1, 0)
+    mu1, mu2 = t_a + t_b, t_a - t_b
+    return np.stack([1 + mu1 + eta, 1 - mu2 - eta, 1 + mu2 - eta, 1 - mu1 + eta], axis=-1) / 4.0
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 4)])
+def test_templates_and_probabilities_equal_written_out_references_bit_for_bit(dims):
+    d = dims[0] * dims[1]
+    tables = np.array([network.mu_parameters(rho, d) for rho in state_family(dims, seed=3)])
+    for row in tables.reshape(-1, 4):
+        assert_array_equal(network.stage_one_template(row), literal_stage_one_template(row))
+        assert_array_equal(network.stage_two_probabilities(row), hand_signed_probabilities(row))
+    # (T, kmax, 4) rows at once, as the measurement front half passes them
+    assert_array_equal(network.stage_two_probabilities(tables), hand_signed_probabilities(tables))
+    rho = states.random_density(dims, seed=1)
+    for k in range(1, d + 1):
+        row = network.mu_parameters(rho, k)[k - 1]
+        want = literal_stage_one_template(row)
+        assert_array_equal(network.stage_one_state(rho, k).matrix, want)
+        clipped = np.maximum(hand_signed_probabilities(row), 0.0)  # as outcome_rows clips
+        assert_array_equal(network.stage_two_distribution(rho, k).p, clipped)
+
+
 def test_moment_table_keeps_no_whole_power():
     # the chains keep one product and the diagonals of the powers: a
     # (kmax, 64, 64) stack of powers would take 4 MiB per chain here
