@@ -103,9 +103,7 @@ def cmd_check(args) -> int:
 
 def cmd_simulate(args) -> int:
     rho = states.load(args.state)
-    cfg = estimation.EstimationConfig(
-        shots_per_k=args.shots, seed=args.seed, bootstrap_replicas=args.bootstrap
-    )
+    cfg = estimation.EstimationConfig(shots_per_k=args.shots, seed=args.seed)
     method = "locc_exact" if args.exact_probabilities else "locc_shots"
     shots = 0 if args.exact_probabilities else cfg.shots_per_k
     try:
@@ -150,18 +148,16 @@ def _trace_checks(mats: np.ndarray, dims: tuple[int, int], moments_k: np.ndarray
     return checks
 
 
-def _shift_product_devs(mats: np.ndarray, v_fwd: np.ndarray) -> np.ndarray:
+def _shift_product_devs(mats: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Per trial, the deviation of Tr[V^dagger (m1 ⊗ ... ⊗ mk)] and
     Tr[V (m1 ⊗ ... ⊗ mk)] from the traces of the ordered products m1 ... mk
-    and mk ... m1, V = `v_fwd` the explicit forward shift matrix; `mats` is
-    (T, k, d, d).  Each trace runs over the nonzeros V_ij of the matrix itself,
-    Tr(V^dagger X) = sum conj(V_ij) X_ij and Tr(V X) = sum V_ij X_ji, with the
-    Kronecker entry X_ij = prod_t m_t[i_t, j_t] gathered from the base-d digits
-    of i and j (most significant first), so no product is formed."""
+    and mk ... m1, V the forward shift whose permutation is `perm`; `mats` is
+    (T, k, d, d).  V's nonzeros are the ones at (perm[x], x), so
+    Tr(V^dagger X) = sum_x X[perm[x], x] and Tr(V X) = sum_x X[x, perm[x]],
+    with the Kronecker entry X_ij = prod_t m_t[i_t, j_t] gathered from the
+    base-d digits of i and j (most significant first): no V, no product."""
     _, k, d, _ = mats.shape
-    rows, cols = np.nonzero(v_fwd)
-    w = v_fwd[rows, cols]
-    i, j = np.unravel_index(rows, (d,) * k), np.unravel_index(cols, (d,) * k)
+    i, j = np.unravel_index(perm, (d,) * k), np.unravel_index(np.arange(d**k), (d,) * k)
     x_ij, x_ji = mats[:, 0, i[0], j[0]], mats[:, 0, j[0], i[0]]
     ordered, reversed_ = mats[:, 0], mats[:, k - 1]
     for t in range(1, k):
@@ -170,8 +166,8 @@ def _shift_product_devs(mats: np.ndarray, v_fwd: np.ndarray) -> np.ndarray:
         ordered = ordered @ mats[:, t]
         reversed_ = reversed_ @ mats[:, k - 1 - t]
     return np.maximum(
-        np.abs(x_ij @ w.conj() - np.trace(ordered, axis1=1, axis2=2)),
-        np.abs(x_ji @ w - np.trace(reversed_, axis1=1, axis2=2)),
+        np.abs(x_ij.sum(axis=1) - np.trace(ordered, axis1=1, axis2=2)),
+        np.abs(x_ji.sum(axis=1) - np.trace(reversed_, axis1=1, axis2=2)),
     )
 
 
@@ -193,9 +189,9 @@ def _identity_rows(dims: list[int], kmax: int, trials: int, seed: int) -> list[d
             rows.append(
                 {"identity": "all_bruteforce", "k": k, "max_dev": None, "status": "skipped"}
             )
-        # ordered product against the explicit shift matrix, on each local dimension
+        # ordered product against the shift permutation, on each local dimension
         shifts = {
-            d: permnet.build_shift_matrix(k, d, "forward")
+            d: permnet.shift_permutation(k, d, "forward")
             for d in {d_a, d_b}
             if d**k <= permnet.MATRIX_SIZE_GUARD
         }
@@ -286,7 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("state")
     p_sim.add_argument("--shots", type=int, default=100_000, help="shots per order k")
     p_sim.add_argument("--seed", type=_seed, default=0)
-    p_sim.add_argument("--bootstrap", type=int, default=200, help="bootstrap replicas")
     p_sim.add_argument(
         "--exact-probabilities",
         action="store_true",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .states import DensityMatrix
 
-MATRIX_SIZE_GUARD = 4096
+MATRIX_SIZE_GUARD = 4096  # d^k bound of verify's (T, d^k) shift-product gathers
 BRUTEFORCE_TERM_GUARD = 10**8
 
 # under a shift, copy c takes the digit of copy c + step (mod k)
@@ -49,7 +49,7 @@ def shift_permutation(k: int, d: int, direction: str = "forward") -> np.ndarray:
 
 
 def permutation_matrix(perm: np.ndarray) -> np.ndarray:
-    """Unitary matrix with entry (perm[x], x) = 1."""
+    """Unitary matrix with entry (perm[x], x) = 1; a dense test reference."""
     size = len(perm)
     m = np.zeros((size, size), dtype=complex)
     m[perm, np.arange(size)] = 1.0
@@ -57,7 +57,8 @@ def permutation_matrix(perm: np.ndarray) -> np.ndarray:
 
 
 def build_shift_matrix(k: int, d: int, direction: str = "forward") -> np.ndarray:
-    """Explicit d^k x d^k shift matrix; guarded to d^k <= 4096 for oracle use."""
+    """Explicit d^k x d^k shift matrix, guarded to d^k <= 4096; a dense test
+    reference, since verify and the circuit read the permutations themselves."""
     if d**k > MATRIX_SIZE_GUARD:
         raise ValueError(f"d^k = {d**k} exceeds dense-matrix guard {MATRIX_SIZE_GUARD}")
     return permutation_matrix(shift_permutation(k, d, direction))

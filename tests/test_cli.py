@@ -163,7 +163,7 @@ def test_simulate_exact_matches_check(capsys, tmp_path):
 
 def test_simulate_shots_report(capsys, tmp_path):
     path = gen(capsys, tmp_path, "bell.json", "bell")
-    argv = ["simulate", path, "--shots", "50000", "--seed", "3", "--bootstrap", "50"]
+    argv = ["simulate", path, "--shots", "50000", "--seed", "3"]
     code, report = run(capsys, argv)
     assert code == 0
     assert list(report) == REPORT_KEYS
@@ -194,7 +194,7 @@ def test_simulate_no_k2_shortcut(capsys, tmp_path):
 
 def test_simulate_too_noisy_exits_2(capsys, tmp_path):
     path = gen(capsys, tmp_path, "mixed.json", "werner", "--p", "0")
-    code = cli.main(["simulate", path, "--shots", "2", "--seed", "0", "--bootstrap", "0"])
+    code = cli.main(["simulate", path, "--shots", "2", "--seed", "0"])
     captured = capsys.readouterr()
     assert code == 2
     report = json.loads(captured.out)
@@ -280,7 +280,7 @@ def test_states_at_the_load_limit_run_like_their_hermitian_part(capsys, tmp_path
     assert 9e-10 < report.hermiticity_dev <= states.VALIDATION_TOL
     code, _ = run(capsys, ["check", str(path)])
     assert code == 0
-    for mode in (["--exact-probabilities"], ["--shots", "10000", "--bootstrap", "20"]):
+    for mode in (["--exact-probabilities"], ["--shots", "10000"]):
         code, sim = run(capsys, ["simulate", str(path), *mode])
         herm_code, herm = run(capsys, ["simulate", str(herm_path), *mode])
         assert code == herm_code != 1
@@ -446,25 +446,33 @@ def reference_verify_rows(dims, kmax, trials, seed):
     return [merged[key] for key in sorted(merged)]
 
 
+def break_shift_permutation(monkeypatch):
+    """Replace every shift permutation by the identity of the same size."""
+    shift = permnet.shift_permutation
+    monkeypatch.setattr(
+        permnet, "shift_permutation", lambda k, d, direction="forward": shift(k, d, "identity")
+    )
+
+
 @pytest.mark.parametrize("broken", [False, True])
 @pytest.mark.parametrize("dims, kmax, trials", [((2, 3), 3, 3), ((2, 2), 4, 4)])
 def test_verify_matches_per_trial_reference(capsys, monkeypatch, dims, kmax, trials, broken):
     if broken:
         # On working code every deviation is rounding noise far below 1e-13, so
         # the rows would match whichever trial or random matrix they came from.
-        # Scaled oracles give deviations that depend on each trial's state and
+        # Broken oracles give deviations that depend on each trial's state and
         # random matrices, so a lost trial or a shifted stream shows.  The
         # stacked oracle is scaled state by state; the reference reaches it
-        # through shift_trace_bruteforce, a stack of one.
-        oracle, shift = permnet.shift_traces, permnet.build_shift_matrix
+        # through shift_trace_bruteforce, a stack of one.  The identity in
+        # place of the shift gives Tr(m1)...Tr(mk) for Tr(m1...mk), and the
+        # reference's build_shift_matrix reads the same broken permutation.
+        oracle = permnet.shift_traces
         monkeypatch.setattr(
             permnet,
             "shift_traces",
             lambda mats, dims, k, a, b: oracle(mats, dims, k, a, b) * (1 + mats[:, 0, 0].real),
         )
-        monkeypatch.setattr(
-            permnet, "build_shift_matrix", lambda k, d, direction: 1.5 * shift(k, d, direction)
-        )
+        break_shift_permutation(monkeypatch)
     argv = ["verify", "--dims", *map(str, dims), "--kmax", str(kmax), "--trials", str(trials)]
     code, report = run(capsys, argv)
     assert code == (3 if broken else 0)
@@ -495,34 +503,35 @@ def reference_shift_product_devs(mats, v_fwd):
     return np.maximum(np.abs(shifted_adj - ordered), np.abs(shifted - reversed_))
 
 
-@pytest.mark.parametrize("scale", [1.0, 1.5])
+@pytest.mark.parametrize("direction", ["forward", "identity"])
 @pytest.mark.parametrize("k, d", [(2, 2), (3, 2), (4, 2), (3, 3), (2, 3), (5, 2)])
-def test_shift_product_devs_match_kronecker_reference(k, d, scale):
-    # scale 1.5 is a wrong shift matrix: its deviations are O(1) and must agree too
+def test_shift_product_devs_match_kronecker_reference(k, d, direction):
+    # the identity is a wrong shift: its deviations are O(1) and must agree
+    # with the dense reference built from the same permutation too
     rng = np.random.default_rng(k * 10 + d)
     mats = rng.standard_normal((3, k, d, d)) + 1j * rng.standard_normal((3, k, d, d))
-    v_fwd = scale * permnet.build_shift_matrix(k, d, "forward")
-    got = cli._shift_product_devs(mats, v_fwd)
-    ref = reference_shift_product_devs(mats, v_fwd)
+    perm = permnet.shift_permutation(k, d, direction)
+    got = cli._shift_product_devs(mats, perm)
+    ref = reference_shift_product_devs(mats, permnet.permutation_matrix(perm))
     assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, ref))
-    if scale == 1.0:
+    if direction == "forward":
         assert np.all(got < cli.IDENTITY_TOL)
     else:
         assert np.all(got > 1e-3)
 
 
 def test_shift_product_memory_stays_below_one_kronecker_product():
-    # d = 2, k = 8: one Kronecker product is 256 x 256 (1 MiB).  The nonzero
-    # gather holds a few (trials, 256) arrays instead: 20 trials peak well
-    # under one product, and each trial adds O(d^k) entries, not O(d^2k)
-    v_fwd = permnet.build_shift_matrix(8, 2, "forward")
+    # d = 2, k = 8: one Kronecker product is 256 x 256 (1 MiB).  The
+    # permutation gather holds a few (trials, 256) arrays instead: 20 trials
+    # peak well under one product, and each trial adds O(d^k) entries, not O(d^2k)
+    perm = permnet.shift_permutation(8, 2, "forward")
     rng = np.random.default_rng(3)
     peaks, devs = [], []
     for trials in (1, 20):
         mats = rng.standard_normal((trials, 8, 2, 2)) + 1j * rng.standard_normal((trials, 8, 2, 2))
         tracemalloc.start()
         try:
-            devs.append(cli._shift_product_devs(mats, v_fwd))
+            devs.append(cli._shift_product_devs(mats, perm))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -530,6 +539,21 @@ def test_shift_product_memory_stays_below_one_kronecker_product():
     assert np.all(np.concatenate(devs) < cli.IDENTITY_TOL)
     assert peaks[1] < 2**20
     assert (peaks[1] - peaks[0]) / 19 < 8 * 256 * 16
+
+
+def test_identity_rows_at_the_matrix_guard_hold_no_dense_shift():
+    # d_B^k = 16^3 = 4096 is the guard edge: a dense shift matrix there is
+    # 4096 x 4096 complex (256 MiB), the (T, d^k) gathers a few 64 KiB arrays
+    tracemalloc.start()
+    try:
+        rows = cli._identity_rows([2, 16], 3, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    # no row is skipped, so shift_product_B ran at k = 3
+    assert all(row["status"] == "pass" for row in rows)
+    assert ("shift_product_B", 3) in [(row["identity"], row["k"]) for row in rows]
 
 
 def test_verify_rejects_empty_sweep(capsys):
@@ -553,7 +577,7 @@ def test_verify_marks_guarded_checks_skipped(capsys):
 
 def test_verify_brute_force_guard_skips_only_the_brute_force_rows(capsys, monkeypatch):
     # 4^4 = 256 terms pass the guard at 64 only up to k = 3, while the shift
-    # matrices (2^4 = 16 <= MATRIX_SIZE_GUARD) are still checked at k = 4
+    # products (2^4 = 16 <= MATRIX_SIZE_GUARD) are still checked at k = 4
     monkeypatch.setattr(permnet, "BRUTEFORCE_TERM_GUARD", 64)
     argv = ["verify", "--dims", "2", "2", "--kmax", "4", "--trials", "3"]
     code, report = run(capsys, argv)
@@ -568,12 +592,9 @@ def test_verify_brute_force_guard_skips_only_the_brute_force_rows(capsys, monkey
     # the orders below the guard are unchanged by the rows past it
     _, low = run(capsys, argv[:-3] + ["3", "--trials", "3"])
     assert low["identities"] == [row for row in report["identities"] if row["k"] <= 3]
-    # a scaled shift matrix makes each deviation depend on its trial's random
+    # a wrong shift permutation makes each deviation depend on its trial's random
     # matrices, so the draws past the guard must come from the reference's streams
-    shift = permnet.build_shift_matrix
-    monkeypatch.setattr(
-        permnet, "build_shift_matrix", lambda k, d, direction: 1.5 * shift(k, d, direction)
-    )
+    break_shift_permutation(monkeypatch)
     code, broken = run(capsys, argv)
     assert code == 3
     ref = reference_verify_rows((2, 2), 4, 3, seed=0)
@@ -597,14 +618,18 @@ def test_verify_shift_product_runs_past_the_brute_force_guard(capsys):
 
 
 def test_simulate_rejects_one_bootstrap_replica(capsys, tmp_path):
-    # one replica has no spread: its sigma of 0 would switch the 3 sigma noise gate off
+    # the replica count is fixed at the library default of 200: a count of 0
+    # or 1 would give sigma 0 and switch the 3 sigma noise gate off, so
+    # --bootstrap is an unknown argument (exit 1)
     path = gen(capsys, tmp_path, "bell.json", "bell")
-    code = cli.main(["simulate", path, "--bootstrap", "1"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "bootstrap_replicas must be 0 or >= 2, got 1" in captured.err
-    assert "Traceback" not in captured.err
+    for count in ("1", "0", "200"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", path, "--bootstrap", count])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        assert "unrecognized arguments: --bootstrap" in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_calibrate(capsys):
