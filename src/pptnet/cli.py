@@ -173,41 +173,36 @@ def _shift_product_devs(mats: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
 def _identity_rows(dims: list[int], kmax: int, trials: int, seed: int) -> list[dict]:
     """Largest deviation over the trials of every trace identity at every order
-    2..kmax, sorted by identity name and order.  Each trial draws its state
-    and its random matrices from its own seeded streams; the moment tables
-    and each brute-force trace are computed for all trials at once."""
+    2..kmax (None, `skipped`, past its guard), sorted by identity and order.
+    Each trial draws its state and its random matrices from its own seeded
+    streams; the moment tables and each brute-force trace take all trials at once."""
     d_a, d_b = dims
     seeds = [np.random.SeedSequence([seed, t]) for t in range(trials)]
     mats = np.array([states.random_density((d_a, d_b), s).matrix for s in seeds])
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, t, 1])) for t in range(trials)]
     moments = network.moment_tables(mats, (d_a, d_b), kmax)
-    rows = []
+    devs = {}  # (identity, k) -> per-trial deviations, or None where a guard skips the check
     for k in range(2, kmax + 1):
-        brute = (d_a * d_b) ** k <= permnet.BRUTEFORCE_TERM_GUARD
-        devs = _trace_checks(mats, (d_a, d_b), moments[:, k - 1], k) if brute else {}
-        if not brute:  # its guard skips the brute-force rows only, not the shift products
-            rows.append(
-                {"identity": "all_bruteforce", "k": k, "max_dev": None, "status": "skipped"}
-            )
+        if (d_a * d_b) ** k > permnet.BRUTEFORCE_TERM_GUARD:  # skips the brute-force rows only
+            devs["all_bruteforce", k] = None
+        else:
+            checks = _trace_checks(mats, (d_a, d_b), moments[:, k - 1], k)
+            devs.update(((name, k), dev) for name, dev in checks.items())
         # ordered product against the shift permutation, on each local dimension
-        shifts = {
-            d: permnet.shift_permutation(k, d, "forward")
-            for d in {d_a, d_b}
-            if d**k <= permnet.MATRIX_SIZE_GUARD
-        }
         for label, d in (("A", d_a), ("B", d_b)):
             name = f"shift_product_{label}"
-            if d not in shifts:
-                rows.append({"identity": name, "k": k, "max_dev": None, "status": "skipped"})
-                continue
-            # k complex d x d matrices per trial, real then imaginary part of each
-            draws = np.array([rng.standard_normal((k, 2, d, d)) for rng in rngs])
-            devs[name] = _shift_product_devs(draws[:, :, 0] + 1j * draws[:, :, 1], shifts[d])
-        for name, dev in devs.items():
-            dev = float(np.max(dev))
-            status = "pass" if dev < IDENTITY_TOL else "fail"
-            rows.append({"identity": name, "k": k, "max_dev": dev, "status": status})
-    return sorted(rows, key=lambda row: (row["identity"], row["k"]))
+            devs[name, k] = None
+            if d**k <= permnet.MATRIX_SIZE_GUARD:
+                # k complex d x d matrices per trial, real then imaginary part of each
+                draws = np.array([rng.standard_normal((k, 2, d, d)) for rng in rngs])
+                perm = permnet.shift_permutation(k, d, "forward")
+                devs[name, k] = _shift_product_devs(draws[:, :, 0] + 1j * draws[:, :, 1], perm)
+    rows = []
+    for (name, k), dev in sorted(devs.items()):  # the keys are unique, so no value is compared
+        dev = None if dev is None else float(np.max(dev))
+        status = "skipped" if dev is None else "pass" if dev < IDENTITY_TOL else "fail"
+        rows.append({"identity": name, "k": k, "max_dev": dev, "status": status})
+    return rows
 
 
 def cmd_verify(args) -> int:
@@ -215,6 +210,12 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--kmax must be >= 2, got {args.kmax}")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    states.check_dims(args.dims)  # with every d >= 2, each guard tightens as k grows
+    for k in range(2, args.kmax + 1):
+        if math.prod(args.dims) ** k > permnet.BRUTEFORCE_TERM_GUARD and (
+            min(args.dims) ** k > permnet.MATRIX_SIZE_GUARD
+        ):
+            raise ValueError(f"--kmax must be <= {k - 1} at dims {args.dims}, got {args.kmax}")
     rows = _identity_rows(args.dims, args.kmax, args.trials, args.seed)
     ok = all(r["status"] != "fail" for r in rows)
     _emit(

@@ -86,8 +86,8 @@ class EstimationConfig:
     use_k2_shortcut: bool = True
 
     def __post_init__(self):
-        if self.shots_per_k < 1:
-            raise ValueError(f"shots_per_k must be >= 1, got {self.shots_per_k}")
+        if not 1 <= self.shots_per_k <= np.iinfo(np.int64).max:  # multinomial counts are int64
+            raise ValueError(f"shots_per_k must be in [1, 2**63 - 1], got {self.shots_per_k}")
         if self.bootstrap_replicas < 0 or self.bootstrap_replicas == 1:  # 1 has no spread
             raise ValueError(f"bootstrap_replicas must be 0 or >= 2, got {self.bootstrap_replicas}")
         if self.seed < 0:

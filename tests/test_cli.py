@@ -205,6 +205,17 @@ def test_simulate_too_noisy_exits_2(capsys, tmp_path):
     assert report["copies_consumed"] == 2 * 9  # 2 shots at each of k = 2, 3, 4
 
 
+def test_simulate_shots_past_int64_exit_1(capsys, tmp_path):
+    # the multinomial draws take int64 counts: 2^63 shots is an input error, not an OverflowError
+    path = gen(capsys, tmp_path, "bell.json", "bell")
+    code = cli.main(["simulate", path, "--shots", str(2**63)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"shots_per_k must be in [1, 2**63 - 1], got {2**63}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("eps", [5e-10, 9e-10])
 def test_simulate_accepts_state_at_validation_edge(capsys, tmp_path, eps):
     # an eigenvalue of -eps passes load's 1e-9 tolerance; the outcome
@@ -615,6 +626,31 @@ def test_verify_shift_product_runs_past_the_brute_force_guard(capsys):
     assert at_4 == {
         "all_bruteforce": "skipped", "shift_product_A": "pass", "shift_product_B": "skipped"
     }
+
+
+def test_verify_refuses_orders_past_every_guard(capsys, monkeypatch):
+    # with the guards at 64 terms and d^k <= 8, 2x2 reaches k = 3 (4^3 = 64, 2^3 = 8) and
+    # no check reaches k = 4; 10^12 is refused at once, before any moment table is sized
+    monkeypatch.setattr(permnet, "BRUTEFORCE_TERM_GUARD", 64)
+    monkeypatch.setattr(permnet, "MATRIX_SIZE_GUARD", 8)
+    code, report = run(capsys, ["verify", "--kmax", "3", "--trials", "2"])
+    assert code == 0 and report["pass"] is True
+    assert {row["status"] for row in report["identities"] if row["k"] == 3} == {"pass"}
+    for kmax in ("4", "1000000000000"):
+        code = cli.main(["verify", "--kmax", kmax])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"--kmax must be <= 3 at dims [2, 2], got {kmax}" in captured.err
+
+
+def test_verify_refuses_the_order_after_the_last_shift_product(capsys):
+    # 2x70 is past the brute-force guard from k = 4 on, and 2^13 = 8192 is past the matrix guard
+    code = cli.main(["verify", "--dims", "2", "70", "--kmax", "13", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "--kmax must be <= 12 at dims [2, 70], got 13" in captured.err
 
 
 def test_simulate_rejects_one_bootstrap_replica(capsys, tmp_path):

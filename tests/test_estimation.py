@@ -167,6 +167,10 @@ def test_k2_shortcut_matches_full_route_exactly():
 def test_estimation_config_validation():
     with pytest.raises(ValueError):
         est.EstimationConfig(shots_per_k=0)
+    # the multinomial draws take int64 counts
+    with pytest.raises(ValueError, match=r"shots_per_k must be in \[1, 2\*\*63 - 1\]"):
+        est.EstimationConfig(shots_per_k=2**63)
+    assert est.EstimationConfig(shots_per_k=2**63 - 1).shots_per_k == 2**63 - 1
     with pytest.raises(ValueError):
         est.EstimationConfig(seed=-1)
     with pytest.raises(ValueError):
