@@ -9,6 +9,7 @@ Machine-readable JSON goes to stdout, human summaries to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -60,7 +61,7 @@ def cmd_gen(args) -> int:
         rho = states.random_density(tuple(args.dims), args.seed)
     elif args.kind == "separable":
         rho = states.random_separable(tuple(args.dims), args.terms, args.seed)
-    elif args.kind == "mix":
+    else:  # mix; argparse restricts the choices
         if not args.inputs:
             raise ValueError("mix requires --inputs")
         parts = [states.load(path) for path in args.inputs]
@@ -75,8 +76,6 @@ def cmd_gen(args) -> int:
         weights /= weights.sum()
         m = sum(w * p.matrix for w, p in zip(weights, parts))
         rho = states.DensityMatrix(dims, m)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown kind {args.kind!r}")
     report = states.validate(rho)
     if not report.ok:
         raise states.PhysicalityError(report)
@@ -126,10 +125,7 @@ def _trace_checks(mats: np.ndarray, dims: tuple[int, int], moments_k: np.ndarray
     a (T, d, d) stack of states from `moments_k`, the (T, 4) order-k rows of
     their moment tables (network.moment_tables)."""
     t_a, t_b, t_rho, eta = moments_k.T
-
-    def oracle(dir_a, dir_b):
-        return permnet.shift_traces(mats, dims, k, dir_a, dir_b)
-
+    oracle = functools.partial(permnet.shift_traces, mats, dims, k)  # (dir_a, dir_b) -> (T,) traces
     eta_b = oracle("inverse", "forward")
     eta_a = oracle("forward", "inverse")
     checks = {
@@ -183,7 +179,7 @@ def _identity_rows(dims: list[int], kmax: int, trials: int, seed: int) -> list[d
     moments = network.moment_tables(mats, (d_a, d_b), kmax)
     devs = {}  # (identity, k) -> per-trial deviations, or None where a guard skips the check
     for k in range(2, kmax + 1):
-        if (d_a * d_b) ** k > permnet.BRUTEFORCE_TERM_GUARD:  # skips the brute-force rows only
+        if not permnet.bruteforce_admits(trials, d_a * d_b, k):  # skips the brute-force rows only
             devs["all_bruteforce", k] = None
         else:
             checks = _trace_checks(mats, (d_a, d_b), moments[:, k - 1], k)
@@ -212,9 +208,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     states.check_dims(args.dims)  # with every d >= 2, each guard tightens as k grows
     for k in range(2, args.kmax + 1):
-        if math.prod(args.dims) ** k > permnet.BRUTEFORCE_TERM_GUARD and (
-            min(args.dims) ** k > permnet.MATRIX_SIZE_GUARD
-        ):
+        brute = permnet.bruteforce_admits(args.trials, math.prod(args.dims), k)
+        if not brute and min(args.dims) ** k > permnet.MATRIX_SIZE_GUARD:
             raise ValueError(f"--kmax must be <= {k - 1} at dims {args.dims}, got {args.kmax}")
     rows = _identity_rows(args.dims, args.kmax, args.trials, args.seed)
     ok = all(r["status"] != "fail" for r in rows)

@@ -287,18 +287,18 @@ def spectrum_from_power_sums(ps: PowerSums) -> Spectrum:
     additionally merge root clusters within CLUSTER_TOL, recovering
     degenerate eigenvalues that finite precision splits apart.
     """
-    imag_cap = EXACT_IMAG_CAP if ps.source == "exact" else SHOT_IMAG_CAP
-    roots = _companion_roots(_newton_coefficients(ps.p[np.newaxis]))[0]
-    residual = float(np.max(np.abs(roots.imag))) if len(roots) else 0.0
-    if residual > imag_cap:
-        raise SpectrumTooNoisyError(
-            f"root imaginary residual {residual:.3e} exceeds cap {imag_cap:.3e}"
-        )
-    if ps.source == "exact":
-        lambdas = _cluster_multiple_roots(roots, CLUSTER_TOL)
-    else:
-        lambdas = roots.real
-    return Spectrum(np.sort(lambdas)[::-1], residual)
+    return _recover(ps.p[np.newaxis], ps.source == "exact")[0]
+
+
+def _recover(p: np.ndarray, exact: bool) -> tuple[Spectrum, np.ndarray]:
+    """Row 0's spectrum of a (B, d) power-sum stack, refused past its cap; the other rows' roots."""
+    roots = _companion_roots(_newton_coefficients(p))
+    cap = EXACT_IMAG_CAP if exact else SHOT_IMAG_CAP
+    residual = float(np.max(np.abs(roots[0].imag))) if p.shape[1] else 0.0
+    if residual > cap:
+        raise SpectrumTooNoisyError(f"root imaginary residual {residual:.3e} exceeds cap {cap:.3e}")
+    lambdas = _cluster_multiple_roots(roots[0], CLUSTER_TOL) if exact else roots[0].real
+    return Spectrum(np.sort(lambdas)[::-1], residual), roots[1:]
 
 
 def verdict(
@@ -318,32 +318,43 @@ def verdict(
     return PptVerdict(lam_min, cls)
 
 
+class _Bootstrap(tuple):  # (sigma, interval, failures) and the point estimate's spectrum
+    spectrum: Spectrum
+
+
 def bootstrap_lambda_min(
     counts_per_k: list[ShotCounts], cfg: EstimationConfig
 ) -> tuple[float, tuple[float, float], int]:
-    """Multinomial resampling of the per-k counts, B replicas in one draw per
-    order, through one stacked recovery; a replica fails when a root is more
-    than SHOT_IMAG_CAP off the real axis.  Returns the standard deviation and
-    central 95% interval of lambda_min over the surviving replicas and the
-    number that failed.  Fails if more than 10% of replicas fail."""
+    """B multinomial replicas of the per-k counts, one draw per order, recovered
+    in one stack below the point estimate (refused first).  Returns sigma and
+    the central 95% interval of lambda_min over the replicas with every root
+    within SHOT_IMAG_CAP of the real axis, and the failed count; >10% is refused."""
     b = cfg.bootstrap_replicas
     if b < 2:
         raise ValueError("bootstrap requires bootstrap_replicas >= 2")
-    draws = []
-    for counts in counts_per_k:
-        total = counts.n.sum()
-        rng = _substream(cfg.seed, _STREAM_BOOTSTRAP, counts.k)
-        draws.append(rng.multinomial(total, counts.n / total, size=b))
-    p = np.ones((b, len(counts_per_k) + 1))
-    p[:, 1:] = eta_from_counts(np.stack(draws, axis=1))[0]  # orders k = 2.. in sequence
-    roots = _companion_roots(_newton_coefficients(p))
+    draws = [
+        _substream(cfg.seed, _STREAM_BOOTSTRAP, c.k).multinomial(c.n.sum(), c.n / c.n.sum(), size=b)
+        for c in counts_per_k
+    ]
+    p = np.ones((b + 1, len(counts_per_k) + 1))
+    p[0, 1:] = eta_from_counts(np.array([c.n for c in counts_per_k]))[0]  # as _measure has it
+    p[1:, 1:] = eta_from_counts(np.stack(draws, axis=1))[0]  # orders k = 2.. in sequence
+    spectrum, roots = _recover(p, exact=False)
     ok = np.max(np.abs(roots.imag), axis=1) <= SHOT_IMAG_CAP
     failures = b - int(ok.sum())
     if failures > 0.1 * b:
         raise EstimationError(f"{failures}/{b} bootstrap replicas failed root recovery")
     values = roots.real[ok].min(axis=1)  # at least 2: the gate keeps 90% of b >= 2
-    lo, hi = np.percentile(values, [2.5, 97.5])
-    return float(values.std(ddof=1)), (float(lo), float(hi)), failures
+    out = _Bootstrap((float(values.std(ddof=1)), _central_interval(values), failures))
+    out.spectrum = spectrum
+    return out
+
+
+def _central_interval(values: np.ndarray) -> tuple[float, float]:
+    """np.percentile(values, [2.5, 97.5]) bit for bit (numpy's linear rule), without numpy.ma."""
+    v, index = np.sort(values), (len(values) - 1) * (np.array([2.5, 97.5]) / 100)
+    a, b, t = v[index.astype(int)], v[index.astype(int) + 1], index % 1
+    return tuple(np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t).tolist())
 
 
 def run_protocol(
@@ -354,11 +365,11 @@ def run_protocol(
     ps, counts_per_k = _measure(rho, cfg, exact_probabilities)
     copies = sum(c.k * int(c.n.sum()) for c in counts_per_k or [])
     try:
-        spectrum = spectrum_from_power_sums(ps)
-        if counts_per_k is not None and cfg.bootstrap_replicas >= 1:
-            sigma, interval, failures = bootstrap_lambda_min(counts_per_k, cfg)
+        if counts_per_k is None or cfg.bootstrap_replicas == 0:
+            spectrum, sigma, interval, failures = spectrum_from_power_sums(ps), 0.0, None, None
         else:
-            sigma, interval, failures = 0.0, None, None
+            boot = bootstrap_lambda_min(counts_per_k, cfg)
+            spectrum, (sigma, interval, failures) = boot.spectrum, boot
     except EstimationError as exc:
         exc.power_sums, exc.copies_consumed = ps, copies  # partial result for error reporting
         raise

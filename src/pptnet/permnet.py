@@ -17,7 +17,7 @@ import numpy as np
 from .states import DensityMatrix
 
 MATRIX_SIZE_GUARD = 4096  # d^k bound of verify's (T, d^k) shift-product gathers
-BRUTEFORCE_TERM_GUARD = 10**8
+BRUTEFORCE_TERM_GUARD = 10**8  # terms of one brute-force call, over all its states
 
 # under a shift, copy c takes the digit of copy c + step (mod k)
 _CYCLE_STEP = {"forward": -1, "inverse": 1, "identity": 0}
@@ -64,6 +64,10 @@ def build_shift_matrix(k: int, d: int, direction: str = "forward") -> np.ndarray
     return permutation_matrix(shift_permutation(k, d, direction))
 
 
+def bruteforce_admits(trials: int, d: int, k: int) -> bool:
+    return trials * d**k <= BRUTEFORCE_TERM_GUARD  # d^k = (d_a d_b)^k terms per state
+
+
 def shift_traces(
     mats: np.ndarray, dims: tuple[int, int], k: int, dir_a: str, dir_b: str
 ) -> np.ndarray:
@@ -80,15 +84,15 @@ def shift_traces(
     _check_direction(dir_a)
     _check_direction(dir_b)
     d_a, d_b = dims
-    if (d_a * d_b) ** k > BRUTEFORCE_TERM_GUARD:
-        raise ValueError(f"(d_a*d_b)^k = {(d_a * d_b) ** k} exceeds brute-force guard")
+    t = np.asarray(mats, dtype=complex).reshape(-1, d_a, d_b, d_a, d_b)
+    if not bruteforce_admits(len(t), d_a * d_b, k):
+        raise ValueError(f"{len(t)} x {d_a * d_b}^{k} terms exceed the brute-force guard")
     # the guard keeps k <= 13, so the 2k index letters are lowercase and Z is free
     a, b = string.ascii_letters[:k], string.ascii_letters[k : 2 * k]
     step_a, step_b = _CYCLE_STEP[dir_a], _CYCLE_STEP[dir_b]
     subs = ",".join(
         "Z" + a[c] + b[c] + a[(c + step_a) % k] + b[(c + step_b) % k] for c in range(k)
     )
-    t = np.asarray(mats, dtype=complex).reshape(-1, d_a, d_b, d_a, d_b)
     return np.einsum(subs + "->Z", *[t] * k, optimize=False)
 
 

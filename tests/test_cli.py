@@ -379,12 +379,13 @@ def test_verify_passes(capsys):
         assert row["max_dev"] < 1e-10
 
 
-def reference_identity_rows(rho, moments_k, k, rng):
+def reference_identity_rows(rho, moments_k, k, rng, trials):
     """One trial's identity rows at order k, one state and one shift matrix at a time."""
     d_a, d_b = rho.dims
     rows, checks = [], {}
-    # the brute-force guard skips the brute-force rows only; the shift products still run
-    if (d_a * d_b) ** k > permnet.BRUTEFORCE_TERM_GUARD:
+    # the brute-force guard, which counts the terms of all trials, skips the
+    # brute-force rows only; the shift products still run
+    if trials * (d_a * d_b) ** k > permnet.BRUTEFORCE_TERM_GUARD:
         rows.append({"identity": "all_bruteforce", "k": k, "max_dev": None, "status": "skipped"})
     else:
         t_a, t_b, t_rho, eta = moments_k
@@ -446,7 +447,7 @@ def reference_verify_rows(dims, kmax, trials, seed):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial, 1]))
         moments = network.mu_parameters(rho, kmax)
         for k in range(2, kmax + 1):
-            for row in reference_identity_rows(rho, moments[k - 1], k, rng):
+            for row in reference_identity_rows(rho, moments[k - 1], k, rng, trials):
                 key = (row["identity"], k)
                 prev = merged.get(key)
                 if prev is None or (
@@ -587,9 +588,9 @@ def test_verify_marks_guarded_checks_skipped(capsys):
 
 
 def test_verify_brute_force_guard_skips_only_the_brute_force_rows(capsys, monkeypatch):
-    # 4^4 = 256 terms pass the guard at 64 only up to k = 3, while the shift
-    # products (2^4 = 16 <= MATRIX_SIZE_GUARD) are still checked at k = 4
-    monkeypatch.setattr(permnet, "BRUTEFORCE_TERM_GUARD", 64)
+    # 3 trials x 4^4 = 768 terms pass the guard at 3 x 64 only up to k = 3, while
+    # the shift products (2^4 = 16 <= MATRIX_SIZE_GUARD) are still checked at k = 4
+    monkeypatch.setattr(permnet, "BRUTEFORCE_TERM_GUARD", 3 * 64)
     argv = ["verify", "--dims", "2", "2", "--kmax", "4", "--trials", "3"]
     code, report = run(capsys, argv)
     assert code == 0 and report["pass"] is True
@@ -629,19 +630,53 @@ def test_verify_shift_product_runs_past_the_brute_force_guard(capsys):
 
 
 def test_verify_refuses_orders_past_every_guard(capsys, monkeypatch):
-    # with the guards at 64 terms and d^k <= 8, 2x2 reaches k = 3 (4^3 = 64, 2^3 = 8) and
-    # no check reaches k = 4; 10^12 is refused at once, before any moment table is sized
-    monkeypatch.setattr(permnet, "BRUTEFORCE_TERM_GUARD", 64)
+    # with the guards at 2 trials x 64 terms and d^k <= 8, 2x2 reaches k = 3 (2 x 4^3 = 128,
+    # 2^3 = 8) and no check reaches k = 4; 10^12 is refused at once, before any moment
+    # table is sized
+    monkeypatch.setattr(permnet, "BRUTEFORCE_TERM_GUARD", 2 * 64)
     monkeypatch.setattr(permnet, "MATRIX_SIZE_GUARD", 8)
     code, report = run(capsys, ["verify", "--kmax", "3", "--trials", "2"])
     assert code == 0 and report["pass"] is True
     assert {row["status"] for row in report["identities"] if row["k"] == 3} == {"pass"}
     for kmax in ("4", "1000000000000"):
-        code = cli.main(["verify", "--kmax", kmax])
+        code = cli.main(["verify", "--kmax", kmax, "--trials", "2"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert f"--kmax must be <= 3 at dims [2, 2], got {kmax}" in captured.err
+
+
+def test_verify_brute_force_guard_counts_every_trial(capsys, monkeypatch):
+    # at a guard of 4^4 terms, one 2x2 state is checked by brute force at k = 4,
+    # while 20 states (20 x 4^4 terms in one oracle call) are not
+    monkeypatch.setattr(permnet, "BRUTEFORCE_TERM_GUARD", 4**4)
+    at_4 = {}
+    for trials in ("1", "20"):
+        code, report = run(capsys, ["verify", "--kmax", "4", "--trials", trials])
+        assert code == 0 and report["pass"] is True
+        rows = report["identities"]
+        at_4[trials] = {row["identity"]: row["status"] for row in rows if row["k"] == 4}
+    assert at_4["1"]["transpose_power_B"] == "pass" and "all_bruteforce" not in at_4["1"]
+    assert at_4["20"] == {
+        "all_bruteforce": "skipped", "shift_product_A": "pass", "shift_product_B": "pass"
+    }
+    mats = np.array([states.werner(0.5).matrix] * 20)
+    assert permnet.shift_traces(mats[:1], (2, 2), 4, "inverse", "forward").shape == (1,)
+    with pytest.raises(ValueError, match="20 x 4\\^4 terms exceed the brute-force guard"):
+        permnet.shift_traces(mats, (2, 2), 4, "inverse", "forward")
+
+
+def test_verify_refuses_kmax_past_the_guards_at_the_default_trials(capsys, monkeypatch):
+    # 20 trials x 4^11 terms is the last brute-force order within 10^8, and the
+    # shift products stop at 2^12 = 4096, so --kmax 13 is refused naming 12;
+    # an admitted sweep would take minutes, so reaching it fails at once
+    assert 20 * 4**11 <= permnet.BRUTEFORCE_TERM_GUARD < 20 * 4**12
+    monkeypatch.setattr(cli, "_identity_rows", lambda *args: pytest.fail("--kmax 13 admitted"))
+    code = cli.main(["verify", "--kmax", "13"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "--kmax must be <= 12 at dims [2, 2], got 13" in captured.err
 
 
 def test_verify_refuses_the_order_after_the_last_shift_product(capsys):

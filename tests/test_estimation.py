@@ -1,6 +1,9 @@
 """Tests for shot sampling, power-sum estimation, and spectrum recovery."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -285,13 +288,23 @@ def test_bootstrap_lambda_min_degenerate_counts():
 
 
 def test_bootstrap_lambda_min_reports_failure():
+    # the point estimate of these counts recovers, and none of its 20 replicas does
     counts = [
+        est.ShotCounts(2, np.array([12, 6, 1, 1])),
+        est.ShotCounts(3, np.array([6, 4, 5, 5])),
+        est.ShotCounts(4, np.array([4, 4, 6, 6])),
+    ]
+    cfg = est.EstimationConfig(bootstrap_replicas=20)
+    with pytest.raises(est.EstimationError, match="20/20"):
+        est.bootstrap_lambda_min(counts, cfg)
+    # every replica of degenerate counts repeats the point estimate, whose refusal comes first
+    degenerate = [
         est.ShotCounts(2, np.array([100, 0, 0, 0])),
         est.ShotCounts(3, np.array([100, 0, 0, 0])),
         est.ShotCounts(4, np.array([0, 100, 0, 0])),
     ]
-    with pytest.raises(est.EstimationError, match="20/20"):
-        est.bootstrap_lambda_min(counts, est.EstimationConfig(bootstrap_replicas=20))
+    with pytest.raises(est.SpectrumTooNoisyError, match="root imaginary residual 5.507e-01"):
+        est.bootstrap_lambda_min(degenerate, cfg)
 
 
 def _newton_reference(p):
@@ -386,6 +399,68 @@ def test_bootstrap_streams_match_per_order_reference_exactly():
         cfg = est.EstimationConfig(shots_per_k=100_000, seed=seed, bootstrap_replicas=200)
         counts = est.run_protocol(rho, replace(cfg, bootstrap_replicas=0)).counts_per_k
         assert est.bootstrap_lambda_min(counts, cfg) == _bootstrap_reference(counts, cfg)
+
+
+def test_central_interval_equals_np_percentile_bit_for_bit():
+    rng = np.random.default_rng(11)
+    # (n - 1) * 0.025 has fraction 0.5 exactly at n = 21, 61, 101, 141, 181
+    assert np.all((20 * (np.array([2.5, 97.5]) / 100)) % 1 == 0.5)
+    for n in range(2, 202):
+        for values in (
+            rng.standard_normal(n),
+            np.round(rng.standard_normal(n), 1),  # ties
+            rng.integers(-2, 3, n) * 0.3,  # heavy ties
+            np.full(n, rng.standard_normal()),  # constant
+            np.zeros(n),
+            -0.5 + 1e-3 * rng.standard_normal(n),  # a Bell-like lambda_min cloud
+        ):
+            got = np.array(est._central_interval(values))
+            assert got.tobytes() == np.percentile(values, [2.5, 97.5]).tobytes(), (n, values)
+
+
+def test_shot_run_does_not_import_numpy_ma():
+    # np.percentile imports numpy.ma through np.unique; the shot path must not
+    code = (
+        "import sys; from pptnet import estimation as est, states; "
+        "r = est.run_protocol(states.bell_state(), est.EstimationConfig(shots_per_k=100_000)); "
+        "assert r.interval is not None and r.bootstrap_failures == 0; "
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(est.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_shot_run_recovers_point_and_replicas_in_one_stack(monkeypatch):
+    calls = []
+    roots = est._companion_roots
+    monkeypatch.setattr(est, "_companion_roots", lambda c: calls.append(c.shape) or roots(c))
+    cfg = est.EstimationConfig(shots_per_k=10_000, seed=2)
+    res = est.run_protocol(states.bell_state("phi+"), cfg)
+    assert calls == [(cfg.bootstrap_replicas + 1, 5)]  # the point row above 200 replicas
+    assert res.bootstrap_failures == 0
+    calls.clear()
+    est.run_protocol(states.bell_state("phi+"), replace(cfg, bootstrap_replicas=0))
+    assert calls == [(1, 5)]
+
+
+def test_point_refusal_precedes_the_replica_gate():
+    # Werner p = 0 at 2 shots per order, seed 0: the point estimate's roots lie
+    # 0.74 off the real axis, and 188 of its 200 replicas fail too
+    rho, cfg = states.werner(0.0), est.EstimationConfig(shots_per_k=2, seed=0)
+    _, counts = est._measure(rho, cfg, exact=False)
+    b = cfg.bootstrap_replicas
+    p = np.ones((b, len(counts) + 1))
+    for c in counts:  # the replicas on their own, drawn from the bootstrap streams
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1, c.k]))
+        p[:, c.k - 1] = est.eta_from_counts(rng.multinomial(2, c.n / 2, size=b))[0]
+    roots = est._companion_roots(est._newton_coefficients(p))
+    assert np.sum(np.max(np.abs(roots.imag), axis=1) > est.SHOT_IMAG_CAP) == 188
+    with pytest.raises(est.SpectrumTooNoisyError, match="root imaginary residual 7.397e-01") as exc:
+        est.run_protocol(rho, cfg)
+    assert exc.value.copies_consumed == 2 * (2 + 3 + 4)
+    assert exc.value.power_sums.source == "estimated" and exc.value.power_sums.p[0] == 1.0
 
 
 def test_eta_from_counts_stack_equals_row_by_row():
