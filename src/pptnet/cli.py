@@ -188,7 +188,7 @@ def _identity_rows(dims: list[int], kmax: int, trials: int, seed: int) -> list[d
         for label, d in (("A", d_a), ("B", d_b)):
             name = f"shift_product_{label}"
             devs[name, k] = None
-            if d**k <= permnet.MATRIX_SIZE_GUARD:
+            if permnet.gather_admits(trials, d, k):
                 # k complex d x d matrices per trial, real then imaginary part of each
                 draws = np.array([rng.standard_normal((k, 2, d, d)) for rng in rngs])
                 perm = permnet.shift_permutation(k, d, "forward")
@@ -209,7 +209,7 @@ def cmd_verify(args) -> int:
     states.check_dims(args.dims)  # with every d >= 2, each guard tightens as k grows
     for k in range(2, args.kmax + 1):
         brute = permnet.bruteforce_admits(args.trials, math.prod(args.dims), k)
-        if not brute and min(args.dims) ** k > permnet.MATRIX_SIZE_GUARD:
+        if not brute and not permnet.gather_admits(args.trials, min(args.dims), k):
             raise ValueError(f"--kmax must be <= {k - 1} at dims {args.dims}, got {args.kmax}")
     rows = _identity_rows(args.dims, args.kmax, args.trials, args.seed)
     ok = all(r["status"] != "fail" for r in rows)
@@ -253,54 +253,63 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_DIMS = {"type": int, "nargs": 2, "default": [2, 2], "metavar": ("DA", "DB")}
+_SEED = {"type": _seed, "default": 0}
+
+# command -> (help, handler, {argument: add_argument keywords}), in the usage line's order
+COMMANDS = {
+    "gen": ("generate a state file", cmd_gen, {
+        "kind": {"choices": ["bell", "werner", "random", "separable", "mix"]},
+        "--which": {"default": "phi+", "help": "bell: phi+ phi- psi+ psi-"},
+        "--p": {"type": float, "default": None, "help": "werner mixing parameter"},
+        "--dims": _DIMS,
+        "--terms": {"type": int, "default": 5, "help": "separable: product terms"},
+        "--seed": _SEED,
+        "--inputs": {"nargs": "+", "default": None, "help": "mix: state files"},
+        "--weights": {"type": float, "nargs": "+", "default": None, "help": "mix: weights"},
+        "--out": {"required": True, "help": "output state file"},
+    }),
+    "check": ("exact PPT check of a state file", cmd_check, {"state": {}}),
+    "simulate": ("simulate the measurement protocol", cmd_simulate, {
+        "state": {},
+        "--shots": {"type": int, "default": 100_000, "help": "shots per order k"},
+        "--seed": _SEED,
+        "--exact-probabilities": {
+            "action": "store_true",
+            "help": "feed exact outcome probabilities to the estimator (infinite-shot limit)",
+        },
+    }),
+    "verify": ("run the trace-identity suite", cmd_verify, {
+        "--dims": _DIMS,
+        "--kmax": {"type": int, "default": 4},
+        "--trials": {"type": int, "default": 20},
+        "--seed": _SEED,
+    }),
+    "calibrate": ("measure the circuit readout scale", cmd_calibrate, {"--dims": _DIMS}),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone under the same usage line."""
     parser = _ArgumentParser(prog="pptnet", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pptnet {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("gen", help="generate a state file")
-    p_gen.add_argument("kind", choices=["bell", "werner", "random", "separable", "mix"])
-    p_gen.add_argument("--which", default="phi+", help="bell: phi+ phi- psi+ psi-")
-    p_gen.add_argument("--p", type=float, default=None, help="werner mixing parameter")
-    p_gen.add_argument("--dims", type=int, nargs=2, default=[2, 2], metavar=("DA", "DB"))
-    p_gen.add_argument("--terms", type=int, default=5, help="separable: product terms")
-    p_gen.add_argument("--seed", type=_seed, default=0)
-    p_gen.add_argument("--inputs", nargs="+", default=None, help="mix: state files")
-    p_gen.add_argument("--weights", type=float, nargs="+", default=None, help="mix: weights")
-    p_gen.add_argument("--out", required=True, help="output state file")
-    p_gen.set_defaults(func=cmd_gen)
-
-    p_check = sub.add_parser("check", help="exact PPT check of a state file")
-    p_check.add_argument("state")
-    p_check.set_defaults(func=cmd_check)
-
-    p_sim = sub.add_parser("simulate", help="simulate the measurement protocol")
-    p_sim.add_argument("state")
-    p_sim.add_argument("--shots", type=int, default=100_000, help="shots per order k")
-    p_sim.add_argument("--seed", type=_seed, default=0)
-    p_sim.add_argument(
-        "--exact-probabilities",
-        action="store_true",
-        help="feed exact outcome probabilities to the estimator (infinite-shot limit)",
-    )
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_verify = sub.add_parser("verify", help="run the trace-identity suite")
-    p_verify.add_argument("--dims", type=int, nargs=2, default=[2, 2], metavar=("DA", "DB"))
-    p_verify.add_argument("--kmax", type=int, default=4)
-    p_verify.add_argument("--trials", type=int, default=20)
-    p_verify.add_argument("--seed", type=_seed, default=0)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_cal = sub.add_parser("calibrate", help="measure the circuit readout scale")
-    p_cal.add_argument("--dims", type=int, nargs=2, default=[2, 2], metavar=("DA", "DB"))
-    p_cal.set_defaults(func=cmd_calibrate)
-
+    # one command's usage line lists all five; a metavar on the full tree would rename
+    # `command` in its errors
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        help_, func, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for arg, kwargs in arguments.items():
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # build the named command's parser alone: all five cost as much as a `check` run
+    args = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except estimation.EstimationError as exc:

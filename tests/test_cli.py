@@ -366,6 +366,77 @@ def test_help_and_version_exit_0(capsys):
     assert "pptnet" in capsys.readouterr().out
 
 
+
+# argv a command's own parser must answer byte for byte as the full tree does;
+# {tmp} is the test's directory, holding a Bell state in bell.json
+PARSER_GRID = [
+    [], ["--help"], ["-h"], ["--version"], ["--version", "check"],
+    ["bogus"], ["CHECK", "x"], ["--", "check"],
+    *([command, "--help"] for command in cli.COMMANDS),
+    ["check", "--version"], ["check", "a", "b"], ["check", "-h", "x"],
+    ["simulate", "x.json", "--z", "3"],
+    ["gen", "random", "--seed", "-1", "--out", "x.json"],
+    ["simulate", "x.json", "--seed", "-1"],
+    ["verify", "--seed", "-1"],
+    ["verify", "--kmax", "x"], ["calibrate", "--dims", "2"],
+    ["gen", "werner", "--p", "0.5", "--out", "{tmp}/w.json"],
+    ["check", "{tmp}/bell.json"],
+    ["simulate", "{tmp}/bell.json", "--shots", "1000"],
+    ["verify", "--kmax", "3", "--trials", "2"],
+    ["calibrate", "--dims", "2", "3"],
+]
+
+
+def outcome(capsys, argv):
+    """Exit code (or SystemExit code), stdout and stderr of one main call."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_GRID, ids=lambda argv: " ".join(argv) or "no-args")
+def test_command_parser_answers_as_the_full_tree(capsys, tmp_path, monkeypatch, argv):
+    states.save(states.bell_state("phi+"), tmp_path / "bell.json")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    got = outcome(capsys, argv)
+    full_tree = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full_tree())
+    assert got == outcome(capsys, argv)
+
+
+def test_full_tree_errors_name_the_command_argument(capsys):
+    # the full tree names the subcommand argument by its dest, not by the
+    # command list that a one-command parser's usage line spells out
+    for argv, message in (([], "required: command"), (["bogus"], "argument command: invalid")):
+        code, out, err = outcome(capsys, argv)
+        assert code == ("SystemExit", 1) and out == ""
+        assert err.startswith("usage: pptnet [-h] [--version] {gen,check,simulate,verify,calibrate}")
+        assert message in err
+
+
+def test_main_builds_only_the_named_command_parser(capsys, tmp_path, monkeypatch):
+    path = gen(capsys, tmp_path, "bell.json", "bell")
+    built = []
+    init = cli._ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._ArgumentParser, "__init__", counting_init)
+    assert cli.main(["check", path]) == 0
+    assert built == ["pptnet", "pptnet check"]
+    built.clear()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert built == ["pptnet"] + [f"pptnet {command}" for command in cli.COMMANDS]
+    assert len(built) == 6
+
+
 def test_verify_passes(capsys):
     code, report = run(capsys, ["verify", "--dims", "2", "2", "--kmax", "3", "--trials", "2"])
     assert code == 0
@@ -410,7 +481,7 @@ def reference_identity_rows(rho, moments_k, k, rng, trials):
         if k == 2:
             checks["purity_equality"] = abs(eta - t_rho)
     for label, d in (("A", d_a), ("B", d_b)):
-        if d**k > permnet.MATRIX_SIZE_GUARD:
+        if d**k > permnet.MATRIX_SIZE_GUARD or trials * d**k > permnet.GATHER_ENTRY_GUARD:
             rows.append(
                 {"identity": f"shift_product_{label}", "k": k, "max_dev": None, "status": "skipped"}
             )
@@ -686,6 +757,55 @@ def test_verify_refuses_the_order_after_the_last_shift_product(capsys):
     assert code == 1
     assert captured.out == ""
     assert "--kmax must be <= 12 at dims [2, 70], got 13" in captured.err
+
+
+
+def test_verify_shift_product_guard_counts_every_trial(capsys, monkeypatch):
+    # at a gather guard of 2^4 entries, one trial's 2^4 shift product is checked
+    # at k = 4, while two trials (2 x 2^4 entries in one gather) are not
+    monkeypatch.setattr(permnet, "GATHER_ENTRY_GUARD", 2**4)
+    at_k = {}
+    for trials in ("1", "2"):
+        code, report = run(capsys, ["verify", "--kmax", "4", "--trials", trials])
+        assert code == 0 and report["pass"] is True
+        for row in report["identities"]:
+            if row["identity"].startswith("shift_product"):
+                at_k[trials, row["identity"], row["k"]] = row["status"]
+    for label in ("A", "B"):
+        assert [at_k["1", f"shift_product_{label}", k] for k in (2, 3, 4)] == ["pass"] * 3
+        assert [at_k["2", f"shift_product_{label}", k] for k in (2, 3, 4)] == [
+            "pass", "pass", "skipped"
+        ]
+    # the default 20 trials at 2^12 entries and 1024 trials at the matrix guard stay admitted
+    monkeypatch.undo()
+    assert permnet.gather_admits(20, 2, 12) and permnet.gather_admits(1024, 16, 3)
+    assert not permnet.gather_admits(1025, 16, 3) and not permnet.gather_admits(1, 2, 13)
+
+
+def test_verify_refusal_counts_the_trials_of_the_shift_products(capsys, monkeypatch):
+    # brute force reaches k = 2 for one or two trials (2 x 4^2 = 32 terms); the gathers
+    # reach k = 3 for one trial (2^3 = 8 entries) but only k = 2 for two
+    monkeypatch.setattr(permnet, "BRUTEFORCE_TERM_GUARD", 2 * 16)
+    monkeypatch.setattr(permnet, "GATHER_ENTRY_GUARD", 8)
+    monkeypatch.setattr(cli, "_identity_rows", lambda *args: pytest.fail("--kmax 4 admitted"))
+    for trials, last in (("1", 3), ("2", 2)):
+        code = cli.main(["verify", "--kmax", "4", "--trials", trials])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"--kmax must be <= {last} at dims [2, 2], got 4" in captured.err
+
+
+def test_verify_refuses_huge_trials_before_drawing_them(capsys, monkeypatch):
+    # 10^8 trials pass no guard at k = 2 (16 x 10^8 terms, 4 x 10^8 gather entries),
+    # so they are refused before 10^8 states are drawn
+    monkeypatch.setattr(cli, "_identity_rows", lambda *args: pytest.fail("10^8 trials admitted"))
+    code = cli.main(["verify", "--trials", "100000000"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "--kmax must be <= 1 at dims [2, 2], got 4" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_simulate_rejects_one_bootstrap_replica(capsys, tmp_path):

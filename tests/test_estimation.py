@@ -633,3 +633,21 @@ def test_exact_probabilities_call_3x3_maximally_entangled_state_entangled():
     assert exact.classification == est.NPT_ENTANGLED
     res = est.run_protocol(rho, est.EstimationConfig(), exact_probabilities=True)
     assert res.verdict.classification == est.NPT_ENTANGLED
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the 10 % replica gate refuses seeds 0, 2 and 4 (88, 35 and 67 of 200 replicas fail)",
+)
+def test_shot_mode_never_refuses_werner_half_at_ten_thousand_shots():
+    # lambda_min = -0.125, but the threefold eigenvalue 0.375 of the partial
+    # transpose splits into complex pairs under shot noise
+    refused = {}
+    for seed in range(10):
+        cfg = est.EstimationConfig(shots_per_k=10_000, seed=seed)
+        try:
+            est.run_protocol(states.werner(0.5), cfg)
+        except est.EstimationError as exc:
+            refused[seed] = str(exc)
+    assert refused == {}
