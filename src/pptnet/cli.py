@@ -167,28 +167,43 @@ def _shift_product_devs(mats: np.ndarray, perm: np.ndarray) -> np.ndarray:
     )
 
 
+def _verify_plan(dims: list[int], kmax: int, trials: int) -> dict[int, tuple[bool, bool, bool]]:
+    """Order k -> (brute force, shift product on A, on B) admitted, k = 2..kmax: verify's
+    one reader of the guards.  Refuses a state stack past the budget or a kmax no check reaches."""
+    budget, d = permnet.TRIAL_ENTRY_BUDGET, math.prod(dims)  # below 10^8: brute force reaches k = 2
+    if d * d > budget:
+        raise ValueError(f"--dims must have d_A*d_B <= {math.isqrt(budget)}, got {dims}")
+    if trials * d * d > budget:
+        raise ValueError(f"--trials must be <= {budget // (d * d)} at dims {dims}, got {trials}")
+    plan = {}
+    for k in range(2, kmax + 1):  # every d >= 2, so each guard only tightens as k grows
+        gathers = [m**k <= permnet.MATRIX_SIZE_GUARD and trials * m**k <= budget for m in dims]
+        plan[k] = (permnet.bruteforce_admits(trials, d, k), *gathers)
+        if not any(plan[k]):
+            raise ValueError(f"--kmax must be <= {k - 1} at dims {dims}, got {kmax}")
+    return plan
+
+
 def _identity_rows(dims: list[int], kmax: int, trials: int, seed: int) -> list[dict]:
     """Largest deviation over the trials of every trace identity at every order
     2..kmax (None, `skipped`, past its guard), sorted by identity and order.
     Each trial draws its state and its random matrices from its own seeded
     streams; the moment tables and each brute-force trace take all trials at once."""
-    d_a, d_b = dims
-    seeds = [np.random.SeedSequence([seed, t]) for t in range(trials)]
-    mats = np.array([states.random_density((d_a, d_b), s).matrix for s in seeds])
-    rngs = [np.random.default_rng(np.random.SeedSequence([seed, t, 1])) for t in range(trials)]
-    moments = network.moment_tables(mats, (d_a, d_b), kmax)
+    plan = _verify_plan(dims, kmax, trials)  # refuses before any state is drawn
+    mats = np.array([states.random_density(dims, [seed, t]).matrix for t in range(trials)])
+    rngs = [np.random.default_rng([seed, t, 1]) for t in range(trials)]
+    moments = network.moment_tables(mats, dims, kmax)
     devs = {}  # (identity, k) -> per-trial deviations, or None where a guard skips the check
-    for k in range(2, kmax + 1):
-        if not permnet.bruteforce_admits(trials, d_a * d_b, k):  # skips the brute-force rows only
+    for k, (brute, *gathers) in plan.items():
+        if not brute:  # skips the brute-force rows only
             devs["all_bruteforce", k] = None
         else:
-            checks = _trace_checks(mats, (d_a, d_b), moments[:, k - 1], k)
+            checks = _trace_checks(mats, dims, moments[:, k - 1], k)
             devs.update(((name, k), dev) for name, dev in checks.items())
         # ordered product against the shift permutation, on each local dimension
-        for label, d in (("A", d_a), ("B", d_b)):
-            name = f"shift_product_{label}"
+        for name, d, gather in zip(("shift_product_A", "shift_product_B"), dims, gathers):
             devs[name, k] = None
-            if permnet.gather_admits(trials, d, k):
+            if gather:
                 # k complex d x d matrices per trial, real then imaginary part of each
                 draws = np.array([rng.standard_normal((k, 2, d, d)) for rng in rngs])
                 perm = permnet.shift_permutation(k, d, "forward")
@@ -206,11 +221,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--kmax must be >= 2, got {args.kmax}")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    states.check_dims(args.dims)  # with every d >= 2, each guard tightens as k grows
-    for k in range(2, args.kmax + 1):
-        brute = permnet.bruteforce_admits(args.trials, math.prod(args.dims), k)
-        if not brute and not permnet.gather_admits(args.trials, min(args.dims), k):
-            raise ValueError(f"--kmax must be <= {k - 1} at dims {args.dims}, got {args.kmax}")
+    states.check_dims(args.dims)
     rows = _identity_rows(args.dims, args.kmax, args.trials, args.seed)
     ok = all(r["status"] != "fail" for r in rows)
     _emit(

@@ -318,17 +318,13 @@ def verdict(
     return PptVerdict(lam_min, cls)
 
 
-class _Bootstrap(tuple):  # (sigma, interval, failures) and the point estimate's spectrum
-    spectrum: Spectrum
-
-
 def bootstrap_lambda_min(
     counts_per_k: list[ShotCounts], cfg: EstimationConfig
-) -> tuple[float, tuple[float, float], int]:
+) -> tuple[float, tuple[float, float], int, Spectrum]:
     """B multinomial replicas of the per-k counts, one draw per order, recovered
-    in one stack below the point estimate (refused first).  Returns sigma and
-    the central 95% interval of lambda_min over the replicas with every root
-    within SHOT_IMAG_CAP of the real axis, and the failed count; >10% is refused."""
+    in one stack below the point estimate (refused first).  Returns sigma and the
+    central 95% interval of lambda_min over the replicas with every root within
+    SHOT_IMAG_CAP of the real axis, the failed count (>10% is refused), and the point spectrum."""
     b = cfg.bootstrap_replicas
     if b < 2:
         raise ValueError("bootstrap requires bootstrap_replicas >= 2")
@@ -345,9 +341,7 @@ def bootstrap_lambda_min(
     if failures > 0.1 * b:
         raise EstimationError(f"{failures}/{b} bootstrap replicas failed root recovery")
     values = roots.real[ok].min(axis=1)  # at least 2: the gate keeps 90% of b >= 2
-    out = _Bootstrap((float(values.std(ddof=1)), _central_interval(values), failures))
-    out.spectrum = spectrum
-    return out
+    return float(values.std(ddof=1)), _central_interval(values), failures, spectrum
 
 
 def _central_interval(values: np.ndarray) -> tuple[float, float]:
@@ -368,8 +362,7 @@ def run_protocol(
         if counts_per_k is None or cfg.bootstrap_replicas == 0:
             spectrum, sigma, interval, failures = spectrum_from_power_sums(ps), 0.0, None, None
         else:
-            boot = bootstrap_lambda_min(counts_per_k, cfg)
-            spectrum, (sigma, interval, failures) = boot.spectrum, boot
+            sigma, interval, failures, spectrum = bootstrap_lambda_min(counts_per_k, cfg)
     except EstimationError as exc:
         exc.power_sums, exc.copies_consumed = ps, copies  # partial result for error reporting
         raise

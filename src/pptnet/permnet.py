@@ -17,7 +17,7 @@ import numpy as np
 from .states import DensityMatrix
 
 MATRIX_SIZE_GUARD = 4096  # d^k bound of one shift matrix, dense or read as a permutation
-GATHER_ENTRY_GUARD = 2**22  # entries of verify's (T, d^k) shift-product gathers, over all trials
+TRIAL_ENTRY_BUDGET = 2**22  # entries of each (T, ...) verify array: T·D² states, T·d^k gathers
 BRUTEFORCE_TERM_GUARD = 10**8  # terms of one brute-force call, over all its states
 
 # under a shift, copy c takes the digit of copy c + step (mod k)
@@ -67,10 +67,6 @@ def build_shift_matrix(k: int, d: int, direction: str = "forward") -> np.ndarray
 
 def bruteforce_admits(trials: int, d: int, k: int) -> bool:
     return trials * d**k <= BRUTEFORCE_TERM_GUARD  # d^k = (d_a d_b)^k terms per state
-
-
-def gather_admits(trials: int, d: int, k: int) -> bool:
-    return d**k <= MATRIX_SIZE_GUARD and trials * d**k <= GATHER_ENTRY_GUARD
 
 
 def shift_traces(

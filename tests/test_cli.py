@@ -481,7 +481,7 @@ def reference_identity_rows(rho, moments_k, k, rng, trials):
         if k == 2:
             checks["purity_equality"] = abs(eta - t_rho)
     for label, d in (("A", d_a), ("B", d_b)):
-        if d**k > permnet.MATRIX_SIZE_GUARD or trials * d**k > permnet.GATHER_ENTRY_GUARD:
+        if d**k > permnet.MATRIX_SIZE_GUARD or trials * d**k > permnet.TRIAL_ENTRY_BUDGET:
             rows.append(
                 {"identity": f"shift_product_{label}", "k": k, "max_dev": None, "status": "skipped"}
             )
@@ -742,7 +742,7 @@ def test_verify_refuses_kmax_past_the_guards_at_the_default_trials(capsys, monke
     # shift products stop at 2^12 = 4096, so --kmax 13 is refused naming 12;
     # an admitted sweep would take minutes, so reaching it fails at once
     assert 20 * 4**11 <= permnet.BRUTEFORCE_TERM_GUARD < 20 * 4**12
-    monkeypatch.setattr(cli, "_identity_rows", lambda *args: pytest.fail("--kmax 13 admitted"))
+    monkeypatch.setattr(states, "random_density", lambda *args: pytest.fail("--kmax 13 admitted"))
     code = cli.main(["verify", "--kmax", "13"])
     captured = capsys.readouterr()
     assert code == 1
@@ -761,51 +761,98 @@ def test_verify_refuses_the_order_after_the_last_shift_product(capsys):
 
 
 def test_verify_shift_product_guard_counts_every_trial(capsys, monkeypatch):
-    # at a gather guard of 2^4 entries, one trial's 2^4 shift product is checked
-    # at k = 4, while two trials (2 x 2^4 entries in one gather) are not
-    monkeypatch.setattr(permnet, "GATHER_ENTRY_GUARD", 2**4)
+    # at an entry budget of 2^5, which admits the stack of two 2x2 states (2 x 16
+    # entries), one trial's 2^5 shift product is checked at k = 5, while two
+    # trials (2 x 2^5 entries in one gather) are not
+    monkeypatch.setattr(permnet, "TRIAL_ENTRY_BUDGET", 2**5)
     at_k = {}
     for trials in ("1", "2"):
-        code, report = run(capsys, ["verify", "--kmax", "4", "--trials", trials])
+        code, report = run(capsys, ["verify", "--kmax", "5", "--trials", trials])
         assert code == 0 and report["pass"] is True
         for row in report["identities"]:
             if row["identity"].startswith("shift_product"):
                 at_k[trials, row["identity"], row["k"]] = row["status"]
     for label in ("A", "B"):
-        assert [at_k["1", f"shift_product_{label}", k] for k in (2, 3, 4)] == ["pass"] * 3
-        assert [at_k["2", f"shift_product_{label}", k] for k in (2, 3, 4)] == [
-            "pass", "pass", "skipped"
+        assert [at_k["1", f"shift_product_{label}", k] for k in (2, 3, 4, 5)] == ["pass"] * 4
+        assert [at_k["2", f"shift_product_{label}", k] for k in (2, 3, 4, 5)] == [
+            "pass", "pass", "pass", "skipped"
         ]
     # the default 20 trials at 2^12 entries and 1024 trials at the matrix guard stay admitted
     monkeypatch.undo()
-    assert permnet.gather_admits(20, 2, 12) and permnet.gather_admits(1024, 16, 3)
-    assert not permnet.gather_admits(1025, 16, 3) and not permnet.gather_admits(1, 2, 13)
+    assert cli._verify_plan([2, 2], 12, 20)[12] == (False, True, True)
+    assert cli._verify_plan([2, 16], 3, 1024)[3] == (True, True, True)
+    assert cli._verify_plan([2, 16], 3, 1025)[3] == (True, True, False)
+    assert cli._verify_plan([2, 2], 13, 1)[13] == (True, False, False)
 
 
 def test_verify_refusal_counts_the_trials_of_the_shift_products(capsys, monkeypatch):
-    # brute force reaches k = 2 for one or two trials (2 x 4^2 = 32 terms); the gathers
-    # reach k = 3 for one trial (2^3 = 8 entries) but only k = 2 for two
+    # brute force reaches k = 2 for one or two trials (2 x 4^2 = 32 terms); at an entry
+    # budget of 2^5, which admits both stacks, the gathers reach k = 5 for one trial
+    # (2^5 entries) but only k = 4 for two
     monkeypatch.setattr(permnet, "BRUTEFORCE_TERM_GUARD", 2 * 16)
-    monkeypatch.setattr(permnet, "GATHER_ENTRY_GUARD", 8)
-    monkeypatch.setattr(cli, "_identity_rows", lambda *args: pytest.fail("--kmax 4 admitted"))
-    for trials, last in (("1", 3), ("2", 2)):
-        code = cli.main(["verify", "--kmax", "4", "--trials", trials])
+    monkeypatch.setattr(permnet, "TRIAL_ENTRY_BUDGET", 2**5)
+    monkeypatch.setattr(states, "random_density", lambda *args: pytest.fail("--kmax 6 admitted"))
+    for trials, last in (("1", 5), ("2", 4)):
+        code = cli.main(["verify", "--kmax", "6", "--trials", trials])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert f"--kmax must be <= {last} at dims [2, 2], got 4" in captured.err
+        assert f"--kmax must be <= {last} at dims [2, 2], got 6" in captured.err
 
 
 def test_verify_refuses_huge_trials_before_drawing_them(capsys, monkeypatch):
-    # 10^8 trials pass no guard at k = 2 (16 x 10^8 terms, 4 x 10^8 gather entries),
-    # so they are refused before 10^8 states are drawn
-    monkeypatch.setattr(cli, "_identity_rows", lambda *args: pytest.fail("10^8 trials admitted"))
+    # the stack of 10^8 2x2 states (16 x 10^8 entries) is past the 2^22 entry budget,
+    # so they are refused, naming --trials, before any state is drawn
+    monkeypatch.setattr(states, "random_density", lambda *args: pytest.fail("10^8 trials admitted"))
     code = cli.main(["verify", "--trials", "100000000"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert "--kmax must be <= 1 at dims [2, 2], got 4" in captured.err
+    assert "--trials must be <= 262144 at dims [2, 2], got 100000000" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_verify_state_stack_refusal_names_the_flag_that_trips(capsys, monkeypatch):
+    # at an entry budget of 2^6, four 2x2 states (4 x 16 entries) are admitted and
+    # five are not; one 3x3 state (81 entries) is past the budget at any --trials
+    monkeypatch.setattr(permnet, "TRIAL_ENTRY_BUDGET", 2**6)
+    code, report = run(capsys, ["verify", "--kmax", "3", "--trials", "4"])
+    assert code == 0 and report["pass"] is True
+    monkeypatch.setattr(states, "random_density", lambda *args: pytest.fail("state drawn"))
+    for argv, message in (
+        (["--trials", "5"], "--trials must be <= 4 at dims [2, 2], got 5"),
+        (["--dims", "3", "3", "--trials", "1"], "--dims must have d_A*d_B <= 8, got [3, 3]"),
+    ):
+        code = cli.main(["verify", "--kmax", "3", *argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+    # the suite refuses on its own, before it draws a state
+    with pytest.raises(ValueError, match=r"--trials must be <= 4 at dims \[2, 2\], got 5"):
+        cli._identity_rows([2, 2], 3, 5, 0)
+    with pytest.raises(ValueError, match=r"--dims must have d_A\*d_B <= 8, got \[3, 3\]"):
+        cli._identity_rows([3, 3], 3, 1, 0)
+
+
+def test_verify_entry_budget_bounds_the_state_stack(capsys, monkeypatch):
+    # at the real budget of 2^22 entries, read from the plan alone: 2x2 up to
+    # 262144 trials, 16x16 up to 64, one state up to d_A*d_B = 2048
+    assert permnet.TRIAL_ENTRY_BUDGET == 2**22 < permnet.BRUTEFORCE_TERM_GUARD
+    for dims, most in (([2, 2], 2**18), ([16, 16], 64), ([2, 1024], 1)):
+        assert cli._verify_plan(dims, 2, most)[2][0]  # brute force runs at k = 2
+        with pytest.raises(ValueError, match=f"--trials must be <= {most} at dims"):
+            cli._verify_plan(dims, 2, most + 1)
+    with pytest.raises(ValueError, match="--dims must have d_A\\*d_B <= 2048, got \\[2, 1025\\]"):
+        cli._verify_plan([2, 1025], 2, 1)
+    # a million 2x70 states would be a 313 GB stack: refused before any is drawn
+    monkeypatch.setattr(states, "random_density", lambda *args: pytest.fail("state drawn"))
+    code = cli.main(["verify", "--dims", "2", "70", "--kmax", "2", "--trials", "1000000"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "--trials must be <= 213 at dims [2, 70], got 1000000" in captured.err
 
 
 def test_simulate_rejects_one_bootstrap_replica(capsys, tmp_path):

@@ -281,7 +281,7 @@ def test_verdict_noise_gate():
 def test_bootstrap_lambda_min_degenerate_counts():
     counts = [est.ShotCounts(k, np.array([1000, 0, 0, 0])) for k in (2, 3, 4)]
     cfg = est.EstimationConfig(bootstrap_replicas=20)
-    sigma, interval, failures = est.bootstrap_lambda_min(counts, cfg)
+    sigma, interval, failures, _ = est.bootstrap_lambda_min(counts, cfg)
     assert sigma == 0.0
     assert_allclose(interval, (0.0, 0.0), atol=1e-12)
     assert failures == 0
@@ -357,7 +357,7 @@ def test_bootstrap_sigma_matches_per_replica_reference():
     for seed in range(5):
         cfg = est.EstimationConfig(shots_per_k=100_000, seed=seed, bootstrap_replicas=200)
         counts = est.run_protocol(bell, replace(cfg, bootstrap_replicas=0)).counts_per_k
-        sigma, _, failures = est.bootstrap_lambda_min(counts, cfg)
+        sigma, _, failures, _ = est.bootstrap_lambda_min(counts, cfg)
         batched.append(sigma)
         rng = np.random.default_rng([seed, 7])
         lam_mins = []
@@ -398,7 +398,7 @@ def test_bootstrap_streams_match_per_order_reference_exactly():
     for rho, seed in ((states.bell_state("phi+"), 4), (states.werner(0.25), 5), (product, 6)):
         cfg = est.EstimationConfig(shots_per_k=100_000, seed=seed, bootstrap_replicas=200)
         counts = est.run_protocol(rho, replace(cfg, bootstrap_replicas=0)).counts_per_k
-        assert est.bootstrap_lambda_min(counts, cfg) == _bootstrap_reference(counts, cfg)
+        assert est.bootstrap_lambda_min(counts, cfg)[:3] == _bootstrap_reference(counts, cfg)
 
 
 def test_central_interval_equals_np_percentile_bit_for_bit():
