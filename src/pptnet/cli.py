@@ -187,11 +187,11 @@ def _verify_plan(dims: list[int], kmax: int, trials: int) -> dict[int, tuple[boo
 def _identity_rows(dims: list[int], kmax: int, trials: int, seed: int) -> list[dict]:
     """Largest deviation over the trials of every trace identity at every order
     2..kmax (None, `skipped`, past its guard), sorted by identity and order.
-    Each trial draws its state and its random matrices from its own seeded
-    streams; the moment tables and each brute-force trace take all trials at once."""
+    Each input stack is one draw from its own stream, row t for trial t: the
+    states from `seed` (states.random_densities), the k matrices of side A (0)
+    or B (1) at order k from [seed, 1, k, side], drawn only where that check runs."""
     plan = _verify_plan(dims, kmax, trials)  # refuses before any state is drawn
-    mats = np.array([states.random_density(dims, [seed, t]).matrix for t in range(trials)])
-    rngs = [np.random.default_rng([seed, t, 1]) for t in range(trials)]
+    mats = states.random_densities(dims, seed, trials)
     moments = network.moment_tables(mats, dims, kmax)
     devs = {}  # (identity, k) -> per-trial deviations, or None where a guard skips the check
     for k, (brute, *gathers) in plan.items():
@@ -201,13 +201,15 @@ def _identity_rows(dims: list[int], kmax: int, trials: int, seed: int) -> list[d
             checks = _trace_checks(mats, dims, moments[:, k - 1], k)
             devs.update(((name, k), dev) for name, dev in checks.items())
         # ordered product against the shift permutation, on each local dimension
-        for name, d, gather in zip(("shift_product_A", "shift_product_B"), dims, gathers):
+        admitted = {d for d, gather in zip(dims, gathers) if gather}  # one permutation per d
+        perms = {d: permnet.shift_permutation(k, d, "forward") for d in admitted}
+        sides = zip(("shift_product_A", "shift_product_B"), dims, gathers)
+        for side, (name, d, gather) in enumerate(sides):
             devs[name, k] = None
             if gather:
                 # k complex d x d matrices per trial, real then imaginary part of each
-                draws = np.array([rng.standard_normal((k, 2, d, d)) for rng in rngs])
-                perm = permnet.shift_permutation(k, d, "forward")
-                devs[name, k] = _shift_product_devs(draws[:, :, 0] + 1j * draws[:, :, 1], perm)
+                x = np.random.default_rng([seed, 1, k, side]).standard_normal((trials, k, 2, d, d))
+                devs[name, k] = _shift_product_devs(x[:, :, 0] + 1j * x[:, :, 1], perms[d])
     rows = []
     for (name, k), dev in sorted(devs.items()):  # the keys are unique, so no value is compared
         dev = None if dev is None else float(np.max(dev))

@@ -134,14 +134,26 @@ def werner(p: float) -> DensityMatrix:
     return DensityMatrix((2, 2), p * singlet + (1.0 - p) * np.eye(4) / 4)
 
 
-def random_density(dims: tuple[int, int], seed: int) -> DensityMatrix:
-    """Ginibre-induced random state G G^dagger / Tr, deterministic per seed."""
+def random_densities(
+    dims: tuple[int, int], seed: int | list[int] | np.random.SeedSequence, trials: int
+) -> np.ndarray:
+    """(trials, d, d) stack of Ginibre-induced random states G G^dagger / Tr,
+    G = X_0 + i X_1 from one `default_rng(seed)` draw of shape (trials, 2, d, d).
+    Row t depends on `seed` and t alone, so a stack is a prefix of any longer one."""
     check_dims(dims)
     d = dims[0] * dims[1]
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = g @ g.conj().T
-    return DensityMatrix(tuple(dims), m / np.trace(m).real)
+    x = np.random.default_rng(seed).standard_normal((trials, 2, d, d))
+    g = x[:, 0] + 1j * x[:, 1]
+    m = g @ g.conj().transpose(0, 2, 1)
+    m /= np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    return m
+
+
+def random_density(
+    dims: tuple[int, int], seed: int | list[int] | np.random.SeedSequence
+) -> DensityMatrix:
+    """Ginibre-induced random state, deterministic per seed: row 0 of `random_densities`."""
+    return DensityMatrix(tuple(dims), random_densities(dims, seed, 1)[0])
 
 
 def random_separable(dims: tuple[int, int], terms: int, seed: int) -> DensityMatrix:

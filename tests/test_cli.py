@@ -450,8 +450,9 @@ def test_verify_passes(capsys):
         assert row["max_dev"] < 1e-10
 
 
-def reference_identity_rows(rho, moments_k, k, rng, trials):
-    """One trial's identity rows at order k, one state and one shift matrix at a time."""
+def reference_identity_rows(rho, moments_k, k, side_mats, trials):
+    """One trial's identity rows at order k, one state and one shift matrix at a time;
+    side_mats[side] holds the trial's k random matrices for side A (0) or B (1)."""
     d_a, d_b = rho.dims
     rows, checks = [], {}
     # the brute-force guard, which counts the terms of all trials, skips the
@@ -480,15 +481,13 @@ def reference_identity_rows(rho, moments_k, k, rng, trials):
         }
         if k == 2:
             checks["purity_equality"] = abs(eta - t_rho)
-    for label, d in (("A", d_a), ("B", d_b)):
+    for side, (label, d) in enumerate((("A", d_a), ("B", d_b))):
         if d**k > permnet.MATRIX_SIZE_GUARD or trials * d**k > permnet.TRIAL_ENTRY_BUDGET:
             rows.append(
                 {"identity": f"shift_product_{label}", "k": k, "max_dev": None, "status": "skipped"}
             )
             continue
-        mats = [
-            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(k)
-        ]
+        mats = list(side_mats[side])
         r, c = string.ascii_uppercase[:k], string.ascii_lowercase[:k]
         subs = ",".join(a + b for a, b in zip(r, c)) + "->" + r + c
         big = np.einsum(subs, *mats).reshape(d**k, d**k)
@@ -510,15 +509,37 @@ def reference_identity_rows(rho, moments_k, k, rng, trials):
     return rows
 
 
-def reference_verify_rows(dims, kmax, trials, seed):
-    """The identity suite trial by trial, keeping the largest deviation per row."""
+def reference_draws(dims, kmax, trials, seed):
+    """The suite's inputs as its streams lay them out, trial t in row t: one
+    (trials, 2, D, D) normal draw from `seed` for the states, each made G G^dagger / Tr
+    on its own, and one (trials, k, 2, d, d) draw from [seed, 1, k, side] for the k
+    random matrices of side A (0) or B (1) at order k, real then imaginary part."""
+    d = dims[0] * dims[1]
+    rhos = []
+    for x in np.random.default_rng(seed).standard_normal((trials, 2, d, d)):
+        g = x[0] + 1j * x[1]
+        m = g @ g.conj().T
+        rhos.append(states.DensityMatrix(tuple(dims), m / np.trace(m).real))
+    mats = {}
+    for k in range(2, kmax + 1):
+        for side, d_side in enumerate(dims):
+            rng = np.random.default_rng([seed, 1, k, side])
+            x = rng.standard_normal((trials, k, 2, d_side, d_side))
+            mats[k, side] = x[:, :, 0] + 1j * x[:, :, 1]
+    return rhos, mats
+
+
+def reference_verify_rows(dims, kmax, trials, seed, draws=None):
+    """The identity suite trial by trial, keeping the largest deviation per row;
+    trial t reads row t of `draws` (reference_draws), by default drawn for these trials."""
+    rhos, mats = draws or reference_draws(dims, kmax, trials, seed)
     merged = {}
     for trial in range(trials):
-        rho = states.random_density(tuple(dims), np.random.SeedSequence([seed, trial]))
-        rng = np.random.default_rng(np.random.SeedSequence([seed, trial, 1]))
+        rho = rhos[trial]
         moments = network.mu_parameters(rho, kmax)
         for k in range(2, kmax + 1):
-            for row in reference_identity_rows(rho, moments[k - 1], k, rng, trials):
+            side_mats = (mats[k, 0][trial], mats[k, 1][trial])
+            for row in reference_identity_rows(rho, moments[k - 1], k, side_mats, trials):
                 key = (row["identity"], k)
                 prev = merged.get(key)
                 if prev is None or (
@@ -570,6 +591,61 @@ def test_verify_matches_per_trial_reference(capsys, monkeypatch, dims, kmax, tri
         assert (g["max_dev"] is None) == (r["max_dev"] is None)
         if r["max_dev"] is not None:
             assert abs(g["max_dev"] - r["max_dev"]) <= 1e-13 * max(1.0, r["max_dev"])
+
+
+def test_verify_trials_read_a_prefix_of_longer_draws(capsys, monkeypatch):
+    # A trial's inputs depend on neither --trials nor --kmax: 3 trials at kmax 3
+    # are the first 3 rows of the draws of 5 trials at kmax 4.  The broken
+    # oracles of test_verify_matches_per_trial_reference make every deviation
+    # depend on its trial's state and random matrices, so a shifted row shows.
+    oracle = permnet.shift_traces
+    monkeypatch.setattr(
+        permnet,
+        "shift_traces",
+        lambda mats, dims, k, a, b: oracle(mats, dims, k, a, b) * (1 + mats[:, 0, 0].real),
+    )
+    break_shift_permutation(monkeypatch)
+    code, report = run(capsys, ["verify", "--dims", "2", "3", "--kmax", "3", "--trials", "3"])
+    assert code == 3
+    ref = reference_verify_rows((2, 3), 3, 3, 0, reference_draws((2, 3), 4, 5, seed=0))
+    got = report["identities"]
+    assert [(r["identity"], r["k"], r["status"]) for r in got] == [
+        (r["identity"], r["k"], r["status"]) for r in ref
+    ]
+    for g, r in zip(got, ref):
+        assert (g["max_dev"] is None) == (r["max_dev"] is None)
+        if r["max_dev"] is not None:
+            assert abs(g["max_dev"] - r["max_dev"]) <= 1e-13 * max(1.0, r["max_dev"])
+    # row 0 of the state stack is the state `gen random --seed 0` writes
+    assert np.array_equal(
+        states.random_densities([2, 3], 0, 5)[0], states.random_density((2, 3), 0).matrix
+    )
+
+
+def test_verify_builds_one_generator_per_input_stack(capsys, monkeypatch):
+    # one for the states and one per admitted (k, side), whatever the trials,
+    # and one shift permutation per (k, d)
+    seeds, perms = [], []
+    default_rng, shift = np.random.default_rng, permnet.shift_permutation
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: seeds.append(seed) or default_rng(seed)
+    )
+    monkeypatch.setattr(
+        permnet, "shift_permutation", lambda k, d, *args: perms.append((k, d)) or shift(k, d, *args)
+    )
+    cli._identity_rows([2, 2], 4, 500, 0)
+    assert seeds == [0] + [[0, 1, k, side] for k in (2, 3, 4) for side in (0, 1)]
+    assert perms == [(2, 2), (3, 2), (4, 2)]
+    # 70^2 is past the matrix guard: the skipped shift_product_B draws nothing
+    seeds.clear()
+    code, _ = run(capsys, ["verify", "--dims", "2", "70", "--kmax", "2", "--trials", "1"])
+    assert code == 0
+    assert seeds == [0, [0, 1, 2, 0]]
+    # a refusal draws nothing
+    seeds.clear()
+    for argv in (["--trials", "100000000"], ["--kmax", "13"], ["--dims", "101", "101"]):
+        assert cli.main(["verify", *argv]) == 1
+    assert seeds == []
 
 
 def reference_shift_product_devs(mats, v_fwd):

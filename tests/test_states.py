@@ -85,6 +85,26 @@ def test_random_density_is_valid_and_full_rank():
         assert linalg.hermitian_eigenvalues(rho.matrix)[-1] > 0
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (4, 4)])
+@pytest.mark.parametrize("seed", [7, [7, 3], np.random.SeedSequence([7, 3, 1])])
+def test_random_density_matches_the_two_draw_formula(dims, seed):
+    # the real part of G, then its imaginary part, from one generator
+    d = dims[0] * dims[1]
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m = g @ g.conj().T
+    assert np.array_equal(states.random_density(dims, seed).matrix, m / np.trace(m).real)
+
+
+def test_random_densities_rows_do_not_depend_on_the_stack_size():
+    short, long = states.random_densities((2, 3), 5, 3), states.random_densities((2, 3), 5, 8)
+    assert short.shape == (3, 6, 6)
+    assert np.array_equal(short, long[:3])
+    assert np.array_equal(long[0], states.random_density((2, 3), 5).matrix)
+    for m in long:
+        assert states.validate(states.DensityMatrix((2, 3), m)).ok
+
+
 def test_random_density_deterministic():
     a = states.random_density((2, 2), seed=42)
     b = states.random_density((2, 2), seed=42)
