@@ -201,15 +201,14 @@ def _identity_rows(dims: list[int], kmax: int, trials: int, seed: int) -> list[d
             checks = _trace_checks(mats, dims, moments[:, k - 1], k)
             devs.update(((name, k), dev) for name, dev in checks.items())
         # ordered product against the shift permutation, on each local dimension
-        admitted = {d for d, gather in zip(dims, gathers) if gather}  # one permutation per d
-        perms = {d: permnet.shift_permutation(k, d, "forward") for d in admitted}
         sides = zip(("shift_product_A", "shift_product_B"), dims, gathers)
         for side, (name, d, gather) in enumerate(sides):
             devs[name, k] = None
             if gather:
                 # k complex d x d matrices per trial, real then imaginary part of each
                 x = np.random.default_rng([seed, 1, k, side]).standard_normal((trials, k, 2, d, d))
-                devs[name, k] = _shift_product_devs(x[:, :, 0] + 1j * x[:, :, 1], perms[d])
+                perm = permnet.shift_permutation(k, d, "forward")
+                devs[name, k] = _shift_product_devs(x[:, :, 0] + 1j * x[:, :, 1], perm)
     rows = []
     for (name, k), dev in sorted(devs.items()):  # the keys are unique, so no value is compared
         dev = None if dev is None else float(np.max(dev))

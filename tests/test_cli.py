@@ -616,33 +616,25 @@ def test_verify_trials_read_a_prefix_of_longer_draws(capsys, monkeypatch):
         assert (g["max_dev"] is None) == (r["max_dev"] is None)
         if r["max_dev"] is not None:
             assert abs(g["max_dev"] - r["max_dev"]) <= 1e-13 * max(1.0, r["max_dev"])
-    # row 0 of the state stack is the state `gen random --seed 0` writes
-    assert np.array_equal(
-        states.random_densities([2, 3], 0, 5)[0], states.random_density((2, 3), 0).matrix
-    )
 
 
 def test_verify_builds_one_generator_per_input_stack(capsys, monkeypatch):
-    # one for the states and one per admitted (k, side), whatever the trials,
-    # and one shift permutation per (k, d)
-    seeds, perms = [], []
-    default_rng, shift = np.random.default_rng, permnet.shift_permutation
+    # one for the states and one per admitted (k, side), whatever the trials
+    seeds = []
+    default_rng = np.random.default_rng
     monkeypatch.setattr(
         np.random, "default_rng", lambda seed: seeds.append(seed) or default_rng(seed)
     )
-    monkeypatch.setattr(
-        permnet, "shift_permutation", lambda k, d, *args: perms.append((k, d)) or shift(k, d, *args)
-    )
     cli._identity_rows([2, 2], 4, 500, 0)
     assert seeds == [0] + [[0, 1, k, side] for k in (2, 3, 4) for side in (0, 1)]
-    assert perms == [(2, 2), (3, 2), (4, 2)]
     # 70^2 is past the matrix guard: the skipped shift_product_B draws nothing
     seeds.clear()
     code, _ = run(capsys, ["verify", "--dims", "2", "70", "--kmax", "2", "--trials", "1"])
     assert code == 0
     assert seeds == [0, [0, 1, 2, 0]]
-    # a refusal draws nothing
+    # a refusal draws nothing; an admitted 10^8-trial stack would fail at once
     seeds.clear()
+    monkeypatch.setattr(states, "random_densities", lambda *args: pytest.fail("state drawn"))
     for argv in (["--trials", "100000000"], ["--kmax", "13"], ["--dims", "101", "101"]):
         assert cli.main(["verify", *argv]) == 1
     assert seeds == []
@@ -818,7 +810,7 @@ def test_verify_refuses_kmax_past_the_guards_at_the_default_trials(capsys, monke
     # shift products stop at 2^12 = 4096, so --kmax 13 is refused naming 12;
     # an admitted sweep would take minutes, so reaching it fails at once
     assert 20 * 4**11 <= permnet.BRUTEFORCE_TERM_GUARD < 20 * 4**12
-    monkeypatch.setattr(states, "random_density", lambda *args: pytest.fail("--kmax 13 admitted"))
+    monkeypatch.setattr(states, "random_densities", lambda *args: pytest.fail("--kmax 13 admitted"))
     code = cli.main(["verify", "--kmax", "13"])
     captured = capsys.readouterr()
     assert code == 1
@@ -867,7 +859,7 @@ def test_verify_refusal_counts_the_trials_of_the_shift_products(capsys, monkeypa
     # (2^5 entries) but only k = 4 for two
     monkeypatch.setattr(permnet, "BRUTEFORCE_TERM_GUARD", 2 * 16)
     monkeypatch.setattr(permnet, "TRIAL_ENTRY_BUDGET", 2**5)
-    monkeypatch.setattr(states, "random_density", lambda *args: pytest.fail("--kmax 6 admitted"))
+    monkeypatch.setattr(states, "random_densities", lambda *args: pytest.fail("--kmax 6 admitted"))
     for trials, last in (("1", 5), ("2", 4)):
         code = cli.main(["verify", "--kmax", "6", "--trials", trials])
         captured = capsys.readouterr()
@@ -879,7 +871,9 @@ def test_verify_refusal_counts_the_trials_of_the_shift_products(capsys, monkeypa
 def test_verify_refuses_huge_trials_before_drawing_them(capsys, monkeypatch):
     # the stack of 10^8 2x2 states (16 x 10^8 entries) is past the 2^22 entry budget,
     # so they are refused, naming --trials, before any state is drawn
-    monkeypatch.setattr(states, "random_density", lambda *args: pytest.fail("10^8 trials admitted"))
+    monkeypatch.setattr(
+        states, "random_densities", lambda *args: pytest.fail("10^8 trials admitted")
+    )
     code = cli.main(["verify", "--trials", "100000000"])
     captured = capsys.readouterr()
     assert code == 1
@@ -894,7 +888,7 @@ def test_verify_state_stack_refusal_names_the_flag_that_trips(capsys, monkeypatc
     monkeypatch.setattr(permnet, "TRIAL_ENTRY_BUDGET", 2**6)
     code, report = run(capsys, ["verify", "--kmax", "3", "--trials", "4"])
     assert code == 0 and report["pass"] is True
-    monkeypatch.setattr(states, "random_density", lambda *args: pytest.fail("state drawn"))
+    monkeypatch.setattr(states, "random_densities", lambda *args: pytest.fail("state drawn"))
     for argv, message in (
         (["--trials", "5"], "--trials must be <= 4 at dims [2, 2], got 5"),
         (["--dims", "3", "3", "--trials", "1"], "--dims must have d_A*d_B <= 8, got [3, 3]"),
@@ -923,7 +917,7 @@ def test_verify_entry_budget_bounds_the_state_stack(capsys, monkeypatch):
     with pytest.raises(ValueError, match="--dims must have d_A\\*d_B <= 2048, got \\[2, 1025\\]"):
         cli._verify_plan([2, 1025], 2, 1)
     # a million 2x70 states would be a 313 GB stack: refused before any is drawn
-    monkeypatch.setattr(states, "random_density", lambda *args: pytest.fail("state drawn"))
+    monkeypatch.setattr(states, "random_densities", lambda *args: pytest.fail("state drawn"))
     code = cli.main(["verify", "--dims", "2", "70", "--kmax", "2", "--trials", "1000000"])
     captured = capsys.readouterr()
     assert code == 1
