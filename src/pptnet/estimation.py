@@ -239,23 +239,22 @@ def _newton_coefficients(p: np.ndarray) -> np.ndarray:
 
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     """Roots of each monic row of (B, n+1) coefficients, equal to np.roots row
-    by row: a row ending in z zeros has the eigenvalues of its degree-(n - z)
-    companion matrix, laid out as np.roots lays it out, followed by z exact
-    zero roots; one stacked eigvals call per distinct z.  Output is real only
-    if every root is."""
+    by row, from one stacked eigvals call.  A row of degree m (its last n - m
+    coefficients zero) gets the block matrix diag(C_m, 0): C_m is np.roots'
+    own m×m companion, and the subdiagonal ones stop at row m.  LAPACK's
+    balancing moves the all-zero rows and columns of the 0 block out before
+    QR, which then runs on C_m alone as in np.roots (whose last coefficient
+    is nonzero, so nothing of C_m is isolated); the isolated zeros come last,
+    where np.roots appends its zero roots.  Output is real only if every
+    root is."""
     n = coeffs.shape[1] - 1
-    trailing = np.argmax(coeffs[:, ::-1] != 0, axis=1)  # column 0 is 1, so every row has a nonzero
-    groups = []
-    for z in set(trailing.tolist()):
-        rows, m = trailing == z, n - z
-        companion = np.zeros((int(rows.sum()), m, m))
-        companion[:, 0, :] = -coeffs[rows, 1 : m + 1]
-        companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
-        groups.append((rows, np.linalg.eigvals(companion)))
-    out = np.zeros((len(coeffs), n), dtype=np.result_type(*[roots for _, roots in groups]))
-    for rows, roots in groups:
-        out[rows, : roots.shape[1]] = roots
-    return out
+    degree = n - np.argmax(coeffs[:, ::-1] != 0, axis=1)  # column 0 is 1: every row has a nonzero
+    inside = np.arange(n) < degree[:, None]  # columns of C_m
+    companion = np.zeros((len(coeffs), n, n))
+    # +0.0, not -0.0, in the 0 block: at degree 0 its diagonal is the roots, +0.0 in np.roots
+    companion[:, 0] = np.where(inside, -coeffs[:, 1:], 0.0)
+    companion[:, np.arange(1, n), np.arange(n - 1)] = inside[:, 1:]
+    return np.linalg.eigvals(companion)
 
 
 def _cluster_multiple_roots(roots: np.ndarray, tol: float) -> np.ndarray:

@@ -116,8 +116,7 @@ def moment_tables(mats: np.ndarray, dims: tuple[int, int], kmax: int) -> np.ndar
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     trials = len(mats)
-    pt = linalg.partial_transpose(mats, *dims, "B")
-    full = _power_traces(np.concatenate([mats, pt]), kmax)
+    full = _power_traces(np.concatenate([mats, linalg.partial_transpose(mats, *dims, "B")]), kmax)
     columns = (
         _power_traces(linalg.partial_trace(mats, dims, 0), kmax),
         _power_traces(linalg.partial_trace(mats, dims, 1), kmax),
@@ -125,7 +124,7 @@ def moment_tables(mats: np.ndarray, dims: tuple[int, int], kmax: int) -> np.ndar
         full[trials:],
     )
     tables = np.stack(columns, axis=-1)
-    bands = load_band(pt.shape[-1], np.arange(1, kmax + 1))
+    bands = load_band(mats.shape[-1], np.arange(1, kmax + 1))
     excess = np.abs(tables.imag) - bands[:, None]
     z, k, j = np.unravel_index(np.argmax(excess), tables.shape)
     if excess[z, k, j] > 0:

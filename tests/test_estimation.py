@@ -323,9 +323,11 @@ def _newton_reference(p):
     return coeffs
 
 
-def test_companion_roots_match_np_roots_row_by_row():
-    rng = np.random.default_rng(5)
-    for d in (4, 6, 9):
+def test_companion_roots_match_np_roots_row_by_row(monkeypatch):
+    eigvals, calls = np.linalg.eigvals, []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+    rng, degree_rng = np.random.default_rng(5), np.random.default_rng(16)
+    for d in (4, 6, 9, 16):
         # random monic rows, and power sums of spectra with 1..d-1 zero
         # eigenvalues, whose snapped coefficients end in that many exact zeros
         random_rows = np.hstack([np.ones((40, 1)), rng.standard_normal((40, d))])
@@ -341,6 +343,22 @@ def test_companion_roots_match_np_roots_row_by_row():
         # same values in the same order as np.roots, its trailing zero roots last
         for row, got in zip(coeffs, roots):
             assert_array_equal(got, np.roots(row))
+        # one random monic row of every degree m = 0..d, its last d - m coefficients
+        # zero (m = 0 is x^d: d exact zero roots), joins the stack; one eigvals call
+        # still serves the whole stack of mixed degrees
+        by_degree = np.hstack([np.ones((d + 1, 1)), degree_rng.standard_normal((d + 1, d))])
+        by_degree[np.arange(d + 1) > np.arange(d + 1)[:, None]] = 0.0  # column j > m
+        assert_array_equal(np.argmax(by_degree[:, ::-1] != 0, axis=1), d - np.arange(d + 1))
+        mixed = np.concatenate([coeffs, by_degree])
+        calls.clear()
+        roots = est._companion_roots(mixed)
+        assert calls == [(len(mixed), d, d)]
+        for row, got in zip(mixed, roots):
+            assert_array_equal(got, np.roots(row))
+        # alone, each row's roots are np.roots' in dtype and bytes too
+        for row in by_degree:
+            got, want = est._companion_roots(row[None])[0], np.roots(row)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), row
 
 
 def test_newton_coefficients_batched_equal_scalar_loop():

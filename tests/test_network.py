@@ -227,6 +227,20 @@ def test_moment_tables_equal_inline_layout_reference_bit_for_bit(dims):
                 assert_array_equal(network.moment_tables(stack, dims, kmax), want)
 
 
+def test_moment_tables_hold_no_partial_transpose_beside_the_chain():
+    # the (rho, rho^T_B) chain runs on one 2T-state concatenation; a partial
+    # transpose kept alive beside it adds a whole stack to the traced peak
+    # (6.25 stack sizes at kmax 2 with it, 5.25 without)
+    mats = states.random_densities((2, 2), 0, 4096)
+    tracemalloc.start()
+    try:
+        network.moment_tables(mats, (2, 2), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.75 * mats.nbytes
+
+
 def literal_stage_one_template(row):
     """The stage-one control state written out entry by entry."""
     t_a, t_b, r, eta = row
