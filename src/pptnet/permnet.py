@@ -9,6 +9,7 @@ where x1 is the most significant digit (leading Kronecker factor).
 
 from __future__ import annotations
 
+import functools
 import math
 import string
 
@@ -17,8 +18,10 @@ import numpy as np
 from .states import DensityMatrix
 
 MATRIX_SIZE_GUARD = 4096  # d^k bound of one shift matrix, dense or read as a permutation
-TRIAL_ENTRY_BUDGET = 2**22  # entries of each (T, ...) verify array: T·D² states, T·d^k gathers
+TRIAL_ENTRY_BUDGET = 2**22  # entries of each verify array: T·D² states, T·d^k per side gathered
 BRUTEFORCE_TERM_GUARD = 10**8  # terms of one brute-force call, over all its states
+# cached shift permutations, each at most MATRIX_SIZE_GUARD indices (32 KiB)
+SHIFT_PERMUTATION_CACHE_SIZE = 32
 
 # under a shift, copy c takes the digit of copy c + step (mod k)
 _CYCLE_STEP = {"forward": -1, "inverse": 1, "identity": 0}
@@ -42,11 +45,18 @@ def digit_shift_permutation(dims: list[int], positions: list[int], direction: st
     return np.ravel_multi_index(tuple(digits), dims)
 
 
+@functools.lru_cache(maxsize=SHIFT_PERMUTATION_CACHE_SIZE)
 def shift_permutation(k: int, d: int, direction: str = "forward") -> np.ndarray:
-    """Basis permutation of the cyclic shift on k factors of dimension d."""
+    """Read-only basis permutation of the cyclic shift on k factors of
+    dimension d, guarded to d^k <= 4096."""
     if k < 1 or d < 2:
         raise ValueError(f"need k >= 1 and d >= 2, got k={k}, d={d}")
-    return digit_shift_permutation([d] * k, list(range(k)), direction)
+    # d >= 2, so k > log2(guard) is past it without raising d to a huge power
+    if k > math.log2(MATRIX_SIZE_GUARD) or d**k > MATRIX_SIZE_GUARD:
+        raise ValueError(f"d^k = {d}^{k} exceeds matrix guard {MATRIX_SIZE_GUARD}")
+    perm = digit_shift_permutation([d] * k, list(range(k)), direction)
+    perm.flags.writeable = False
+    return perm
 
 
 def permutation_matrix(perm: np.ndarray) -> np.ndarray:
@@ -58,10 +68,9 @@ def permutation_matrix(perm: np.ndarray) -> np.ndarray:
 
 
 def build_shift_matrix(k: int, d: int, direction: str = "forward") -> np.ndarray:
-    """Explicit d^k x d^k shift matrix, guarded to d^k <= 4096; a dense test
-    reference, since verify and the circuit read the permutations themselves."""
-    if d**k > MATRIX_SIZE_GUARD:
-        raise ValueError(f"d^k = {d**k} exceeds dense-matrix guard {MATRIX_SIZE_GUARD}")
+    """Explicit d^k x d^k shift matrix, guarded to d^k <= 4096 by
+    `shift_permutation`; a dense test reference, since verify and the circuit
+    read the permutations themselves."""
     return permutation_matrix(shift_permutation(k, d, direction))
 
 

@@ -640,6 +640,63 @@ def test_verify_builds_one_generator_per_input_stack(capsys, monkeypatch):
     assert seeds == []
 
 
+def per_side_identity_rows(dims, kmax, trials, seed):
+    """`cli._identity_rows` as it was before the sides that share a local dimension
+    were checked in one call: one draw and one shift-product call per admitted (k, side)."""
+    plan = cli._verify_plan(dims, kmax, trials)
+    mats = states.random_densities(dims, seed, trials)
+    moments = network.moment_tables(mats, dims, kmax)
+    devs = {}
+    for k, (brute, *gathers) in plan.items():
+        if not brute:
+            devs["all_bruteforce", k] = None
+        else:
+            checks = cli._trace_checks(mats, dims, moments[:, k - 1], k)
+            devs.update(((name, k), dev) for name, dev in checks.items())
+        sides = zip(("shift_product_A", "shift_product_B"), dims, gathers)
+        for side, (name, d, gather) in enumerate(sides):
+            devs[name, k] = None
+            if gather:
+                x = np.random.default_rng([seed, 1, k, side]).standard_normal((trials, k, 2, d, d))
+                perm = permnet.shift_permutation(k, d, "forward")
+                devs[name, k] = cli._shift_product_devs(x[:, :, 0] + 1j * x[:, :, 1], perm)
+    rows = []
+    for (name, k), dev in sorted(devs.items()):
+        dev = None if dev is None else float(np.max(dev))
+        status = "skipped" if dev is None else "pass" if dev < cli.IDENTITY_TOL else "fail"
+        rows.append({"identity": name, "k": k, "max_dev": dev, "status": status})
+    return rows
+
+
+@pytest.mark.parametrize(
+    "dims, kmax, budget, calls",
+    [
+        # equal local dims: one call per order on both sides' 2T rows
+        ((2, 2), 4, None, [(2, 40), (3, 40), (4, 40)]),
+        ((3, 3), 3, None, [(2, 40), (3, 40)]),
+        # unequal local dims: one call per side, A before B
+        ((2, 3), 4, None, [(k, 20) for k in (2, 3, 4) for _ in "AB"]),
+        # at 20 x 16 entries the joint (40, 2^4) gathers are past the budget at k = 4
+        # only (2 x 20 x 2^3 = 320 fits): there each side is its own call
+        ((2, 2), 4, 20 * 16, [(2, 40), (3, 40), (4, 20), (4, 20)]),
+    ],
+)
+def test_identity_rows_equal_the_per_side_loop_exactly(monkeypatch, dims, kmax, budget, calls):
+    if budget is not None:
+        monkeypatch.setattr(permnet, "TRIAL_ENTRY_BUDGET", budget)
+    seen = []
+    shift_product_devs = cli._shift_product_devs
+    monkeypatch.setattr(
+        cli,
+        "_shift_product_devs",
+        lambda mats, perm: seen.append(mats.shape[:2][::-1]) or shift_product_devs(mats, perm),
+    )
+    rows = cli._identity_rows(list(dims), kmax, 20, 3)
+    assert seen == calls
+    assert rows == per_side_identity_rows(list(dims), kmax, 20, 3)  # every max_dev to the bit
+    assert all(row["status"] == "pass" for row in rows)
+
+
 def reference_shift_product_devs(mats, v_fwd):
     """The identity the suite checks, through each trial's explicit Kronecker
     product m1 ⊗ ... ⊗ mk as one outer product, row digits before column digits."""

@@ -1,6 +1,7 @@
 """Tests for cyclic-shift permutations and replica trace contractions."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,34 @@ def test_shift_permutation_has_order_k():
         for _ in range(k):
             walk = perm[walk]
         assert np.array_equal(walk, np.arange(d**k))
+
+
+def test_shift_permutation_is_cached_and_read_only():
+    perm = permnet.shift_permutation(4, 3, "forward")
+    assert permnet.shift_permutation(4, 3, "forward") is perm
+    assert permnet.shift_permutation(4, 3, "inverse") is not perm
+    with pytest.raises(ValueError, match="read-only"):
+        perm[0] = 1
+    assert perm[0] == 0
+
+
+def test_shift_permutation_refuses_past_the_matrix_guard_before_allocating(monkeypatch):
+    # 2^12 = 4096 is the edge.  Past it, 2^30 would unravel 2^30 indices into 30 digit
+    # arrays, and computing 2^(10^9) alone would build a 125 MB integer: every case is
+    # refused before a digit array or a large integer exists
+    assert len(permnet.shift_permutation(12, 2, "forward")) == permnet.MATRIX_SIZE_GUARD
+    monkeypatch.setattr(permnet, "digit_shift_permutation", lambda *a: pytest.fail("allocated"))
+    tracemalloc.start()
+    try:
+        for k, d in ((13, 2), (30, 2), (10**9, 2), (2, 65), (1, 4097)):
+            with pytest.raises(ValueError, match="exceeds matrix guard 4096"):
+                permnet.shift_permutation(k, d, "forward")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    with pytest.raises(ValueError, match="exceeds matrix guard 4096"):
+        permnet.build_shift_matrix(13, 2, "forward")
 
 
 def test_build_shift_matrix_swap_is_hermitian_unitary():
