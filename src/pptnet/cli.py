@@ -170,28 +170,38 @@ def _shift_product_devs(mats: np.ndarray, perm: np.ndarray) -> np.ndarray:
 def _random_matrices(seed: int, k: int, sides: list[int], trials: int, d: int) -> np.ndarray:
     """The (len(sides)·T, k, d, d) complex matrices of the shift products on `sides`
     at order k, side after side: for each, one draw from [seed, 1, k, side], k
-    complex d x d matrices per trial, real then imaginary part of each."""
+    complex d x d matrices per trial, real then imaginary part, each over its Frobenius
+    norm: the d^k absolute terms of Tr(m1 ... mk) then add up to at most 1."""
     x = np.empty((len(sides), trials, k, 2, d, d))
     for row, side in zip(x, sides):
         np.random.default_rng([seed, 1, k, side]).standard_normal(out=row)
-    x = x.reshape(-1, k, 2, d, d)
-    return x[:, :, 0] + 1j * x[:, :, 1]
+    x /= np.sqrt(np.square(x).sum(axis=(3, 4, 5), keepdims=True))
+    return (x[:, :, :, 0] + 1j * x[:, :, :, 1]).reshape(-1, k, d, d)
 
 
-def _verify_plan(dims: list[int], kmax: int, trials: int) -> dict[int, tuple[bool, bool, bool]]:
-    """Order k -> (brute force, shift product on A, on B) admitted, k = 2..kmax: verify's
-    one reader of the guards.  Refuses a state stack past the budget or a kmax no check reaches."""
+def _verify_plan(dims: list[int], kmax: int, trials: int) -> dict[int, tuple[bool, list]]:
+    """Order k -> (brute force admitted, shift-product calls), k = 2..kmax: verify's one
+    reader of its arguments and limits, refusing bad ones before any state is drawn.  A
+    call lists the sides, A (0) and B (1), it checks: both at d_A = d_B while their joint
+    (2T, d^k) gathers fit the budget, else one per admitted side."""
+    if kmax < 2:
+        raise ValueError(f"--kmax must be >= 2, got {kmax}")
+    if trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {trials}")
+    states.check_dims(dims)
     budget, d = permnet.TRIAL_ENTRY_BUDGET, math.prod(dims)  # below 10^8: brute force reaches k = 2
     if d * d > budget:
         raise ValueError(f"--dims must have d_A*d_B <= {math.isqrt(budget)}, got {dims}")
     if trials * d * d > budget:
         raise ValueError(f"--trials must be <= {budget // (d * d)} at dims {dims}, got {trials}")
-    plan = {}
+    plan, most = {}, min(permnet.MATRIX_SIZE_GUARD, budget // trials)  # d^k one side may gather
     for k in range(2, kmax + 1):  # every d >= 2, so each guard only tightens as k grows
-        gathers = [m**k <= permnet.MATRIX_SIZE_GUARD and trials * m**k <= budget for m in dims]
-        plan[k] = (permnet.bruteforce_admits(trials, d, k), *gathers)
-        if not any(plan[k]):
+        sides = [side for side, m in enumerate(dims) if m**k <= most]
+        joint = len(sides) == 2 and dims[0] == dims[1] and 2 * trials * dims[0] ** k <= budget
+        brute = permnet.bruteforce_admits(trials, d, k)
+        if not (brute or sides):
             raise ValueError(f"--kmax must be <= {k - 1} at dims {dims}, got {kmax}")
+        plan[k] = (brute, [sides] if joint else [[side] for side in sides])
     return plan
 
 
@@ -205,24 +215,20 @@ def _identity_rows(dims: list[int], kmax: int, trials: int, seed: int) -> list[d
     mats = states.random_densities(dims, seed, trials)
     moments = network.moment_tables(mats, dims, kmax)
     devs = {}  # (identity, k) -> per-trial deviations, or None where a guard skips the check
-    for k, (brute, *gathers) in plan.items():
+    for k, (brute, calls) in plan.items():
         if not brute:  # skips the brute-force rows only
             devs["all_bruteforce", k] = None
         else:
             checks = _trace_checks(mats, dims, moments[:, k - 1], k)
             devs.update(((name, k), dev) for name, dev in checks.items())
-        # ordered product against the shift permutation on each local dimension: one
-        # call on the joint stack of the sides that share it where its gathers fit
-        # the budget, else one per side
+        # ordered product against the shift permutation, one call per group of sides
         devs.update(((f"shift_product_{label}", k), None) for label in "AB")
-        for d in dict.fromkeys(dims):
-            sides = [side for side in (0, 1) if dims[side] == d and gathers[side]]
-            joint = len(sides) * trials * d**k <= permnet.TRIAL_ENTRY_BUDGET
-            for group in [sides] if joint and sides else [[side] for side in sides]:
-                mats_k = _random_matrices(seed, k, group, trials, d)
-                dev = _shift_product_devs(mats_k, permnet.shift_permutation(k, d, "forward"))
-                for side, part in zip(group, np.split(dev, len(group))):
-                    devs[f"shift_product_{'AB'[side]}", k] = part
+        for sides in calls:
+            d = dims[sides[0]]
+            mats_k = _random_matrices(seed, k, sides, trials, d)
+            dev = _shift_product_devs(mats_k, permnet.shift_permutation(k, d, "forward"))
+            for side, part in zip(sides, np.split(dev, len(sides))):
+                devs[f"shift_product_{'AB'[side]}", k] = part
     rows = []
     for (name, k), dev in sorted(devs.items()):  # the keys are unique, so no value is compared
         dev = None if dev is None else float(np.max(dev))
@@ -232,11 +238,6 @@ def _identity_rows(dims: list[int], kmax: int, trials: int, seed: int) -> list[d
 
 
 def cmd_verify(args) -> int:
-    if args.kmax < 2:
-        raise ValueError(f"--kmax must be >= 2, got {args.kmax}")
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    states.check_dims(args.dims)
     rows = _identity_rows(args.dims, args.kmax, args.trials, args.seed)
     ok = all(r["status"] != "fail" for r in rows)
     _emit(

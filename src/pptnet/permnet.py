@@ -9,7 +9,6 @@ where x1 is the most significant digit (leading Kronecker factor).
 
 from __future__ import annotations
 
-import functools
 import math
 import string
 
@@ -18,10 +17,8 @@ import numpy as np
 from .states import DensityMatrix
 
 MATRIX_SIZE_GUARD = 4096  # d^k bound of one shift matrix, dense or read as a permutation
-TRIAL_ENTRY_BUDGET = 2**22  # entries of each verify array: T·D² states, T·d^k per side gathered
+TRIAL_ENTRY_BUDGET = 2**22  # entries of verify's T·D² state stack and of each T·d^k gather
 BRUTEFORCE_TERM_GUARD = 10**8  # terms of one brute-force call, over all its states
-# cached shift permutations, each at most MATRIX_SIZE_GUARD indices (32 KiB)
-SHIFT_PERMUTATION_CACHE_SIZE = 32
 
 # under a shift, copy c takes the digit of copy c + step (mod k)
 _CYCLE_STEP = {"forward": -1, "inverse": 1, "identity": 0}
@@ -34,29 +31,29 @@ def _check_direction(direction: str) -> None:
 
 def digit_shift_permutation(dims: list[int], positions: list[int], direction: str) -> np.ndarray:
     """Permutation of a mixed-radix index space cyclically shifting the digits
-    at `positions`, which must share one dimension."""
+    at `positions`, which must share one dimension: one transpose of the index
+    grid, as the image of x takes at positions[i] the digit of x at
+    positions[i + step]."""
     _check_direction(direction)
     dims = [int(d) for d in dims]
     positions = list(positions)
     if len({dims[p] for p in positions}) > 1:
         raise ValueError("shifted positions must have equal dimensions")
-    digits = np.array(np.unravel_index(np.arange(math.prod(dims)), dims))
-    digits[positions] = np.roll(digits[positions], -_CYCLE_STEP[direction], axis=0)
-    return np.ravel_multi_index(tuple(digits), dims)
+    axes = list(range(len(dims)))
+    for i, p in enumerate(positions):
+        axes[p] = positions[(i - _CYCLE_STEP[direction]) % len(positions)]
+    return np.arange(math.prod(dims)).reshape(dims).transpose(axes).ravel()
 
 
-@functools.lru_cache(maxsize=SHIFT_PERMUTATION_CACHE_SIZE)
 def shift_permutation(k: int, d: int, direction: str = "forward") -> np.ndarray:
-    """Read-only basis permutation of the cyclic shift on k factors of
-    dimension d, guarded to d^k <= 4096."""
+    """Basis permutation of the cyclic shift on k factors of dimension d,
+    guarded to d^k <= 4096."""
     if k < 1 or d < 2:
         raise ValueError(f"need k >= 1 and d >= 2, got k={k}, d={d}")
     # d >= 2, so k > log2(guard) is past it without raising d to a huge power
     if k > math.log2(MATRIX_SIZE_GUARD) or d**k > MATRIX_SIZE_GUARD:
         raise ValueError(f"d^k = {d}^{k} exceeds matrix guard {MATRIX_SIZE_GUARD}")
-    perm = digit_shift_permutation([d] * k, list(range(k)), direction)
-    perm.flags.writeable = False
-    return perm
+    return digit_shift_permutation([d] * k, list(range(k)), direction)
 
 
 def permutation_matrix(perm: np.ndarray) -> np.ndarray:

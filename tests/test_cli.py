@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pptnet import cli, linalg, network, permnet, states
+from pptnet import cli, estimation, linalg, network, permnet, states
 
 # the report keys in the order every report writes them
 REPORT_KEYS = [
@@ -513,7 +513,8 @@ def reference_draws(dims, kmax, trials, seed):
     """The suite's inputs as its streams lay them out, trial t in row t: one
     (trials, 2, D, D) normal draw from `seed` for the states, each made G G^dagger / Tr
     on its own, and one (trials, k, 2, d, d) draw from [seed, 1, k, side] for the k
-    random matrices of side A (0) or B (1) at order k, real then imaginary part."""
+    random matrices of side A (0) or B (1) at order k, real then imaginary part, each
+    divided by its Frobenius norm."""
     d = dims[0] * dims[1]
     rhos = []
     for x in np.random.default_rng(seed).standard_normal((trials, 2, d, d)):
@@ -525,7 +526,8 @@ def reference_draws(dims, kmax, trials, seed):
         for side, d_side in enumerate(dims):
             rng = np.random.default_rng([seed, 1, k, side])
             x = rng.standard_normal((trials, k, 2, d_side, d_side))
-            mats[k, side] = x[:, :, 0] + 1j * x[:, :, 1]
+            m = x[:, :, 0] + 1j * x[:, :, 1]
+            mats[k, side] = m / np.sqrt(np.sum(np.abs(m) ** 2, axis=(2, 3), keepdims=True))
     return rhos, mats
 
 
@@ -642,22 +644,24 @@ def test_verify_builds_one_generator_per_input_stack(capsys, monkeypatch):
 
 def per_side_identity_rows(dims, kmax, trials, seed):
     """`cli._identity_rows` as it was before the sides that share a local dimension
-    were checked in one call: one draw and one shift-product call per admitted (k, side)."""
+    were checked in one call: one draw and one shift-product call per admitted (k, side),
+    each matrix divided by its Frobenius norm."""
     plan = cli._verify_plan(dims, kmax, trials)
     mats = states.random_densities(dims, seed, trials)
     moments = network.moment_tables(mats, dims, kmax)
     devs = {}
-    for k, (brute, *gathers) in plan.items():
+    for k, (brute, calls) in plan.items():
         if not brute:
             devs["all_bruteforce", k] = None
         else:
             checks = cli._trace_checks(mats, dims, moments[:, k - 1], k)
             devs.update(((name, k), dev) for name, dev in checks.items())
-        sides = zip(("shift_product_A", "shift_product_B"), dims, gathers)
-        for side, (name, d, gather) in enumerate(sides):
+        admitted = [side for call in calls for side in call]
+        for side, (name, d) in enumerate(zip(("shift_product_A", "shift_product_B"), dims)):
             devs[name, k] = None
-            if gather:
+            if side in admitted:
                 x = np.random.default_rng([seed, 1, k, side]).standard_normal((trials, k, 2, d, d))
+                x /= np.sqrt(np.square(x).sum(axis=(2, 3, 4), keepdims=True))
                 perm = permnet.shift_permutation(k, d, "forward")
                 devs[name, k] = cli._shift_product_devs(x[:, :, 0] + 1j * x[:, :, 1], perm)
     rows = []
@@ -726,6 +730,29 @@ def test_shift_product_devs_match_kronecker_reference(k, d, direction):
         assert np.all(got < cli.IDENTITY_TOL)
     else:
         assert np.all(got > 1e-3)
+
+
+@pytest.fixture(scope="module")
+def top_order_draws():
+    # side B's draws at the matrix guard's edge, 2^12, for the most trials the budget
+    # admits there: 1024 x 2^12 = 2^22 gathered entries
+    return cli._random_matrices(0, 12, [1], 1024, 2)
+
+
+def test_shift_product_rounding_stays_far_below_the_tolerance_at_the_top_order(top_order_draws):
+    # each matrix is divided by its Frobenius norm, so the 2^12 absolute terms of a
+    # trace add up to at most 1; unscaled Gaussian draws read 1.5e-10 here, past 1e-10
+    assert_allclose(np.linalg.norm(top_order_draws, axis=(2, 3)), 1.0, rtol=1e-15)
+    devs = cli._shift_product_devs(top_order_draws, permnet.shift_permutation(12, 2))
+    assert devs.shape == (1024,)
+    assert np.max(devs) < 1e-13 < cli.IDENTITY_TOL
+
+
+def test_a_broken_shift_is_still_caught_at_the_top_order(top_order_draws):
+    # the identity in place of the shift reads Tr(m1)...Tr(mk) for Tr(m1...mk):
+    # normalised inputs keep every trial's deviation far above the tolerance
+    devs = cli._shift_product_devs(top_order_draws, permnet.shift_permutation(12, 2, "identity"))
+    assert np.min(devs) > 1e-3
 
 
 def test_shift_product_memory_stays_below_one_kronecker_product():
@@ -904,10 +931,10 @@ def test_verify_shift_product_guard_counts_every_trial(capsys, monkeypatch):
         ]
     # the default 20 trials at 2^12 entries and 1024 trials at the matrix guard stay admitted
     monkeypatch.undo()
-    assert cli._verify_plan([2, 2], 12, 20)[12] == (False, True, True)
-    assert cli._verify_plan([2, 16], 3, 1024)[3] == (True, True, True)
-    assert cli._verify_plan([2, 16], 3, 1025)[3] == (True, True, False)
-    assert cli._verify_plan([2, 2], 13, 1)[13] == (True, False, False)
+    assert cli._verify_plan([2, 2], 12, 20)[12] == (False, [[0, 1]])
+    assert cli._verify_plan([2, 16], 3, 1024)[3] == (True, [[0], [1]])
+    assert cli._verify_plan([2, 16], 3, 1025)[3] == (True, [[0]])
+    assert cli._verify_plan([2, 2], 13, 1)[13] == (True, [])
 
 
 def test_verify_refusal_counts_the_trials_of_the_shift_products(capsys, monkeypatch):
@@ -1025,3 +1052,56 @@ def test_gen_rejects_bad_parameters(capsys, tmp_path):
     assert code == 1
     code, _ = run(capsys, ["gen", "bell", "--which", "sigma+", "--out", str(tmp_path / "y.json")])
     assert code == 1
+
+
+@pytest.fixture
+def refusal_files(tmp_path):
+    """Input files the refusal tests read: a 2x2 and a 2x3 state, a truncated
+    copy of the first, a JSON list, and a matrix whose entries are words."""
+    states.save(states.bell_state("phi+"), tmp_path / "bell.json")
+    states.save(states.random_density((2, 3), 0), tmp_path / "random_2x3.json")
+    text = (tmp_path / "bell.json").read_text()
+    (tmp_path / "truncated.json").write_text(text[: len(text) // 2])
+    (tmp_path / "list.json").write_text(json.dumps([[2, 2], []]))
+    words = {"dims": [2, 2], "matrix": [[["one", "zero"]] * 4] * 4}
+    (tmp_path / "words.json").write_text(json.dumps(words))
+    return tmp_path
+
+
+INPUT_REFUSALS = {
+    "werner without p": (["gen", "werner"], "werner requires --p"),
+    "mix without inputs": (["gen", "mix"], "mix requires --inputs"),
+    "mix of 2x2 and 2x3": (
+        ["gen", "mix", "--inputs", "{tmp}/bell.json", "{tmp}/random_2x3.json"],
+        "mix inputs must share dimensions",
+    ),
+    "check truncated": (["check", "{tmp}/truncated.json"], "malformed JSON in"),
+    "check list": (["check", "{tmp}/list.json"], "expected object with 'dims' and 'matrix'"),
+    "check words": (["check", "{tmp}/words.json"], "matrix entries must be [re, im] pairs"),
+}
+
+
+@pytest.mark.parametrize("argv, message", INPUT_REFUSALS.values(), ids=INPUT_REFUSALS.keys())
+def test_incomplete_or_malformed_inputs_exit_1(capsys, refusal_files, argv, message):
+    argv = [arg.format(tmp=refusal_files) for arg in argv]
+    if argv[0] == "gen":
+        argv += ["--out", str(refusal_files / "out.json")]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert not (refusal_files / "out.json").exists()
+
+
+def test_calibrate_disagreement_exits_2(capsys, monkeypatch):
+    # no residual is below a negative tolerance: main's EstimationError handler answers
+    monkeypatch.setattr(estimation, "CALIBRATION_TOL", -1.0)
+    code = cli.main(["calibrate"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: calibration states disagree: residual ")
+    assert "Traceback" not in captured.err

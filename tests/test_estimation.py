@@ -195,6 +195,13 @@ def test_one_bootstrap_replica_is_an_input_error():
     assert two.sigma > 0 and two.bootstrap_failures == 0
 
 
+def test_bootstrap_lambda_min_refuses_zero_replicas():
+    # 0 is run_protocol's no-bootstrap mode, never a bootstrap of no replicas
+    counts = [est.ShotCounts(k, np.array([1000, 0, 0, 0])) for k in (2, 3, 4)]
+    with pytest.raises(ValueError, match="bootstrap requires bootstrap_replicas >= 2"):
+        est.bootstrap_lambda_min(counts, est.EstimationConfig(bootstrap_replicas=0))
+
+
 def test_power_sums_stderr_is_required():
     with pytest.raises(TypeError):
         est.PowerSums(np.ones(4), "exact")

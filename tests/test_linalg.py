@@ -117,6 +117,11 @@ def test_partial_transpose_dimension_mismatch():
         linalg.partial_transpose(np.eye(4), 2, 3, "B")
 
 
+def test_partial_transpose_refuses_an_unknown_subsystem():
+    with pytest.raises(ValueError, match="subsystem must be 'A' or 'B', got 'C'"):
+        linalg.partial_transpose(np.eye(4), 2, 2, "C")
+
+
 def test_partial_trace_product_state():
     rng = np.random.default_rng(9)
     a, b = random_state(rng, 2), random_state(rng, 3)

@@ -1,6 +1,7 @@
 """Tests for cyclic-shift permutations and replica trace contractions."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -43,13 +44,47 @@ def test_shift_permutation_has_order_k():
         assert np.array_equal(walk, np.arange(d**k))
 
 
-def test_shift_permutation_is_cached_and_read_only():
-    perm = permnet.shift_permutation(4, 3, "forward")
-    assert permnet.shift_permutation(4, 3, "forward") is perm
-    assert permnet.shift_permutation(4, 3, "inverse") is not perm
-    with pytest.raises(ValueError, match="read-only"):
-        perm[0] = 1
-    assert perm[0] == 0
+def roll_reference(dims, positions, direction):
+    """The digit permutation by unravel, roll and ravel: the image of x takes at
+    positions[i] the digit of x at positions[i - 1] (forward) or [i + 1] (inverse)."""
+    digits = np.array(np.unravel_index(np.arange(math.prod(dims)), dims))
+    shift = {"forward": 1, "inverse": -1, "identity": 0}[direction]
+    digits[positions] = np.roll(digits[positions], shift, axis=0)
+    return np.ravel_multi_index(tuple(digits), dims)
+
+
+# every uniform d^k up to the matrix guard, and the interleaved (d_A, d_B)^k
+# environments of the circuit's gather plan, behind two control digits or none
+UNIFORM = [([d] * k, list(range(k))) for d in (2, 3, 4, 5, 16, 64, 4096) for k in range(1, 13)
+           if d**k <= permnet.MATRIX_SIZE_GUARD]
+INTERLEAVED = [
+    (lead + [d_a, d_b] * k, [len(lead) + 2 * c + side for c in range(k)])
+    for d_a, d_b, kmax in ((2, 2, 6), (2, 3, 4), (3, 2, 4), (3, 3, 3), (2, 5, 3))
+    for k in range(1, kmax + 1)
+    for side in (0, 1)
+    for lead in ([], [2, 2])
+]
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_digit_shift_permutation_equals_the_roll_reference(direction):
+    for dims, positions in UNIFORM + INTERLEAVED:
+        got = permnet.digit_shift_permutation(dims, positions, direction)
+        want = roll_reference(dims, positions, direction)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), (dims, positions)
+        if len(positions) == len(dims):
+            k, d = len(dims), dims[0]
+            assert np.array_equal(permnet.shift_permutation(k, d, direction), want)
+
+
+def test_permutation_builders_refuse_bad_arguments():
+    with pytest.raises(ValueError, match="direction must be one of .*, got 'sideways'"):
+        permnet.digit_shift_permutation([2, 2], [0, 1], "sideways")
+    with pytest.raises(ValueError, match="shifted positions must have equal dimensions"):
+        permnet.digit_shift_permutation([2, 3], [0, 1], "forward")
+    with pytest.raises(ValueError, match="need k >= 1 and d >= 2, got k=0, d=2"):
+        permnet.shift_permutation(0, 2)
 
 
 def test_shift_permutation_refuses_past_the_matrix_guard_before_allocating(monkeypatch):

@@ -152,6 +152,11 @@ def test_load_rejects_unnormalized(tmp_path):
     assert not err.value.report.ok
 
 
+def test_density_matrix_refuses_a_matrix_of_another_size():
+    with pytest.raises(states.StateFormatError, match=r"matrix shape \(6, 6\) does not match dims 2x2"):
+        states.DensityMatrix((2, 2), np.eye(6))
+
+
 def test_load_rejects_shape_mismatch(tmp_path):
     rho = states.random_density((2, 2), seed=5)
     path = tmp_path / "state.json"
