@@ -316,8 +316,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of `command` alone under the same usage line."""
+    """The parser of every command, or of `command` alone under the same usage line,
+    built once per process: parsing leaves no state on it."""
     parser = _ArgumentParser(prog="pptnet", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pptnet {__version__}")
     # one command's usage line lists all five; a metavar on the full tree would rename
@@ -335,7 +337,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # build the named command's parser alone: all five cost as much as a `check` run
+    # the named command's parser alone: a shell run builds one parser, not all five
     args = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)

@@ -25,6 +25,8 @@ SHOT_IMAG_CAP = 0.25
 
 # the entanglement call needs lambda_min this many bootstrap sigmas below the band
 NOISE_GATE_SIGMAS = 3.0
+# the shot-mode NPT certificate holds on every separable state with probability >= 1 - this
+CERTIFICATE_DELTA = 1e-3
 
 COEFF_SNAP_TOL = 1e-12
 # the calibration states must agree on the readout constant within this
@@ -350,11 +352,53 @@ def _central_interval(values: np.ndarray) -> tuple[float, float]:
     return tuple(np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t).tolist())
 
 
+def _o3_floor(p2: float, d: int) -> float:
+    """f(p2, d), the least Tr(X^3) over PSD trace-one d x d matrices X with Tr(X^2) = p2
+    (p2 clamped to [1/d, 1]), which rises with p2.  The minimiser has m = min(floor(1/p2),
+    d - 1) equal eigenvalues x and one y = 1 - m x in [0, x], the rest zero: the optimal
+    test of PPT from p2 and p3 (Yu, Imai & Guehne, PRL 127, 060504 (2021))."""
+    p2 = min(max(p2, 1.0 / d), 1.0)
+    m = min(int(1.0 / p2), d - 1)
+    x = (m + np.sqrt(max(0.0, m * m - m * (m + 1) * (1.0 - p2)))) / (m * (m + 1))
+    return float(m * x**3 + (1.0 - m * x) ** 3)
+
+
+def npt_certified(counts: np.ndarray, d: int) -> bool:
+    """True when the (K, 4) counts of orders 2..K+1 prove rho^T_B is not PSD while
+    every p_k lies within eps = sqrt(2 ln(2K/delta) / N) of its estimate, which
+    Hoeffding's bound and the union bound give with probability >= 1 - delta
+    (delta = CERTIFICATE_DELTA, N the order's shots).  Two tests read that box: p3
+    below the order-3 floor (_o3_floor), or the upper end of some elementary symmetric
+    function e_m below 0 in the interval Newton recursion (a PSD spectrum has every e_m
+    >= 0)."""
+    eta = eta_from_counts(counts)[0]
+    eps = np.sqrt(2 * np.log(2 * len(counts) / CERTIFICATE_DELTA) / counts.sum(axis=1))
+    lo, hi = [1.0, *(eta - eps).tolist()], [1.0, *(eta + eps).tolist()]  # p_1 .. p_{K+1}
+    if len(lo) > 2 and hi[2] < _o3_floor(lo[1], d):  # f rises with p2: its least is at lo
+        return True
+    e = [(1.0, 1.0)]  # the intervals of e_0, e_1, ...
+    for m in range(1, len(lo) + 1):  # m e_m = sum_i (-1)^(i-1) e_{m-i} p_i
+        s_lo = s_hi = 0.0
+        for i in range(1, m + 1):
+            (a, b), p_lo, p_hi = e[m - i], lo[i - 1], hi[i - 1]
+            ends = (a * p_lo, a * p_hi, b * p_lo, b * p_hi)
+            if i % 2:
+                s_lo, s_hi = s_lo + min(ends), s_hi + max(ends)
+            else:
+                s_lo, s_hi = s_lo - max(ends), s_hi - min(ends)
+        if s_hi < 0:
+            return True
+        e.append((s_lo / m, s_hi / m))
+    return False
+
+
 def run_protocol(
     rho: DensityMatrix, cfg: EstimationConfig, exact_probabilities: bool = False
 ) -> ProtocolResult:
     """Full measurement pipeline: distributions -> (shots) -> power sums ->
-    spectrum -> verdict, with bootstrap uncertainty in shot mode."""
+    spectrum -> verdict, with bootstrap uncertainty in shot mode.  The shot-mode
+    verdict is NPT_ENTANGLED exactly when npt_certified accepts the counts, and
+    PPT_INCONCLUSIVE otherwise: a miss claims nothing."""
     ps, counts_per_k = _measure(rho, cfg, exact_probabilities)
     copies = sum(c.k * int(c.n.sum()) for c in counts_per_k or [])
     try:
@@ -365,5 +409,9 @@ def run_protocol(
     except EstimationError as exc:
         exc.power_sums, exc.copies_consumed = ps, copies  # partial result for error reporting
         raise
-    v = verdict(spectrum, rho.dims, sigma)
+    if counts_per_k is None:
+        v = verdict(spectrum, rho.dims)
+    else:
+        npt = npt_certified(np.array([c.n for c in counts_per_k]), rho.d)
+        v = PptVerdict(float(spectrum.lambdas[-1]), NPT_ENTANGLED if npt else PPT_INCONCLUSIVE)
     return ProtocolResult(ps, spectrum, v, counts_per_k, sigma, interval, failures, copies)

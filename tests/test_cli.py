@@ -219,14 +219,18 @@ def test_simulate_shots_past_int64_exit_1(capsys, tmp_path):
 @pytest.mark.parametrize("eps", [5e-10, 9e-10])
 def test_simulate_accepts_state_at_validation_edge(capsys, tmp_path, eps):
     # an eigenvalue of -eps passes load's 1e-9 tolerance; the outcome
-    # probabilities it drives below zero are clipped, not an uncaught error
+    # probabilities it drives below zero are clipped, not an uncaught error.
+    # Shot mode claims nothing without an NPT certificate.
     path = tmp_path / "edge.json"
     states.save(states.DensityMatrix((2, 2), np.diag([1.0, eps, -eps, 0.0])), path)
     states.load(path)
-    for mode in ([], ["--exact-probabilities"]):
+    for mode, label in (
+        ([], "PPT_INCONCLUSIVE"),
+        (["--exact-probabilities"], "PPT_CONCLUSIVE_SEPARABLE"),
+    ):
         code, report = run(capsys, ["simulate", str(path), "--shots", "1000", *mode])
         assert code == 0
-        assert report["classification"] == "PPT_CONCLUSIVE_SEPARABLE"
+        assert report["classification"] == label
         assert_allclose(report["power_sums"], [1.0, 1.0, 1.0, 1.0], atol=1e-8)
 
 
@@ -419,6 +423,7 @@ def test_full_tree_errors_name_the_command_argument(capsys):
 
 def test_main_builds_only_the_named_command_parser(capsys, tmp_path, monkeypatch):
     path = gen(capsys, tmp_path, "bell.json", "bell")
+    cli._build_parser.cache_clear()
     built = []
     init = cli._ArgumentParser.__init__
 
@@ -430,11 +435,27 @@ def test_main_builds_only_the_named_command_parser(capsys, tmp_path, monkeypatch
     assert cli.main(["check", path]) == 0
     assert built == ["pptnet", "pptnet check"]
     built.clear()
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--help"])
-    assert exc.value.code == 0
+    assert cli.main(["check", path]) == 0  # the second call only parses
+    assert built == []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
     assert built == ["pptnet"] + [f"pptnet {command}" for command in cli.COMMANDS]
     assert len(built) == 6
+
+
+def test_cached_parsers_answer_as_fresh_ones(capsys, tmp_path):
+    # every grid argv, run twice in order and once in reverse in one process,
+    # answers as it does on a cleared cache: parsing leaves no state behind
+    states.save(states.bell_state("phi+"), tmp_path / "bell.json")
+    grid = [[arg.format(tmp=tmp_path) for arg in argv] for argv in PARSER_GRID]
+    fresh = {}
+    for argv in grid:
+        cli._build_parser.cache_clear()
+        fresh[tuple(argv)] = outcome(capsys, argv)
+    for argv in grid + grid + grid[::-1]:
+        assert outcome(capsys, argv) == fresh[tuple(argv)], argv
 
 
 def test_verify_passes(capsys):

@@ -676,3 +676,86 @@ def test_shot_mode_never_refuses_werner_half_at_ten_thousand_shots():
         except est.EstimationError as exc:
             refused[seed] = str(exc)
     assert refused == {}
+
+
+@pytest.mark.parametrize("d", [4, 6, 9])
+def test_o3_floor_holds_on_random_psd_spectra(d):
+    # p3 >= f(p2, d) on every PSD trace-one spectrum, and the minimiser
+    # (m equal entries x, one y = 1 - m x, zeros) attains it
+    rng = np.random.default_rng(d)
+    for rank in range(1, d + 1):
+        lam = np.zeros((500, d))
+        lam[:, :rank] = rng.dirichlet(np.full(rank, 0.3), size=500)
+        for p2, p3 in zip(np.sum(lam**2, axis=1), np.sum(lam**3, axis=1)):
+            assert p3 >= est._o3_floor(p2, d) - 1e-15
+    for m in range(1, d):
+        for y_over_x in (0.0, 0.3, 1.0):
+            x = 1.0 / (m + y_over_x)
+            lam = np.array([x] * m + [1.0 - m * x])
+            assert est._o3_floor(np.sum(lam**2), d) == pytest.approx(np.sum(lam**3), abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [4, 6, 9, 16])
+def test_o3_floor_rises_with_p2(d):
+    # the box reads the floor at p2's lower end, which is sound only because f rises
+    floor = [est._o3_floor(p2, d) for p2 in np.linspace(1.0 / d, 1.0, 20_001)]
+    assert np.all(np.diff(floor) > 0)
+    assert floor[0] == pytest.approx(1.0 / d**2) and floor[-1] == pytest.approx(1.0)
+    assert est._o3_floor(0.0, d) == floor[0]  # p2 is clamped to [1/d, 1]
+
+
+def shot_npt_call(rho, seed, shots):
+    """Whether shot mode calls rho NPT_ENTANGLED; where recovery refuses first
+    (every 3x3 run), whether npt_certified accepts the counts of that run."""
+    cfg = est.EstimationConfig(shots_per_k=shots, seed=seed)
+    try:
+        return est.run_protocol(rho, cfg).verdict.classification == est.NPT_ENTANGLED
+    except est.EstimationError:
+        _, counts = est._measure(rho, cfg, exact=False)
+        return est.npt_certified(np.array([c.n for c in counts]), rho.d)
+
+
+def test_shot_mode_never_calls_a_separable_state_npt():
+    # state seed s with simulate seed 500 + s: one noise draw per state, not one for all
+    called = [
+        (dims, terms, shots, s)
+        for dims in ((2, 2), (2, 3), (3, 3))
+        for terms in (2, 5)
+        for shots in (10**6, 10**7)
+        for s in range(20)
+        if shot_npt_call(states.random_separable(dims, terms, s), 500 + s, shots)
+    ]
+    assert called == []
+
+
+def test_shot_mode_calls_bell_and_werner_npt():
+    # Werner 0.4 has lambda_min = -0.05
+    for rho in (states.bell_state("phi+"), states.werner(0.4)):
+        assert all(shot_npt_call(rho, seed, 10**6) for seed in range(20))
+
+
+def npt_random_densities(dims, n):
+    """The first n random_density states, by seed, whose partial transpose has a negative eigenvalue."""
+    found, seed = [], 0
+    while len(found) < n:
+        rho = states.random_density(dims, seed)
+        if np.linalg.eigvalsh(linalg.partial_transpose(rho.matrix, *dims, "B"))[0] < 0:
+            found.append(rho)
+        seed += 1
+    return found
+
+
+def test_shot_mode_makes_no_false_separability_claim():
+    # a refusal makes no claim; the i-th NPT state gets simulate seed 1000 + i
+    runs = [(states.werner(0.5), seed, 10_000) for seed in range(10)]
+    for dims in ((2, 2), (2, 3)):
+        runs += [(rho, 1000 + i, 10**6) for i, rho in enumerate(npt_random_densities(dims, 40))]
+    claims = []
+    for rho, seed, shots in runs:
+        try:
+            res = est.run_protocol(rho, est.EstimationConfig(shots_per_k=shots, seed=seed))
+        except est.EstimationError:
+            continue
+        if res.verdict.classification == est.PPT_CONCLUSIVE_SEPARABLE:
+            claims.append((rho.dims, seed))
+    assert claims == []
