@@ -50,6 +50,16 @@ def _report(rho, method, ps, result=None, shots_per_k=0, seed=None, copies_consu
     }
 
 
+def _check_dims(dims: list[int]) -> int:
+    """d = d_A d_B, refused before any array is sized from `dims` when a d x d matrix
+    would pass permnet.TRIAL_ENTRY_BUDGET entries."""
+    states.check_dims(dims)
+    budget, d = permnet.TRIAL_ENTRY_BUDGET, math.prod(dims)
+    if d * d > budget:
+        raise ValueError(f"--dims must have d_A*d_B <= {math.isqrt(budget)}, got {dims}")
+    return d
+
+
 def cmd_gen(args) -> int:
     if args.kind == "bell":
         rho = states.bell_state(args.which)
@@ -58,8 +68,10 @@ def cmd_gen(args) -> int:
             raise ValueError("werner requires --p")
         rho = states.werner(args.p)
     elif args.kind == "random":
+        _check_dims(args.dims)
         rho = states.random_density(tuple(args.dims), args.seed)
     elif args.kind == "separable":
+        _check_dims(args.dims)
         rho = states.random_separable(tuple(args.dims), args.terms, args.seed)
     else:  # mix; argparse restricts the choices
         if not args.inputs:
@@ -95,10 +107,7 @@ def cmd_check(args) -> int:
     p[0] = 1.0  # the unit trace, pinned as power_sums_exact pins it
     ps = estimation.PowerSums(p, "exact", np.zeros(rho.d))
     v = estimation.verdict(spectrum, rho.dims)
-    result = estimation.ProtocolResult(
-        ps, spectrum, v, None, sigma=0.0, interval=None, bootstrap_failures=None, copies_consumed=0
-    )
-    _emit(_report(rho, "exact", ps, result))
+    _emit(_report(rho, "exact", ps, estimation.ProtocolResult(ps, spectrum, v)))
     _info(f"lambda_min = {v.lambda_min:+.6f} -> {v.classification}")
     return 0
 
@@ -191,10 +200,8 @@ def _verify_plan(dims: list[int], kmax: int, trials: int) -> dict[int, tuple[boo
         raise ValueError(f"--kmax must be >= 2, got {kmax}")
     if trials < 1:
         raise ValueError(f"--trials must be >= 1, got {trials}")
-    states.check_dims(dims)
-    budget, d = permnet.TRIAL_ENTRY_BUDGET, math.prod(dims)  # below 10^8: brute force reaches k = 2
-    if d * d > budget:
-        raise ValueError(f"--dims must have d_A*d_B <= {math.isqrt(budget)}, got {dims}")
+    # the budget is below 10^8: brute force reaches k = 2
+    budget, d = permnet.TRIAL_ENTRY_BUDGET, _check_dims(dims)
     if trials * d * d > budget:
         raise ValueError(f"--trials must be <= {budget // (d * d)} at dims {dims}, got {trials}")
     plan, most = {}, min(permnet.MATRIX_SIZE_GUARD, budget // trials)  # d^k one side may gather
@@ -320,17 +327,12 @@ COMMANDS = {
 
 
 @functools.cache
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of `command` alone under the same usage line,
-    built once per process: parsing leaves no state on it."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing leaves no state on it."""
     parser = _ArgumentParser(prog="pptnet", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pptnet {__version__}")
-    # one command's usage line lists all five; a metavar on the full tree would rename
-    # `command` in its errors
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else [command]:
-        help_, func, arguments = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, func, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         for arg, kwargs in arguments.items():
             p.add_argument(arg, **kwargs)
@@ -339,9 +341,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # the named command's parser alone: a shell run builds one parser, not all five
-    args = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except estimation.EstimationError as exc:

@@ -23,8 +23,6 @@ PPT_INCONCLUSIVE = "PPT_INCONCLUSIVE"
 EXACT_IMAG_CAP = 1e-3
 SHOT_IMAG_CAP = 0.25
 
-# the entanglement call needs lambda_min this many bootstrap sigmas below the band
-NOISE_GATE_SIGMAS = 3.0
 # the shot-mode NPT certificate holds on every separable state with probability >= 1 - this
 CERTIFICATE_DELTA = 1e-3
 
@@ -101,11 +99,11 @@ class ProtocolResult:
     power_sums: PowerSums
     spectrum: Spectrum
     verdict: PptVerdict
-    counts_per_k: list[ShotCounts] | None
-    sigma: float
-    interval: tuple[float, float] | None
-    bootstrap_failures: int | None  # replicas dropped from sigma; None without bootstrap
-    copies_consumed: int  # k copies of rho per order-k shot drawn
+    counts_per_k: list[ShotCounts] | None = None
+    sigma: float = 0.0
+    interval: tuple[float, float] | None = None
+    bootstrap_failures: int | None = None  # replicas dropped from sigma; None without bootstrap
+    copies_consumed: int = 0  # k copies of rho per order-k shot drawn
 
 
 def _substream(seed: int, *path: int) -> np.random.Generator:
@@ -302,15 +300,12 @@ def _recover(p: np.ndarray, exact: bool) -> tuple[Spectrum, np.ndarray]:
     return Spectrum(np.sort(lambdas)[::-1], residual), roots[1:]
 
 
-def verdict(
-    spectrum: Spectrum, dims: tuple[int, int], sigma_lambda_min: float = 0.0
-) -> PptVerdict:
-    """Classify: entangled when lambda_min + NOISE_GATE_SIGMAS*sigma is below
-    -states.load_band(d), d = d_A d_B; otherwise PPT, which is conclusive
-    separability only in 2x2 and 2x3."""
+def verdict(spectrum: Spectrum, dims: tuple[int, int]) -> PptVerdict:
+    """Classify: entangled when lambda_min is below -states.load_band(d), d = d_A d_B;
+    otherwise PPT, which is conclusive separability only in 2x2 and 2x3."""
     lam_min = float(spectrum.lambdas[-1])
     d = dims[0] * dims[1]
-    if lam_min + NOISE_GATE_SIGMAS * sigma_lambda_min < -load_band(d):
+    if lam_min < -load_band(d):
         cls = NPT_ENTANGLED
     elif d <= 6:
         cls = PPT_CONCLUSIVE_SEPARABLE

@@ -2,6 +2,7 @@
 
 import json
 import string
+import sys
 import tracemalloc
 
 import numpy as np
@@ -360,7 +361,7 @@ def test_bad_arguments_exit_1(capsys, tmp_path):
 
 
 def test_noise_gate_flag_removed(capsys, tmp_path):
-    # the 3-sigma gate is fixed; --z is an unknown argument on both commands
+    # there is no noise gate to set: --z is an unknown argument on both commands
     path = gen(capsys, tmp_path, "bell.json", "bell")
     for command in ("check", "simulate"):
         with pytest.raises(SystemExit) as exc:
@@ -399,7 +400,7 @@ def test_help_and_version_exit_0(capsys):
 
 
 
-# argv a command's own parser must answer byte for byte as the full tree does;
+# argv the parser tree must answer byte for byte however and how often it is reached;
 # {tmp} is the test's directory, holding a Bell state in bell.json
 PARSER_GRID = [
     [], ["--help"], ["-h"], ["--version"], ["--version", "check"],
@@ -431,17 +432,17 @@ def outcome(capsys, argv):
 
 @pytest.mark.parametrize("argv", PARSER_GRID, ids=lambda argv: " ".join(argv) or "no-args")
 def test_command_parser_answers_as_the_full_tree(capsys, tmp_path, monkeypatch, argv):
+    # a shell command line, which main reads from sys.argv, answers as the same
+    # argv passed to main: both reach the one parser tree
     states.save(states.bell_state("phi+"), tmp_path / "bell.json")
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     got = outcome(capsys, argv)
-    full_tree = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full_tree())
-    assert got == outcome(capsys, argv)
+    monkeypatch.setattr(sys, "argv", ["pptnet", *argv])
+    assert got == outcome(capsys, None)
 
 
 def test_full_tree_errors_name_the_command_argument(capsys):
-    # the full tree names the subcommand argument by its dest, not by the
-    # command list that a one-command parser's usage line spells out
+    # the parser names the subcommand argument by its dest
     for argv, message in (([], "required: command"), (["bogus"], "argument command: invalid")):
         code, out, err = outcome(capsys, argv)
         assert code == ("SystemExit", 1) and out == ""
@@ -449,7 +450,7 @@ def test_full_tree_errors_name_the_command_argument(capsys):
         assert message in err
 
 
-def test_main_builds_only_the_named_command_parser(capsys, tmp_path, monkeypatch):
+def test_main_builds_the_parser_tree_once(capsys, tmp_path, monkeypatch):
     path = gen(capsys, tmp_path, "bell.json", "bell")
     cli._build_parser.cache_clear()
     built = []
@@ -460,17 +461,16 @@ def test_main_builds_only_the_named_command_parser(capsys, tmp_path, monkeypatch
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._ArgumentParser, "__init__", counting_init)
-    assert cli.main(["check", path]) == 0
-    assert built == ["pptnet", "pptnet check"]
+    assert cli.main(["check", path]) == 0  # the first call builds every command's parser
+    assert built == ["pptnet"] + [f"pptnet {command}" for command in cli.COMMANDS]
+    assert len(built) == 6
     built.clear()
-    assert cli.main(["check", path]) == 0  # the second call only parses
-    assert built == []
+    assert cli.main(["check", path]) == 0  # later calls only parse
     for _ in range(2):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])
         assert exc.value.code == 0
-    assert built == ["pptnet"] + [f"pptnet {command}" for command in cli.COMMANDS]
-    assert len(built) == 6
+    assert built == []
 
 
 def test_cached_parsers_answer_as_fresh_ones(capsys, tmp_path):
@@ -1059,9 +1059,9 @@ def test_verify_entry_budget_bounds_the_state_stack(capsys, monkeypatch):
 
 
 def test_simulate_rejects_one_bootstrap_replica(capsys, tmp_path):
-    # the replica count is fixed at the library default of 200: a count of 0
-    # or 1 would give sigma 0 and switch the 3 sigma noise gate off, so
-    # --bootstrap is an unknown argument (exit 1)
+    # the replica count is fixed at the library default of 200: one replica has no
+    # sample spread (sigma with ddof = 1 is undefined), and 0 would report no sigma,
+    # so --bootstrap is an unknown argument (exit 1)
     path = gen(capsys, tmp_path, "bell.json", "bell")
     for count in ("1", "0", "200"):
         with pytest.raises(SystemExit) as exc:
@@ -1101,6 +1101,23 @@ def test_gen_rejects_bad_parameters(capsys, tmp_path):
     assert code == 1
     code, _ = run(capsys, ["gen", "bell", "--which", "sigma+", "--out", str(tmp_path / "y.json")])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "kind, draw", [("random", "random_density"), ("separable", "random_separable")]
+)
+def test_gen_refuses_oversize_dims(capsys, tmp_path, monkeypatch, kind, draw):
+    # verify's --dims limit, d_A*d_B <= 2048, refused before any array is allocated
+    monkeypatch.setattr(states, draw, lambda *args: pytest.fail("state drawn"))
+    out = tmp_path / "x.json"
+    for dims in (["1000", "1000"], ["2", "1025"]):
+        code = cli.main(["gen", kind, "--dims", *dims, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"--dims must have d_A*d_B <= 2048, got [{dims[0]}, {dims[1]}]" in captured.err
+        assert "Traceback" not in captured.err
+    assert not out.exists()
 
 
 @pytest.fixture

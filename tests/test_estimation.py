@@ -178,13 +178,13 @@ def test_estimation_config_validation():
         est.EstimationConfig(seed=-1)
     with pytest.raises(ValueError):
         est.EstimationConfig(bootstrap_replicas=-1)
-    # the noise gate is fixed at NOISE_GATE_SIGMAS; it is not a setting
+    # no z: the shot-mode verdict is the certificate's, and no gate reads sigma
     with pytest.raises(TypeError):
         est.EstimationConfig(z=3.0)
 
 
 def test_one_bootstrap_replica_is_an_input_error():
-    # one replica has no spread, so its sigma of 0 would turn the 3 sigma noise gate off
+    # one replica has no sample spread: sigma with ddof = 1 is undefined for it
     with pytest.raises(ValueError, match="bootstrap_replicas must be 0 or >= 2, got 1"):
         est.EstimationConfig(bootstrap_replicas=1)
     bell = states.bell_state("phi+")
@@ -260,29 +260,19 @@ def test_verdict_frozen_cases():
 
 def test_verdict_band_is_dimension_times_validation_tolerance():
     # 4e-9 on 2x2 and 9e-9 on 3x3, plus the 1e-12 eigensolver floor
-    def classify(lam_min, dims, sigma=0.0):
-        d = dims[0] * dims[1]
-        spectrum = est.Spectrum(np.array([1.0 - lam_min] + [0.0] * (d - 2) + [lam_min]), 0.0)
-        return est.verdict(spectrum, dims, sigma_lambda_min=sigma).classification
+    def spectrum(lam_min, d):
+        return est.Spectrum(np.array([1.0 - lam_min] + [0.0] * (d - 2) + [lam_min]), 0.0)
+
+    def classify(lam_min, dims):
+        return est.verdict(spectrum(lam_min, dims[0] * dims[1]), dims).classification
 
     assert classify(-3.9e-9, (2, 2)) == est.PPT_CONCLUSIVE_SEPARABLE
     assert classify(-4.1e-9, (2, 2)) == est.NPT_ENTANGLED
     assert classify(-8.9e-9, (3, 3)) == est.PPT_INCONCLUSIVE
     assert classify(-9.1e-9, (3, 3)) == est.NPT_ENTANGLED
-    # the band applies to lambda_min + 3 * sigma
-    assert classify(-1e-2, (2, 2), sigma=(1e-2 - 3.9e-9) / 3) == est.PPT_CONCLUSIVE_SEPARABLE
-
-
-def test_verdict_noise_gate():
-    # lambda_min = -0.01 is entangled only when it lies more than 3 sigma below the band
-    assert est.NOISE_GATE_SIGMAS == 3.0
-    spec = est.Spectrum(np.array([0.6, 0.3, 0.11, -0.01]), 0.0)
-    cautious = est.verdict(spec, (2, 2), sigma_lambda_min=0.005)
-    assert cautious.classification == est.PPT_CONCLUSIVE_SEPARABLE
-    sharp = est.verdict(spec, (2, 2), sigma_lambda_min=0.003)
-    assert sharp.classification == est.NPT_ENTANGLED
+    # the band applies to lambda_min alone: verdict takes no sigma
     with pytest.raises(TypeError):
-        est.verdict(spec, (2, 2), 0.005, 3.0)
+        est.verdict(spectrum(-1e-2, 4), (2, 2), 0.005)
 
 
 def test_bootstrap_lambda_min_degenerate_counts():
