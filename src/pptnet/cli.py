@@ -72,6 +72,8 @@ def cmd_gen(args) -> int:
         rho = states.random_density(tuple(args.dims), args.seed)
     elif args.kind == "separable":
         _check_dims(args.dims)
+        if args.terms > permnet.TRIAL_ENTRY_BUDGET:  # one Dirichlet weight per term
+            raise ValueError(f"--terms must be <= {permnet.TRIAL_ENTRY_BUDGET}, got {args.terms}")
         rho = states.random_separable(tuple(args.dims), args.terms, args.seed)
     else:  # mix; argparse restricts the choices
         if not args.inputs:

@@ -35,8 +35,11 @@ H_PAIR = np.kron(HADAMARD, HADAMARD)
 READOUT_GATES = np.array(
     [np.kron(u_b, u_a) for u_b in (np.eye(2), R_MINUS) for u_a in (np.eye(2), R_PLUS)]
 )
-# column xy holds the entries of U_xy, conjugated, row-major
-READOUT_GATES_CONJ_T = READOUT_GATES.reshape(4, 16).conj().T
+# column j: the stage-two state H2 G H2, row-major, of traced stage-one controls E_j (basis
+# matrix j, row-major), G[xy, x'y'] = Tr(U_x'y'^dagger U_xy sigma) / 4, sigma = H2 E_j H2
+_SIGMAS = H_PAIR @ np.eye(16).reshape(16, 4, 4) @ H_PAIR
+_GRAMS = np.einsum("aim,jml,bil->jab", READOUT_GATES, _SIGMAS, READOUT_GATES.conj()) / 4
+READOUT_MAP = (H_PAIR @ _GRAMS @ H_PAIR).reshape(16, 16).T.copy()
 
 
 # weight of readout 2x + y in the parity P00 - P01 - P10 + P11
@@ -207,10 +210,11 @@ def check_circuit_size(d: int, k: int) -> None:
 def _stage_one_circuit(rho: DensityMatrix, k: int) -> np.ndarray:
     """Evolve the stage-one circuit: two control qubits, Hadamards, controlled
     cyclic shifts on the A- and B-factors of rho^⊗k, Hadamards, then trace out
-    everything but the controls.  Each control value gathers through a plain
-    shift of the d^k environment, and only the 16 d^k entries of the shifted
-    state that the trace reads are evaluated, each as a product of k entries
-    of rho; neither rho^⊗k nor the 4 d^k x 4 d^k state is formed."""
+    everything but the controls; the 4 x 4 controls are returned before the
+    second Hadamards.  Each control value gathers through a plain shift of the
+    d^k environment, and only the 16 d^k entries of the shifted state that the
+    trace reads are evaluated, each as a product of k entries of rho; neither
+    rho^⊗k nor the 4 d^k x 4 d^k state is formed."""
     check_circuit_size(rho.d, k)
     # The input is 1/4 J_4 ⊗ rho^⊗k (the first Hadamards take the controls from
     # |00> to |++>), so input entry (i, j) is 1/4 of the product over copies t
@@ -221,16 +225,15 @@ def _stage_one_circuit(rho: DensityMatrix, k: int) -> np.ndarray:
     flat = rho.matrix.ravel()
     for plan in _gather_plan(tuple(rho.dims), k):
         terms *= flat[plan]
-    controls = terms.sum(axis=2)
-    # the second Hadamards act on the controls alone, so they commute with the trace
-    return H_PAIR @ controls @ H_PAIR
+    return terms.sum(axis=2)
 
 
 def stage_one_state(rho: DensityMatrix, k: int, mode: str = "analytic") -> AncillaState:
     """Joint state of the two stage-one control qubits after the interference round."""
     if _analytic(mode):
         return AncillaState(stage_one_template(mu_parameters(rho, k)[k - 1]))
-    return AncillaState(_stage_one_circuit(rho, k))
+    # the second Hadamards act on the controls alone, so they commute with the trace
+    return AncillaState(H_PAIR @ _stage_one_circuit(rho, k) @ H_PAIR)
 
 
 def stage_two_state(rho: DensityMatrix, k: int, mode: str = "analytic") -> AncillaState:
@@ -242,14 +245,11 @@ def stage_two_state(rho: DensityMatrix, k: int, mode: str = "analytic") -> Ancil
     (x, y) applies U_xy = R_MINUS^x ⊗ R_PLUS^y to the (b-control, a-control)
     pair, the controls are traced out and Hadamards act on the readouts.  That
     leaves H G H with G[xy, x'y'] = Tr(U_x'y'^dagger U_xy sigma) / 4, sigma the
-    stage-one state.
+    stage-one state: a fixed linear map of the traced controls, READOUT_MAP.
     """
     if _analytic(mode):
         return AncillaState(np.diag(stage_two_distribution(rho, k).p).astype(complex))
-    sigma = _stage_one_circuit(rho, k)
-    # Tr(U_x'y'^dagger U_xy sigma) = sum_ij (U_xy sigma)[i, j] conj(U_x'y'[i, j])
-    gram = (READOUT_GATES @ sigma).reshape(4, 16) @ READOUT_GATES_CONJ_T / 4
-    return AncillaState(H_PAIR @ gram @ H_PAIR)
+    return AncillaState((READOUT_MAP @ _stage_one_circuit(rho, k).ravel()).reshape(4, 4))
 
 
 def stage_two_distribution(rho: DensityMatrix, k: int, mode: str = "analytic") -> OutcomeDistribution:

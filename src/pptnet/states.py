@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -207,6 +208,10 @@ def load(path) -> DensityMatrix:
         raise StateFormatError(
             f"{path}: matrix shape {raw.shape} does not match dims {dims[0]}x{dims[1]}"
         )
+    # the float conversion above also takes JSON strings and booleans, which are no numbers
+    entries = chain.from_iterable(chain.from_iterable(payload["matrix"]))
+    if not set(map(type, entries)) <= {float, int}:
+        raise StateFormatError(f"{path}: matrix entries must be JSON numbers")
     # json reads NaN and Infinity, which no physical state holds
     if not np.all(np.isfinite(raw)):
         raise StateFormatError(f"{path}: matrix entries must be finite")

@@ -1120,6 +1120,20 @@ def test_gen_refuses_oversize_dims(capsys, tmp_path, monkeypatch, kind, draw):
     assert not out.exists()
 
 
+def test_gen_separable_refuses_terms_past_the_entry_budget(capsys, tmp_path, monkeypatch):
+    # one Dirichlet weight per term: 10^12 terms once ended in a 7.28 TiB MemoryError traceback
+    monkeypatch.setattr(states, "random_separable", lambda *args: pytest.fail("state drawn"))
+    out = tmp_path / "x.json"
+    budget = permnet.TRIAL_ENTRY_BUDGET
+    for terms in (budget + 1, 10**12):
+        code = cli.main(["gen", "separable", "--terms", str(terms), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"--terms must be <= {budget}, got {terms}" in captured.err
+    assert not out.exists()
+
+
 @pytest.fixture
 def refusal_files(tmp_path):
     """Input files the refusal tests read: a 2x2 and a 2x3 state, a truncated

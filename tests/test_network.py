@@ -605,6 +605,25 @@ def test_stage_two_circuit_halves_the_alternating_sum():
             assert_allclose((p[0] + p[2]) - (p[1] + p[3]), t_a / np.sqrt(2), atol=1e-10)
 
 
+def gate_by_gate_readout(c):
+    """Reference stage-two readout of traced stage-one controls c: H2 G H2 with
+    G[xy, x'y'] = Tr(U_x'y'^dagger U_xy sigma) / 4 and sigma = H2 c H2, each
+    entry of G taken from the gates U_xy of READOUT_GATES."""
+    h2, gates = network.H_PAIR, network.READOUT_GATES
+    sigma = h2 @ c @ h2
+    g = np.array([[np.trace(v.conj().T @ u @ sigma) / 4 for v in gates] for u in gates])
+    return h2 @ g @ h2
+
+
+def test_readout_map_equals_gate_by_gate_readout():
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        c = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        c /= np.linalg.norm(c)  # a state's traced controls have Frobenius norm at most 1
+        got = (network.READOUT_MAP @ c.ravel()).reshape(4, 4)
+        assert np.max(np.abs(got - gate_by_gate_readout(c))) <= 1e-15
+
+
 def test_readout_gates_are_hermitian_unitaries():
     for gate in (network.R_PLUS, network.R_MINUS):
         assert_allclose(gate, gate.conj().T, atol=1e-15)

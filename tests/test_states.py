@@ -192,6 +192,21 @@ def test_load_rejects_non_finite_entries(tmp_path, entry):
         states.load(path)
 
 
+@pytest.mark.parametrize(
+    "row, col, entry",
+    [(0, 0, ["0.25", "0"]), (0, 1, [False, False]), (1, 2, [0.0, False]), (2, 3, [0, None])],
+)
+def test_load_rejects_entries_that_are_not_numbers(tmp_path, row, col, entry):
+    # the float conversion takes each of these at its value (null as NaN), so the
+    # maximally mixed state with a quoted or boolean entry once passed `check`
+    doc = {"dims": [2, 2], "matrix": [[[0.25 * (i == j), 0.0] for j in range(4)] for i in range(4)]}
+    doc["matrix"][row][col] = entry
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(states.StateFormatError, match="must be JSON numbers"):
+        states.load(path)
+
+
 def test_load_rejects_malformed_entries(tmp_path):
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"dims": [2, 2], "matrix": [[1.0] * 4] * 4}))
