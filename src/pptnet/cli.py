@@ -3,7 +3,8 @@ measurement protocol with shots, verify the trace-identity suite, and print
 the readout calibration constant.
 
 Machine-readable JSON goes to stdout, human summaries to stderr.  Exit codes:
-0 success, 1 input error (bad arguments too), 2 estimation failure, 3 identity-suite failure.
+0 success, 1 input error (bad arguments too), 2 an --exact-probabilities
+recovery refusal or a calibration failure, 3 identity-suite failure.
 """
 
 from __future__ import annotations
@@ -29,24 +30,26 @@ def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2))
 
 
-def _report(rho, method, ps, result=None, shots_per_k=0, seed=None, copies_consumed=0) -> dict:
-    """The one `check` / `simulate` report, from a PowerSums and a ProtocolResult;
-    with no result (a failed run's partial report) the six result fields are null."""
+def _report(rho, method, result, shots_per_k=0, seed=None) -> dict:
+    """The one `check` / `simulate` report, read off a ProtocolResult: where
+    recovery refused, the spectrum (and in exact mode the verdict) is null."""
+    v = result.verdict
     return {
         "dims": [rho.d_a, rho.d_b],
         "method": method,
-        "power_sums": ps.p.tolist(),
-        "power_sum_stderr": ps.stderr.tolist(),
-        "spectrum": None if result is None else result.spectrum.lambdas.tolist(),
-        "lambda_min": None if result is None else result.verdict.lambda_min,
-        "sigma": None if result is None else result.sigma,
-        "interval": None if result is None or result.interval is None else list(result.interval),
-        "bootstrap_failures": None if result is None else result.bootstrap_failures,
-        "classification": None if result is None else result.verdict.classification,
+        "power_sums": result.power_sums.p.tolist(),
+        "power_sum_stderr": result.power_sums.stderr.tolist(),
+        "spectrum": None if result.spectrum is None else result.spectrum.lambdas.tolist(),
+        "lambda_min": None if v is None else v.lambda_min,
+        "sigma": result.sigma,
+        "interval": None if result.interval is None else list(result.interval),
+        "bootstrap_failures": result.bootstrap_failures,
+        "classification": None if v is None else v.classification,
         "shots_per_k": shots_per_k,
         "seed": seed,
-        "copies_consumed": copies_consumed,
+        "copies_consumed": result.copies_consumed,
         "tool_version": __version__,
+        "recovery_error": result.recovery_error,
     }
 
 
@@ -61,6 +64,7 @@ def _check_dims(dims: list[int]) -> int:
 
 
 def cmd_gen(args) -> int:
+    dims = args.dims or [2, 2]  # random and separable's default: the other kinds fix their own
     if args.kind == "bell":
         rho = states.bell_state(args.which)
     elif args.kind == "werner":
@@ -68,13 +72,13 @@ def cmd_gen(args) -> int:
             raise ValueError("werner requires --p")
         rho = states.werner(args.p)
     elif args.kind == "random":
-        _check_dims(args.dims)
-        rho = states.random_density(tuple(args.dims), args.seed)
+        _check_dims(dims)
+        rho = states.random_density(tuple(dims), args.seed)
     elif args.kind == "separable":
-        _check_dims(args.dims)
+        _check_dims(dims)
         if args.terms > permnet.TRIAL_ENTRY_BUDGET:  # one Dirichlet weight per term
             raise ValueError(f"--terms must be <= {permnet.TRIAL_ENTRY_BUDGET}, got {args.terms}")
-        rho = states.random_separable(tuple(args.dims), args.terms, args.seed)
+        rho = states.random_separable(tuple(dims), args.terms, args.seed)
     else:  # mix; argparse restricts the choices
         if not args.inputs:
             raise ValueError("mix requires --inputs")
@@ -90,6 +94,8 @@ def cmd_gen(args) -> int:
         weights /= weights.sum()
         m = sum(w * p.matrix for w, p in zip(weights, parts))
         rho = states.DensityMatrix(dims, m)
+    if args.dims not in (None, list(rho.dims)):
+        raise ValueError(f"--dims {args.dims}: the {args.kind} state is {rho.d_a}x{rho.d_b}")
     report = states.validate(rho)
     if not report.ok:
         raise states.PhysicalityError(report)
@@ -109,7 +115,7 @@ def cmd_check(args) -> int:
     p[0] = 1.0  # the unit trace, pinned as power_sums_exact pins it
     ps = estimation.PowerSums(p, "exact", np.zeros(rho.d))
     v = estimation.verdict(spectrum, rho.dims)
-    _emit(_report(rho, "exact", ps, estimation.ProtocolResult(ps, spectrum, v)))
+    _emit(_report(rho, "exact", estimation.ProtocolResult(ps, spectrum, v)))
     _info(f"lambda_min = {v.lambda_min:+.6f} -> {v.classification}")
     return 0
 
@@ -117,21 +123,13 @@ def cmd_check(args) -> int:
 def cmd_simulate(args) -> int:
     rho = states.load(args.state)
     cfg = estimation.EstimationConfig(shots_per_k=args.shots, seed=args.seed)
+    r = estimation.run_protocol(rho, cfg, exact_probabilities=args.exact_probabilities)
     method = "locc_exact" if args.exact_probabilities else "locc_shots"
-    shots = 0 if args.exact_probabilities else cfg.shots_per_k
-    try:
-        r = estimation.run_protocol(rho, cfg, exact_probabilities=args.exact_probabilities)
-    except estimation.EstimationError as exc:
-        partial = _report(rho, method, exc.power_sums, None, shots, cfg.seed, exc.copies_consumed)
-        _emit({**partial, "error": str(exc)})
-        _info(f"estimation failed: {exc}")
-        return 2
-    _emit(_report(rho, method, r.power_sums, r, shots, cfg.seed, r.copies_consumed))
-    _info(
-        f"lambda_min = {r.verdict.lambda_min:+.6f} (sigma {r.sigma:.2e}) "
-        f"-> {r.verdict.classification}"
-    )
-    return 0
+    report = _report(rho, method, r, 0 if args.exact_probabilities else cfg.shots_per_k, cfg.seed)
+    _emit(report)
+    keys = ("classification", "lambda_min", "sigma", "recovery_error")
+    _info(" ".join(f"{k}={report[k]}" for k in keys))
+    return 2 if r.verdict is None else 0  # exact mode has no verdict without a spectrum
 
 
 def _trace_checks(mats: np.ndarray, dims: tuple[int, int], moments_k: np.ndarray, k: int) -> dict:
@@ -301,7 +299,7 @@ COMMANDS = {
         "kind": {"choices": ["bell", "werner", "random", "separable", "mix"]},
         "--which": {"default": "phi+", "help": "bell: phi+ phi- psi+ psi-"},
         "--p": {"type": float, "default": None, "help": "werner mixing parameter"},
-        "--dims": _DIMS,
+        "--dims": {**_DIMS, "default": None, "help": "random, separable (default 2 2)"},
         "--terms": {"type": int, "default": 5, "help": "separable: product terms"},
         "--seed": _SEED,
         "--inputs": {"nargs": "+", "default": None, "help": "mix: state files"},

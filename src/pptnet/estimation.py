@@ -74,7 +74,7 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class PptVerdict:
-    lambda_min: float
+    lambda_min: float | None  # None when the point spectrum was refused
     classification: str
 
 
@@ -97,13 +97,14 @@ class EstimationConfig:
 @dataclass(frozen=True, eq=False)
 class ProtocolResult:
     power_sums: PowerSums
-    spectrum: Spectrum
-    verdict: PptVerdict
+    spectrum: Spectrum | None  # None when recovery refused the point estimate
+    verdict: PptVerdict | None  # None only when exact-mode recovery refused
     counts_per_k: list[ShotCounts] | None = None
-    sigma: float = 0.0
+    sigma: float | None = 0.0  # None without a spread: fewer than two replicas, or no point
     interval: tuple[float, float] | None = None
     bootstrap_failures: int | None = None  # replicas dropped from sigma; None without bootstrap
     copies_consumed: int = 0  # k copies of rho per order-k shot drawn
+    recovery_error: str | None = None  # the point recovery's refusal text
 
 
 def _substream(seed: int, *path: int) -> np.random.Generator:
@@ -286,16 +287,19 @@ def spectrum_from_power_sums(ps: PowerSums) -> Spectrum:
     additionally merge root clusters within CLUSTER_TOL, recovering
     degenerate eigenvalues that finite precision splits apart.
     """
-    return _recover(ps.p[np.newaxis], ps.source == "exact")[0]
+    point = _recover(ps.p[np.newaxis], ps.source == "exact")[0]
+    if isinstance(point, str):
+        raise SpectrumTooNoisyError(point)
+    return point
 
 
-def _recover(p: np.ndarray, exact: bool) -> tuple[Spectrum, np.ndarray]:
-    """Row 0's spectrum of a (B, d) power-sum stack, refused past its cap; the other rows' roots."""
+def _recover(p: np.ndarray, exact: bool) -> tuple[Spectrum | str, np.ndarray]:
+    """Row 0's spectrum of a (B, d) power-sum stack, or its refusal text; the other rows' roots."""
     roots = _companion_roots(_newton_coefficients(p))
     cap = EXACT_IMAG_CAP if exact else SHOT_IMAG_CAP
     residual = float(np.max(np.abs(roots[0].imag))) if p.shape[1] else 0.0
     if residual > cap:
-        raise SpectrumTooNoisyError(f"root imaginary residual {residual:.3e} exceeds cap {cap:.3e}")
+        return f"root imaginary residual {residual:.3e} exceeds cap {cap:.3e}", roots[1:]
     lambdas = _cluster_multiple_roots(roots[0], CLUSTER_TOL) if exact else roots[0].real
     return Spectrum(np.sort(lambdas)[::-1], residual), roots[1:]
 
@@ -316,11 +320,12 @@ def verdict(spectrum: Spectrum, dims: tuple[int, int]) -> PptVerdict:
 
 def bootstrap_lambda_min(
     counts_per_k: list[ShotCounts], cfg: EstimationConfig
-) -> tuple[float, tuple[float, float], int, Spectrum]:
+) -> tuple[float | None, tuple[float, float] | None, int, Spectrum | str]:
     """B multinomial replicas of the per-k counts, one draw per order, recovered
-    in one stack below the point estimate (refused first).  Returns sigma and the
-    central 95% interval of lambda_min over the replicas with every root within
-    SHOT_IMAG_CAP of the real axis, the failed count (>10% is refused), and the point spectrum."""
+    in one stack below the point estimate.  Returns sigma and the central 95%
+    interval of lambda_min over the replicas with every root within SHOT_IMAG_CAP
+    of the real axis (None when fewer than two are), the failed count, and the
+    point spectrum or its refusal text."""
     b = cfg.bootstrap_replicas
     if b < 2:
         raise ValueError("bootstrap requires bootstrap_replicas >= 2")
@@ -331,13 +336,10 @@ def bootstrap_lambda_min(
     p = np.ones((b + 1, len(counts_per_k) + 1))
     p[0, 1:] = eta_from_counts(np.array([c.n for c in counts_per_k]))[0]  # as _measure has it
     p[1:, 1:] = eta_from_counts(np.stack(draws, axis=1))[0]  # orders k = 2.. in sequence
-    spectrum, roots = _recover(p, exact=False)
-    ok = np.max(np.abs(roots.imag), axis=1) <= SHOT_IMAG_CAP
-    failures = b - int(ok.sum())
-    if failures > 0.1 * b:
-        raise EstimationError(f"{failures}/{b} bootstrap replicas failed root recovery")
-    values = roots.real[ok].min(axis=1)  # at least 2: the gate keeps 90% of b >= 2
-    return float(values.std(ddof=1)), _central_interval(values), failures, spectrum
+    point, roots = _recover(p, exact=False)
+    lams = roots.real[np.max(np.abs(roots.imag), axis=1) <= SHOT_IMAG_CAP].min(axis=1)
+    spread = (float(lams.std(ddof=1)), _central_interval(lams)) if len(lams) > 1 else (None, None)
+    return *spread, b - len(lams), point
 
 
 def _central_interval(values: np.ndarray) -> tuple[float, float]:
@@ -393,20 +395,20 @@ def run_protocol(
     """Full measurement pipeline: distributions -> (shots) -> power sums ->
     spectrum -> verdict, with bootstrap uncertainty in shot mode.  The shot-mode
     verdict is NPT_ENTANGLED exactly when npt_certified accepts the counts, and
-    PPT_INCONCLUSIVE otherwise: a miss claims nothing."""
+    PPT_INCONCLUSIVE otherwise, whether or not the point spectrum recovers: a
+    refused one is None, its text in recovery_error (in exact mode, no verdict)."""
     ps, counts_per_k = _measure(rho, cfg, exact_probabilities)
     copies = sum(c.k * int(c.n.sum()) for c in counts_per_k or [])
-    try:
-        if counts_per_k is None or cfg.bootstrap_replicas == 0:
-            spectrum, sigma, interval, failures = spectrum_from_power_sums(ps), 0.0, None, None
-        else:
-            sigma, interval, failures, spectrum = bootstrap_lambda_min(counts_per_k, cfg)
-    except EstimationError as exc:
-        exc.power_sums, exc.copies_consumed = ps, copies  # partial result for error reporting
-        raise
+    if counts_per_k is None or cfg.bootstrap_replicas == 0:
+        point, interval, failures = _recover(ps.p[np.newaxis], exact_probabilities)[0], None, None
+        sigma = None if isinstance(point, str) else 0.0  # a refused point has no spread
+    else:
+        sigma, interval, failures, point = bootstrap_lambda_min(counts_per_k, cfg)
+    spectrum, error = (None, point) if isinstance(point, str) else (point, None)
     if counts_per_k is None:
-        v = verdict(spectrum, rho.dims)
+        v = None if spectrum is None else verdict(spectrum, rho.dims)
     else:
         npt = npt_certified(np.array([c.n for c in counts_per_k]), rho.d)
-        v = PptVerdict(float(spectrum.lambdas[-1]), NPT_ENTANGLED if npt else PPT_INCONCLUSIVE)
-    return ProtocolResult(ps, spectrum, v, counts_per_k, sigma, interval, failures, copies)
+        lam = None if spectrum is None else float(spectrum.lambdas[-1])
+        v = PptVerdict(lam, NPT_ENTANGLED if npt else PPT_INCONCLUSIVE)
+    return ProtocolResult(ps, spectrum, v, counts_per_k, sigma, interval, failures, copies, error)

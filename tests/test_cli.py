@@ -27,6 +27,7 @@ REPORT_KEYS = [
     "seed",
     "copies_consumed",
     "tool_version",
+    "recovery_error",
 ]
 
 
@@ -56,6 +57,7 @@ def test_check_bell(capsys, tmp_path):
     assert report["copies_consumed"] == 0 and report["shots_per_k"] == 0
     assert report["seed"] is None
     assert report["interval"] is None and report["bootstrap_failures"] is None
+    assert report["recovery_error"] is None
 
 
 def test_check_werner_separable(capsys, tmp_path):
@@ -193,17 +195,55 @@ def test_simulate_no_k2_shortcut(capsys, tmp_path):
     assert "Traceback" not in captured.err
 
 
-def test_simulate_too_noisy_exits_2(capsys, tmp_path):
+def test_simulate_too_noisy_reports_the_certified_verdict(capsys, tmp_path):
+    # 2 shots per order: the point spectrum is refused, yet the Hoeffding
+    # certificate reads the counts, so the run reports its verdict (exit 0)
     path = gen(capsys, tmp_path, "mixed.json", "werner", "--p", "0")
     code = cli.main(["simulate", path, "--shots", "2", "--seed", "0"])
     captured = capsys.readouterr()
-    assert code == 2
+    assert code == 0
     report = json.loads(captured.out)
-    assert list(report) == REPORT_KEYS + ["error"]
-    result_keys = ["spectrum", "lambda_min", "sigma", "interval", "bootstrap_failures", "classification"]
-    assert all(report[key] is None for key in result_keys)
+    assert list(report) == REPORT_KEYS
+    assert report["classification"] == "PPT_INCONCLUSIVE"
+    assert report["spectrum"] is None and report["lambda_min"] is None
+    assert report["recovery_error"] == "root imaginary residual 7.397e-01 exceeds cap 2.500e-01"
+    assert "root imaginary residual" in captured.err
+    # sigma and the interval come from the 12 of 200 replicas that recover
+    assert report["bootstrap_failures"] == 188 and report["sigma"] == 0.0
+    assert report["interval"] == [0.0, 0.0]
     assert report["power_sums"][0] == 1.0
     assert report["copies_consumed"] == 2 * 9  # 2 shots at each of k = 2, 3, 4
+
+
+def test_simulate_3x3_shots_report_a_verdict_without_spectrum(capsys, tmp_path):
+    # no replica of this state recovers at 10^6 shots, nor does the point; the certificate still fires
+    path = gen(capsys, tmp_path, "r33.json", "random", "--dims", "3", "3", "--seed", "1")
+    code = cli.main(["simulate", path, "--shots", "1000000"])
+    captured = capsys.readouterr()
+    assert code == 0
+    report = json.loads(captured.out)
+    assert report["classification"] == "NPT_ENTANGLED"
+    assert report["spectrum"] is None and report["lambda_min"] is None
+    assert report["sigma"] is None and report["interval"] is None
+    assert report["bootstrap_failures"] == 200
+    assert "root imaginary residual" in report["recovery_error"]
+    assert "Traceback" not in captured.err
+
+
+def test_simulate_exact_refusal_exits_2_with_power_sums(capsys, tmp_path):
+    # exact mode has no certificate: a refused recovery leaves no verdict
+    path = gen(capsys, tmp_path, "r44.json", "random", "--dims", "4", "4", "--seed", "7")
+    code = cli.main(["simulate", path, "--exact-probabilities"])
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)
+    assert list(report) == REPORT_KEYS
+    result_keys = ["spectrum", "lambda_min", "sigma", "interval", "bootstrap_failures", "classification"]
+    assert all(report[key] is None for key in result_keys)
+    assert report["recovery_error"] == "root imaginary residual 6.376e-02 exceeds cap 1.000e-03"
+    assert len(report["power_sums"]) == 16 and report["power_sums"][0] == 1.0
+    assert report["copies_consumed"] == 0
+    assert "root imaginary residual" in captured.err
 
 
 def test_simulate_shots_past_int64_exit_1(capsys, tmp_path):
@@ -1120,6 +1160,13 @@ def test_gen_refuses_oversize_dims(capsys, tmp_path, monkeypatch, kind, draw):
     assert not out.exists()
 
 
+def test_gen_dims_default_and_agreeing_dims(capsys, tmp_path):
+    # random and separable default to 2x2; the other kinds accept --dims that match their state
+    for argv in (["random"], ["separable"], ["werner", "--p", "0.5", "--dims", "2", "2"]):
+        path = gen(capsys, tmp_path, "x.json", *argv)
+        assert states.load(path).dims == (2, 2)
+
+
 def test_gen_separable_refuses_terms_past_the_entry_budget(capsys, tmp_path, monkeypatch):
     # one Dirichlet weight per term: 10^12 terms once ended in a 7.28 TiB MemoryError traceback
     monkeypatch.setattr(states, "random_separable", lambda *args: pytest.fail("state drawn"))
@@ -1151,6 +1198,16 @@ def refusal_files(tmp_path):
 INPUT_REFUSALS = {
     "werner without p": (["gen", "werner"], "werner requires --p"),
     "mix without inputs": (["gen", "mix"], "mix requires --inputs"),
+    "werner with foreign dims": (
+        ["gen", "werner", "--p", "0.5", "--dims", "3", "3"], "--dims [3, 3]: the werner state is 2x2"
+    ),
+    "bell with foreign dims": (
+        ["gen", "bell", "--dims", "2", "3"], "--dims [2, 3]: the bell state is 2x2"
+    ),
+    "mix with foreign dims": (
+        ["gen", "mix", "--inputs", "{tmp}/random_2x3.json", "--dims", "3", "2"],
+        "--dims [3, 2]: the mix state is 2x3",
+    ),
     "mix of 2x2 and 2x3": (
         ["gen", "mix", "--inputs", "{tmp}/bell.json", "{tmp}/random_2x3.json"],
         "mix inputs must share dimensions",
