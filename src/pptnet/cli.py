@@ -43,7 +43,6 @@ def _report(rho, method, result, shots_per_k=0, seed=None) -> dict:
         "lambda_min": None if v is None else v.lambda_min,
         "sigma": result.sigma,
         "interval": None if result.interval is None else list(result.interval),
-        "bootstrap_failures": result.bootstrap_failures,
         "classification": None if v is None else v.classification,
         "shots_per_k": shots_per_k,
         "seed": seed,

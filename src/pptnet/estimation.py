@@ -3,6 +3,7 @@ power sums, spectrum recovery via Newton's identities, and the PPT verdict."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ SHOT_IMAG_CAP = 0.25
 
 # the shot-mode NPT certificate holds on every separable state with probability >= 1 - this
 CERTIFICATE_DELTA = 1e-3
+# shifts per pass of the certified lambda_min search (two passes)
+INTERVAL_SHIFTS = 48
 
 COEFF_SNAP_TOL = 1e-12
 # the calibration states must agree on the readout constant within this
@@ -82,7 +85,7 @@ class PptVerdict:
 class EstimationConfig:
     shots_per_k: int = 100_000
     seed: int = 0
-    bootstrap_replicas: int = 200
+    bootstrap_replicas: int = 200  # read by bootstrap_lambda_min only; run_protocol ignores it
     use_k2_shortcut: bool = True
 
     def __post_init__(self):
@@ -100,9 +103,10 @@ class ProtocolResult:
     spectrum: Spectrum | None  # None when recovery refused the point estimate
     verdict: PptVerdict | None  # None only when exact-mode recovery refused
     counts_per_k: list[ShotCounts] | None = None
-    sigma: float | None = 0.0  # None without a spread: fewer than two replicas, or no point
+    # shot mode: interval is the certified [lo, hi] of lambda_min, sigma its half-width;
+    # exact mode: no interval, sigma 0 (None when recovery refused)
+    sigma: float | None = 0.0
     interval: tuple[float, float] | None = None
-    bootstrap_failures: int | None = None  # replicas dropped from sigma; None without bootstrap
     copies_consumed: int = 0  # k copies of rho per order-k shot drawn
     recovery_error: str | None = None  # the point recovery's refusal text
 
@@ -325,7 +329,8 @@ def bootstrap_lambda_min(
     in one stack below the point estimate.  Returns sigma and the central 95%
     interval of lambda_min over the replicas with every root within SHOT_IMAG_CAP
     of the real axis (None when fewer than two are), the failed count, and the
-    point spectrum or its refusal text."""
+    point spectrum or its refusal text.  A library function: run_protocol reports the
+    certified interval of lambda_min_interval instead."""
     b = cfg.bootstrap_replicas
     if b < 2:
         raise ValueError("bootstrap requires bootstrap_replicas >= 2")
@@ -349,66 +354,120 @@ def _central_interval(values: np.ndarray) -> tuple[float, float]:
     return tuple(np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t).tolist())
 
 
-def _o3_floor(p2: float, d: int) -> float:
+def _o3_floor(p2, d: int):
     """f(p2, d), the least Tr(X^3) over PSD trace-one d x d matrices X with Tr(X^2) = p2
-    (p2 clamped to [1/d, 1]), which rises with p2.  The minimiser has m = min(floor(1/p2),
-    d - 1) equal eigenvalues x and one y = 1 - m x in [0, x], the rest zero: the optimal
-    test of PPT from p2 and p3 (Yu, Imai & Guehne, PRL 127, 060504 (2021))."""
-    p2 = min(max(p2, 1.0 / d), 1.0)
-    m = min(int(1.0 / p2), d - 1)
-    x = (m + np.sqrt(max(0.0, m * m - m * (m + 1) * (1.0 - p2)))) / (m * (m + 1))
-    return float(m * x**3 + (1.0 - m * x) ** 3)
+    (p2 clamped to [1/d, 1]), which rises with p2; elementwise on arrays.  The minimiser
+    has m = min(floor(1/p2), d - 1) equal eigenvalues x and one y = 1 - m x in [0, x], the
+    rest zero: the optimal test of PPT from p2 and p3 (Yu, Imai & Guehne, PRL 127, 060504
+    (2021))."""
+    p2 = np.clip(p2, 1.0 / d, 1.0)
+    m = np.minimum(np.floor(1.0 / p2), d - 1)
+    x = (m + np.sqrt(np.maximum(0.0, m * m - m * (m + 1) * (1.0 - p2)))) / (m * (m + 1))
+    return m * x**3 + (1.0 - m * x) ** 3
+
+
+def _box(counts: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper ends of p_0 = d, p_1 = 1 and p_2 .. p_{K+1} from the (K, 4) counts
+    of orders 2..K+1: each estimate within eps = sqrt(2 ln(2K/delta) / N), which holds
+    for all K together with probability >= 1 - delta by Hoeffding's bound and the union
+    bound (delta = CERTIFICATE_DELTA, N the order's shots)."""
+    eta = eta_from_counts(counts)[0]
+    eps = np.sqrt(2 * np.log(2 * len(counts) / CERTIFICATE_DELTA) / counts.sum(axis=1))
+    exact = [float(d), 1.0]
+    return np.array([*exact, *(eta - eps)]), np.array([*exact, *(eta + eps)])
+
+
+def _shift_tests(
+    lo: np.ndarray, hi: np.ndarray, d: int, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each shift t, whether the box [lo, hi] of p_0 .. p_{n-1} proves rho^T_B - t I
+    is not PSD (so lambda_min < t), and whether it proves every e_m of its spectrum >= 0,
+    m = 1..n-1 (with n - 1 = d: PSD, so lambda_min >= t).  The shifted power sums
+    q_k = sum_j C(k, j) (-t)^(k-j) p_j are linear in p, so their box is exact.  Two tests
+    prove not PSD: q_3 below the order-3 floor (_o3_floor) of the trace-one
+    (rho^T_B - t I) / (1 - d t), for t < 1/d; or the upper end of some e_m below 0 in the
+    interval Newton recursion m e_m = sum_i (-1)^(i-1) e_{m-i} q_i (a PSD spectrum has
+    every e_m >= 0; Neven et al., npj Quantum Inf. 7, 152 (2021)).  At t = 0, q = p."""
+    n = len(lo)
+    binom = np.array([[math.comb(a, b) for b in range(n)] for a in range(n)], dtype=float)
+    k = np.arange(n)
+    # C(k, j) (-t)^(k-j), zero for j > k: the power is read off one Vandermonde row per shift
+    c = binom * np.vander(-t, n, increasing=True)[:, np.maximum(k[:, None] - k, 0)]
+    pos, neg = np.maximum(c, 0.0), np.minimum(c, 0.0)
+    q_lo, q_hi = pos @ lo + neg @ hi, pos @ hi + neg @ lo  # (G, n); both ends of q_1 are 1 - d t
+    fires = np.zeros(len(t), dtype=bool)
+    if n > 3:  # f rises with q_2: its least is at the lower end
+        below = t < 1.0 / d
+        scale = np.where(below, q_lo[:, 1], 1.0)
+        fires |= below & (q_hi[:, 3] / scale**3 < _o3_floor(q_lo[:, 2] / scale**2, d))
+    # (-1)^(i-1) q_i as an interval: the even orders enter negated
+    odd = k[1:] % 2 == 1
+    s_lo = np.where(odd, q_lo[:, 1:], -q_hi[:, 1:])
+    s_hi = np.where(odd, q_hi[:, 1:], -q_lo[:, 1:])
+    e_lo, e_hi = np.ones((len(t), n)), np.ones((len(t), n))  # e_0 .. e_{n-1}
+    psd = np.ones(len(t), dtype=bool)
+    for m in range(1, n):
+        a, b = e_lo[:, m - 1 :: -1], e_hi[:, m - 1 :: -1]  # e_{m-i}, i = 1..m
+        ends = np.stack([a * s_lo[:, :m], a * s_hi[:, :m], b * s_lo[:, :m], b * s_hi[:, :m]])
+        # cumsum adds terms i = 1..m in order, as a scalar loop would
+        total_lo = np.cumsum(ends.min(axis=0), axis=1)[:, -1]
+        total_hi = np.cumsum(ends.max(axis=0), axis=1)[:, -1]
+        fires |= total_hi < 0
+        psd &= total_lo >= 0
+        e_lo[:, m], e_hi[:, m] = total_lo / m, total_hi / m
+    return fires, psd
 
 
 def npt_certified(counts: np.ndarray, d: int) -> bool:
-    """True when the (K, 4) counts of orders 2..K+1 prove rho^T_B is not PSD while
-    every p_k lies within eps = sqrt(2 ln(2K/delta) / N) of its estimate, which
-    Hoeffding's bound and the union bound give with probability >= 1 - delta
-    (delta = CERTIFICATE_DELTA, N the order's shots).  Two tests read that box: p3
-    below the order-3 floor (_o3_floor), or the upper end of some elementary symmetric
-    function e_m below 0 in the interval Newton recursion (a PSD spectrum has every e_m
-    >= 0)."""
-    eta = eta_from_counts(counts)[0]
-    eps = np.sqrt(2 * np.log(2 * len(counts) / CERTIFICATE_DELTA) / counts.sum(axis=1))
-    lo, hi = [1.0, *(eta - eps).tolist()], [1.0, *(eta + eps).tolist()]  # p_1 .. p_{K+1}
-    if len(lo) > 2 and hi[2] < _o3_floor(lo[1], d):  # f rises with p2: its least is at lo
-        return True
-    e = [(1.0, 1.0)]  # the intervals of e_0, e_1, ...
-    for m in range(1, len(lo) + 1):  # m e_m = sum_i (-1)^(i-1) e_{m-i} p_i
-        s_lo = s_hi = 0.0
-        for i in range(1, m + 1):
-            (a, b), p_lo, p_hi = e[m - i], lo[i - 1], hi[i - 1]
-            ends = (a * p_lo, a * p_hi, b * p_lo, b * p_hi)
-            if i % 2:
-                s_lo, s_hi = s_lo + min(ends), s_hi + max(ends)
-            else:
-                s_lo, s_hi = s_lo - max(ends), s_hi - min(ends)
-        if s_hi < 0:
-            return True
-        e.append((s_lo / m, s_hi / m))
-    return False
+    """True when the (K, 4) counts of orders 2..K+1 prove rho^T_B is not PSD while every
+    p_k lies in its Hoeffding box (_box): the shift t = 0 of _shift_tests."""
+    return bool(_shift_tests(*_box(counts, d), d, np.zeros(1))[0][0])
+
+
+def lambda_min_interval(counts: np.ndarray, d: int) -> tuple[bool, float, float]:
+    """npt_certified's call on the (d - 1, 4) counts of orders 2..d, and [lo, hi], which
+    holds lambda_min whenever the Hoeffding box does, so with probability >= 1 - delta.
+    hi is the least shift on a grid at which _shift_tests proves lambda_min below it,
+    else the mean 1/d.  lo is the larger of the largest shift proved PSD and Samuelson's
+    bound: all d eigenvalues lie within sqrt(d - 1) standard deviations of their mean
+    1/d (Samuelson, JASA 63, 1522 (1968)), read at p_2's upper end.  The grid holds
+    t = 0 and INTERVAL_SHIFTS - 1 shifts from Samuelson's bound to 1/d; a second pass of
+    INTERVAL_SHIFTS refines the gap next to each end.  A box no spectrum fits can prove
+    both lambda_min < hi and lambda_min >= lo > hi: lo is then lowered to hi."""
+    if len(counts) != d - 1:
+        raise ValueError(f"need the counts of orders 2..{d}, got {len(counts)} orders")
+    lo_p, hi_p = _box(counts, d)
+    floor = 1.0 / d - float(np.sqrt((d - 1) * max(0.0, hi_p[2] / d - 1.0 / d**2)))
+    t = np.append(0.0, np.linspace(floor, 1.0 / d, INTERVAL_SHIFTS - 1))
+    fires, psd = _shift_tests(lo_p, hi_p, d, t)
+    hi, lo = t[fires].min(initial=1.0 / d), t[psd].max(initial=floor)
+    below, above = t[t < hi].max(initial=hi), t[t > lo].min(initial=lo)
+    # INTERVAL_SHIFTS / 2 shifts inside each gap, whose two ends were tested already
+    gap = INTERVAL_SHIFTS // 2 + 2
+    fine = np.concatenate([np.linspace(below, hi, gap)[1:-1], np.linspace(lo, above, gap)[1:-1]])
+    fine_fires, fine_psd = _shift_tests(lo_p, hi_p, d, fine)
+    hi = min(hi, fine[fine_fires].min(initial=hi))
+    lo = max(lo, fine[fine_psd].max(initial=lo))
+    return bool(fires[0]), float(min(lo, hi)), float(hi)
 
 
 def run_protocol(
     rho: DensityMatrix, cfg: EstimationConfig, exact_probabilities: bool = False
 ) -> ProtocolResult:
     """Full measurement pipeline: distributions -> (shots) -> power sums ->
-    spectrum -> verdict, with bootstrap uncertainty in shot mode.  The shot-mode
-    verdict is NPT_ENTANGLED exactly when npt_certified accepts the counts, and
+    spectrum -> verdict, with the certified lambda_min interval in shot mode.  The
+    shot-mode verdict is NPT_ENTANGLED exactly when npt_certified accepts the counts, and
     PPT_INCONCLUSIVE otherwise, whether or not the point spectrum recovers: a
     refused one is None, its text in recovery_error (in exact mode, no verdict)."""
     ps, counts_per_k = _measure(rho, cfg, exact_probabilities)
-    copies = sum(c.k * int(c.n.sum()) for c in counts_per_k or [])
-    if counts_per_k is None or cfg.bootstrap_replicas == 0:
-        point, interval, failures = _recover(ps.p[np.newaxis], exact_probabilities)[0], None, None
-        sigma = None if isinstance(point, str) else 0.0  # a refused point has no spread
-    else:
-        sigma, interval, failures, point = bootstrap_lambda_min(counts_per_k, cfg)
+    point = _recover(ps.p[np.newaxis], exact_probabilities)[0]
     spectrum, error = (None, point) if isinstance(point, str) else (point, None)
     if counts_per_k is None:
         v = None if spectrum is None else verdict(spectrum, rho.dims)
-    else:
-        npt = npt_certified(np.array([c.n for c in counts_per_k]), rho.d)
-        lam = None if spectrum is None else float(spectrum.lambdas[-1])
-        v = PptVerdict(lam, NPT_ENTANGLED if npt else PPT_INCONCLUSIVE)
-    return ProtocolResult(ps, spectrum, v, counts_per_k, sigma, interval, failures, copies, error)
+        sigma = None if spectrum is None else 0.0  # a refused point has no spread
+        return ProtocolResult(ps, spectrum, v, sigma=sigma, recovery_error=error)
+    npt, lo, hi = lambda_min_interval(np.array([c.n for c in counts_per_k]), rho.d)
+    lam = None if spectrum is None else float(spectrum.lambdas[-1])
+    v = PptVerdict(lam, NPT_ENTANGLED if npt else PPT_INCONCLUSIVE)
+    copies = sum(c.k * int(c.n.sum()) for c in counts_per_k)
+    return ProtocolResult(ps, spectrum, v, counts_per_k, (hi - lo) / 2, (lo, hi), copies, error)

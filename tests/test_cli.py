@@ -21,7 +21,6 @@ REPORT_KEYS = [
     "lambda_min",
     "sigma",
     "interval",
-    "bootstrap_failures",
     "classification",
     "shots_per_k",
     "seed",
@@ -56,7 +55,7 @@ def test_check_bell(capsys, tmp_path):
     assert_allclose(report["power_sums"], [1.0, 1.0, 0.25, 0.25], atol=1e-10)
     assert report["copies_consumed"] == 0 and report["shots_per_k"] == 0
     assert report["seed"] is None
-    assert report["interval"] is None and report["bootstrap_failures"] is None
+    assert report["interval"] is None
     assert report["recovery_error"] is None
 
 
@@ -161,7 +160,7 @@ def test_simulate_exact_matches_check(capsys, tmp_path):
     assert sim["method"] == "locc_exact"
     assert sim["classification"] == exact["classification"] == "NPT_ENTANGLED"
     assert_allclose(sim["spectrum"], exact["spectrum"], atol=1e-8)
-    assert sim["interval"] is None and sim["bootstrap_failures"] is None
+    assert sim["interval"] is None
 
 
 def test_simulate_shots_report(capsys, tmp_path):
@@ -175,10 +174,10 @@ def test_simulate_shots_report(capsys, tmp_path):
     assert report["copies_consumed"] == 50000 * 9
     assert report["classification"] == "NPT_ENTANGLED"
     assert abs(report["lambda_min"] + 0.5) < 0.05
-    assert report["sigma"] > 0
+    # the certified interval holds the exact lambda_min, -0.5, and lies below 0 on an NPT call
     lo, hi = report["interval"]
-    assert lo < report["lambda_min"] < hi
-    assert report["bootstrap_failures"] == 0
+    assert lo <= -0.5 <= hi < 0
+    assert report["sigma"] == (hi - lo) / 2 > 0
     code2, report2 = run(capsys, argv)
     assert report2 == report
 
@@ -208,15 +207,17 @@ def test_simulate_too_noisy_reports_the_certified_verdict(capsys, tmp_path):
     assert report["spectrum"] is None and report["lambda_min"] is None
     assert report["recovery_error"] == "root imaginary residual 7.397e-01 exceeds cap 2.500e-01"
     assert "root imaginary residual" in captured.err
-    # sigma and the interval come from the 12 of 200 replicas that recover
-    assert report["bootstrap_failures"] == 188 and report["sigma"] == 0.0
-    assert report["interval"] == [0.0, 0.0]
+    # the interval comes from the counts, not from the refused point: no shift fires, so
+    # hi is the mean 1/4, and lo is Samuelson's bound at the top of a wide Hoeffding box
+    lo, hi = report["interval"]
+    assert lo < 0.25 == hi
+    assert report["sigma"] == (hi - lo) / 2
     assert report["power_sums"][0] == 1.0
     assert report["copies_consumed"] == 2 * 9  # 2 shots at each of k = 2, 3, 4
 
 
 def test_simulate_3x3_shots_report_a_verdict_without_spectrum(capsys, tmp_path):
-    # no replica of this state recovers at 10^6 shots, nor does the point; the certificate still fires
+    # the point spectrum of this state does not recover at 10^6 shots; the certificate still fires
     path = gen(capsys, tmp_path, "r33.json", "random", "--dims", "3", "3", "--seed", "1")
     code = cli.main(["simulate", path, "--shots", "1000000"])
     captured = capsys.readouterr()
@@ -224,8 +225,10 @@ def test_simulate_3x3_shots_report_a_verdict_without_spectrum(capsys, tmp_path):
     report = json.loads(captured.out)
     assert report["classification"] == "NPT_ENTANGLED"
     assert report["spectrum"] is None and report["lambda_min"] is None
-    assert report["sigma"] is None and report["interval"] is None
-    assert report["bootstrap_failures"] == 200
+    # and the certified interval holds the exact lambda_min, -0.1024, below 0
+    lo, hi = report["interval"]
+    assert lo <= -0.1024 <= hi <= 0
+    assert report["sigma"] == (hi - lo) / 2 > 0
     assert "root imaginary residual" in report["recovery_error"]
     assert "Traceback" not in captured.err
 
@@ -238,7 +241,7 @@ def test_simulate_exact_refusal_exits_2_with_power_sums(capsys, tmp_path):
     assert code == 2
     report = json.loads(captured.out)
     assert list(report) == REPORT_KEYS
-    result_keys = ["spectrum", "lambda_min", "sigma", "interval", "bootstrap_failures", "classification"]
+    result_keys = ["spectrum", "lambda_min", "sigma", "interval", "classification"]
     assert all(report[key] is None for key in result_keys)
     assert report["recovery_error"] == "root imaginary residual 6.376e-02 exceeds cap 1.000e-03"
     assert len(report["power_sums"]) == 16 and report["power_sums"][0] == 1.0

@@ -184,15 +184,14 @@ def test_estimation_config_validation():
 
 
 def test_one_bootstrap_replica_is_an_input_error():
-    # one replica has no sample spread: sigma with ddof = 1 is undefined for it
+    # one replica has no sample spread: bootstrap_lambda_min's sigma (ddof = 1) is undefined for it
     with pytest.raises(ValueError, match="bootstrap_replicas must be 0 or >= 2, got 1"):
         est.EstimationConfig(bootstrap_replicas=1)
     bell = states.bell_state("phi+")
-    # 0 stays the no-bootstrap mode; 2 replicas, the fewest allowed, have a spread
+    # run_protocol does not read the replica count: 0 and 2 give one certified interval
     none = est.run_protocol(bell, est.EstimationConfig(shots_per_k=1000, bootstrap_replicas=0))
-    assert none.sigma == 0.0 and none.interval is None and none.bootstrap_failures is None
     two = est.run_protocol(bell, est.EstimationConfig(shots_per_k=1000, bootstrap_replicas=2))
-    assert two.sigma > 0 and two.bootstrap_failures == 0
+    assert none.interval == two.interval and none.sigma == two.sigma > 0
 
 
 def test_bootstrap_lambda_min_refuses_zero_replicas():
@@ -440,7 +439,7 @@ def test_shot_run_does_not_import_numpy_ma():
     code = (
         "import sys; from pptnet import estimation as est, states; "
         "r = est.run_protocol(states.bell_state(), est.EstimationConfig(shots_per_k=100_000)); "
-        "assert r.interval is not None and r.bootstrap_failures == 0; "
+        "assert r.interval[0] <= -0.5 <= r.interval[1]; "
         "print('numpy.ma' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(est.__file__))}
@@ -449,39 +448,29 @@ def test_shot_run_does_not_import_numpy_ma():
     assert out.stdout.strip() == "False"
 
 
-def test_shot_run_recovers_point_and_replicas_in_one_stack(monkeypatch):
+def test_shot_run_recovers_the_point_in_one_row(monkeypatch):
+    # one companion-roots call on the point row alone, whatever the replica count
     calls = []
     roots = est._companion_roots
     monkeypatch.setattr(est, "_companion_roots", lambda c: calls.append(c.shape) or roots(c))
     cfg = est.EstimationConfig(shots_per_k=10_000, seed=2)
-    res = est.run_protocol(states.bell_state("phi+"), cfg)
-    assert calls == [(cfg.bootstrap_replicas + 1, 5)]  # the point row above 200 replicas
-    assert res.bootstrap_failures == 0
-    calls.clear()
-    est.run_protocol(states.bell_state("phi+"), replace(cfg, bootstrap_replicas=0))
-    assert calls == [(1, 5)]
+    for replicas in (200, 0):
+        calls.clear()
+        est.run_protocol(states.bell_state("phi+"), replace(cfg, bootstrap_replicas=replicas))
+        assert calls == [(1, 5)]
 
 
-def test_refused_point_keeps_the_surviving_replicas_spread():
+def test_refused_point_keeps_the_certified_interval():
     # Werner p = 0 at 2 shots per order, seed 0: the point estimate's roots lie
-    # 0.74 off the real axis, and 188 of its 200 replicas fail too
+    # 0.74 off the real axis, and the interval still comes from the counts
     rho, cfg = states.werner(0.0), est.EstimationConfig(shots_per_k=2, seed=0)
     _, counts = est._measure(rho, cfg, exact=False)
-    b = cfg.bootstrap_replicas
-    p = np.ones((b, len(counts) + 1))
-    for c in counts:  # the replicas on their own, drawn from the bootstrap streams
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1, c.k]))
-        p[:, c.k - 1] = est.eta_from_counts(rng.multinomial(2, c.n / 2, size=b))[0]
-    roots = est._companion_roots(est._newton_coefficients(p))
-    ok = np.max(np.abs(roots.imag), axis=1) <= est.SHOT_IMAG_CAP
-    assert np.sum(~ok) == 188
     res = est.run_protocol(rho, cfg)
     assert res.recovery_error == "root imaginary residual 7.397e-01 exceeds cap 2.500e-01"
     assert res.spectrum is None and res.verdict == est.PptVerdict(None, est.PPT_INCONCLUSIVE)
-    values = roots.real[ok].min(axis=1)  # the 12 survivors
-    assert res.sigma == float(values.std(ddof=1))
-    assert res.interval == tuple(np.percentile(values, [2.5, 97.5]).tolist())
-    assert res.bootstrap_failures == 188
+    npt, lo, hi = est.lambda_min_interval(np.array([c.n for c in counts]), rho.d)
+    assert not npt and res.interval == (lo, hi) and res.sigma == (hi - lo) / 2
+    assert lo <= 0.25 <= hi  # lambda_min of I/4
     assert res.copies_consumed == 2 * (2 + 3 + 4)
     assert res.power_sums.source == "estimated" and res.power_sums.p[0] == 1.0
 
@@ -506,7 +495,7 @@ def test_run_protocol_recovery_matches_per_row_reference():
         assert_array_equal(res.spectrum.lambdas, expected)
         assert_array_equal(est.spectrum_from_power_sums(res.power_sums).lambdas, expected)
         assert res.verdict.lambda_min == expected[-1]
-        assert res.bootstrap_failures == 0
+        assert res.interval[0] <= exact_lambda_min(rho) <= res.interval[1]
 
 
 def test_run_protocol_exact_bell():
@@ -515,7 +504,6 @@ def test_run_protocol_exact_bell():
     assert_allclose(res.spectrum.lambdas, [0.5, 0.5, 0.5, -0.5], atol=1e-8)
     assert res.copies_consumed == 0
     assert res.counts_per_k is None and res.interval is None and res.sigma == 0.0
-    assert res.bootstrap_failures is None
 
 
 def test_run_protocol_bell_shots():
@@ -523,8 +511,9 @@ def test_run_protocol_bell_shots():
     res = est.run_protocol(states.bell_state("phi+"), cfg)
     assert res.verdict.classification == est.NPT_ENTANGLED
     assert abs(res.verdict.lambda_min + 0.5) < 0.02
-    assert res.sigma > 0
-    assert res.interval[0] <= res.verdict.lambda_min <= res.interval[1]
+    # the certified interval holds the exact lambda_min, and lies below 0 on an NPT call
+    assert res.interval[0] <= -0.5 <= res.interval[1] < 0
+    assert res.sigma == (res.interval[1] - res.interval[0]) / 2 > 0
     assert res.copies_consumed == 100_000 * (2 + 3 + 4)
     assert [c.k for c in res.counts_per_k] == [2, 3, 4]
     # copies are counted from the shots drawn: k copies per order-k shot
@@ -532,8 +521,8 @@ def test_run_protocol_bell_shots():
 
 
 def test_run_protocol_sigma_shrinks_with_shots():
-    # Quadrupling the shot budget should halve the bootstrap spread, within
-    # sampling slack.
+    # Quadrupling the shot budget halves the Hoeffding box, and with it about
+    # halves the certified half-width.
     bell = states.bell_state("phi+")
     ratios = []
     for seed in range(10):
@@ -647,18 +636,16 @@ def test_exact_probabilities_call_3x3_maximally_entangled_state_entangled():
 
 def test_shot_mode_never_refuses_werner_half_at_ten_thousand_shots():
     # lambda_min = -0.125, but the threefold eigenvalue 0.375 of the partial
-    # transpose splits into complex pairs under shot noise: up to 88 of 200
-    # replicas fail, and sigma comes from the rest
+    # transpose splits into complex pairs under shot noise; the point still
+    # recovers on every seed, and every certified interval holds -0.125
     refused = {}
     for seed in range(10):
         res = est.run_protocol(states.werner(0.5), est.EstimationConfig(shots_per_k=10_000, seed=seed))
-        if res.recovery_error or res.sigma is None:
+        if res.recovery_error:
             refused[seed] = res.recovery_error
+        assert np.isfinite(res.sigma) and res.sigma > 0
+        assert res.interval[0] <= -0.125 <= res.interval[1]
     assert refused == {}
-    res = est.run_protocol(states.werner(0.5), est.EstimationConfig(shots_per_k=10_000, seed=0))
-    assert np.isfinite(res.sigma) and res.sigma > 0
-    assert res.interval[0] <= res.verdict.lambda_min <= res.interval[1]
-    assert res.bootstrap_failures == 88
 
 
 def test_separable_3x3_shot_runs_return_and_never_call_entanglement():
@@ -751,3 +738,110 @@ def test_shot_mode_makes_no_false_separability_claim():
         if res.verdict.classification == est.PPT_CONCLUSIVE_SEPARABLE:
             claims.append((rho.dims, seed))
     assert claims == []
+
+
+def exact_lambda_min(rho):
+    return np.linalg.eigvalsh(linalg.partial_transpose(rho.matrix, *rho.dims, "B"))[0]
+
+
+def _o3_floor_reference(p2, d):
+    """The scalar order-3 floor, as npt_certified read it before the shifted box."""
+    p2 = min(max(p2, 1.0 / d), 1.0)
+    m = min(int(1.0 / p2), d - 1)
+    x = (m + np.sqrt(max(0.0, m * m - m * (m + 1) * (1.0 - p2)))) / (m * (m + 1))
+    return float(m * x**3 + (1.0 - m * x) ** 3)
+
+
+def _npt_certified_reference(counts, d):
+    """The scalar certificate: O3 on the box, then the interval Newton recursion
+    term by term, returning at the first e_m whose upper end is below 0."""
+    eta = est.eta_from_counts(counts)[0]
+    eps = np.sqrt(2 * np.log(2 * len(counts) / est.CERTIFICATE_DELTA) / counts.sum(axis=1))
+    lo, hi = [1.0, *(eta - eps).tolist()], [1.0, *(eta + eps).tolist()]
+    if len(lo) > 2 and hi[2] < _o3_floor_reference(lo[1], d):
+        return True
+    e = [(1.0, 1.0)]
+    for m in range(1, len(lo) + 1):
+        s_lo = s_hi = 0.0
+        for i in range(1, m + 1):
+            (a, b), p_lo, p_hi = e[m - i], lo[i - 1], hi[i - 1]
+            ends = (a * p_lo, a * p_hi, b * p_lo, b * p_hi)
+            if i % 2:
+                s_lo, s_hi = s_lo + min(ends), s_hi + max(ends)
+            else:
+                s_lo, s_hi = s_lo - max(ends), s_hi - min(ends)
+        if s_hi < 0:
+            return True
+        e.append((s_lo / m, s_hi / m))
+    return False
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_npt_call_is_the_scalar_certificate_and_caps_the_interval(dims):
+    # 60 random states per size at 10^6 shots: the shift t = 0 makes the scalar
+    # certificate's call, and every NPT call comes with hi <= 0
+    for s in range(60):
+        rho = states.random_density(dims, s)
+        res = est.run_protocol(rho, est.EstimationConfig(shots_per_k=10**6, seed=2000 + s))
+        counts = np.array([c.n for c in res.counts_per_k])
+        want = _npt_certified_reference(counts, rho.d)
+        assert est.npt_certified(counts, rho.d) == want, (dims, s)
+        assert (res.verdict.classification == est.NPT_ENTANGLED) == want, (dims, s)
+        if want:
+            assert res.interval[1] <= 0, (dims, s, res.interval)
+
+
+@pytest.mark.parametrize("shots", [10**6, 10**7])
+def test_certified_interval_covers_the_exact_lambda_min(shots):
+    # each run's box fails with probability at most 1e-3: all 88 runs cover
+    cases = [states.bell_state("phi+"), *(states.werner(p) for p in (0.8, 0.4, 0.25, 0.0))]
+    for dims in ((2, 2), (2, 3), (3, 3)):
+        cases += [states.random_density(dims, 1), states.random_separable(dims, 5, 1)]
+    missed = []
+    for i, rho in enumerate(cases):
+        lam = exact_lambda_min(rho)
+        for seed in range(8):
+            lo, hi = est.run_protocol(rho, est.EstimationConfig(shots_per_k=shots, seed=seed)).interval
+            if not lo <= lam <= hi:
+                missed.append((i, seed, lam, lo, hi))
+    assert missed == []
+
+
+def test_every_shot_run_has_a_finite_certified_interval():
+    # refused points (a few shots, and a random 3x3 state at 10^6, whose sigma
+    # was None under the bootstrap) included: sigma is the half-width of a finite [lo, hi]
+    runs = [
+        (states.werner(0.0), 2),
+        (states.random_density((3, 3), 1), 10**6),
+        (states.bell_state("phi+"), 1),
+        (states.random_separable((2, 3), 5, 0), 3),
+        (states.random_density((3, 3), 1), 1),
+    ]
+    for rho, shots in runs:
+        res = est.run_protocol(rho, est.EstimationConfig(shots_per_k=shots, seed=0))
+        lo, hi = res.interval
+        assert math.isfinite(lo) and math.isfinite(hi) and lo <= hi, (rho.dims, shots)
+        assert math.isfinite(res.sigma) and res.sigma == (hi - lo) / 2 >= 0
+    assert res.recovery_error is not None  # the 3x3 runs refuse their points
+    # p_2 = p_3 = -1 fits no spectrum: Samuelson's bound puts lambda_min at the mean 1/4
+    # while t = 0 fires, so lo is lowered to hi
+    impossible = np.array([[0, 1000, 0, 0], [0, 1000, 0, 0], [1000, 0, 0, 0]])
+    assert est.lambda_min_interval(impossible, 4) == (True, 0.0, 0.0)
+
+
+def test_certified_interval_draws_no_random_numbers(monkeypatch):
+    # the interval is a function of the counts: only the three sampling streams are drawn
+    paths, substream = [], est._substream
+
+    def record(seed, *path):
+        paths.append(path)
+        return substream(seed, *path)
+
+    monkeypatch.setattr(est, "_substream", record)
+    res = est.run_protocol(states.werner(0.4), est.EstimationConfig(shots_per_k=10**6, seed=5))
+    assert paths == [(0, 2), (0, 3), (0, 4)]
+    counts = np.array([c.n for c in res.counts_per_k])
+    assert est.lambda_min_interval(counts, 4) == est.lambda_min_interval(counts.copy(), 4)
+    assert est.lambda_min_interval(counts, 4)[1:] == res.interval
+    with pytest.raises(ValueError, match="need the counts of orders 2..4, got 2 orders"):
+        est.lambda_min_interval(counts[:2], 4)
