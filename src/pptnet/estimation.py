@@ -89,6 +89,11 @@ class EstimationConfig:
     use_k2_shortcut: bool = True
 
     def __post_init__(self):
+        for name in ("shots_per_k", "seed", "bootstrap_replicas"):
+            value = getattr(self, name)
+            # a float or bool would be truncated to an int by the draws without notice
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.shots_per_k <= np.iinfo(np.int64).max:  # multinomial counts are int64
             raise ValueError(f"shots_per_k must be in [1, 2**63 - 1], got {self.shots_per_k}")
         if self.bootstrap_replicas < 0 or self.bootstrap_replicas == 1:  # 1 has no spread
@@ -223,16 +228,16 @@ def estimate_power_sums(
 
 
 def _newton_coefficients(p: np.ndarray) -> np.ndarray:
-    """Monic characteristic-polynomial coefficients from power sums (..., d)
+    """Monic characteristic-polynomial coefficients from one row of power sums
     via Newton's identities: m*e_m = sum_{i=1..m} (-1)^(i-1) e_{m-i} p_i."""
-    d = p.shape[-1]
+    d = len(p)
     sign = (-1.0) ** np.arange(d + 1)
-    e = np.zeros((*p.shape[:-1], d + 1))
-    e[..., 0] = 1.0
+    e = np.zeros(d + 1)
+    e[0] = 1.0
     signed = sign[:d] * p
     for m in range(1, d + 1):
         # exact sign flips, and cumsum adds terms i = 1..m in order: e_m rounds as in a scalar loop
-        e[..., m] = np.cumsum(e[..., m - 1 :: -1] * signed[..., :m], axis=-1)[..., -1] / m
+        e[m] = np.cumsum(e[m - 1 :: -1] * signed[:m])[-1] / m
     coeffs = sign * e
     # Coefficients below the float-noise floor are zeros in disguise.  Snapping
     # them lets the root finder deflate exact zero eigenvalues of rank-deficient
@@ -240,26 +245,6 @@ def _newton_coefficients(p: np.ndarray) -> np.ndarray:
     # eps^(1/multiplicity), which for high multiplicity dwarfs every cap here.
     coeffs[np.abs(coeffs) < COEFF_SNAP_TOL] = 0.0
     return coeffs
-
-
-def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of each monic row of (B, n+1) coefficients, equal to np.roots row
-    by row, from one stacked eigvals call.  A row of degree m (its last n - m
-    coefficients zero) gets the block matrix diag(C_m, 0): C_m is np.roots'
-    own m×m companion, and the subdiagonal ones stop at row m.  LAPACK's
-    balancing moves the all-zero rows and columns of the 0 block out before
-    QR, which then runs on C_m alone as in np.roots (whose last coefficient
-    is nonzero, so nothing of C_m is isolated); the isolated zeros come last,
-    where np.roots appends its zero roots.  Output is real only if every
-    root is."""
-    n = coeffs.shape[1] - 1
-    degree = n - np.argmax(coeffs[:, ::-1] != 0, axis=1)  # column 0 is 1: every row has a nonzero
-    inside = np.arange(n) < degree[:, None]  # columns of C_m
-    companion = np.zeros((len(coeffs), n, n))
-    # +0.0, not -0.0, in the 0 block: at degree 0 its diagonal is the roots, +0.0 in np.roots
-    companion[:, 0] = np.where(inside, -coeffs[:, 1:], 0.0)
-    companion[:, np.arange(1, n), np.arange(n - 1)] = inside[:, 1:]
-    return np.linalg.eigvals(companion)
 
 
 def _cluster_multiple_roots(roots: np.ndarray, tol: float) -> np.ndarray:
@@ -282,7 +267,7 @@ def _centroid(cluster: list[complex]) -> complex:
 
 def spectrum_from_power_sums(ps: PowerSums) -> Spectrum:
     """Recover the d eigenvalues from power sums: Newton's identities give the
-    characteristic polynomial, companion-matrix roots give the spectrum.
+    characteristic polynomial, np.roots (companion-matrix eigenvalues) the spectrum.
 
     The polynomial is real, so roots pair up conjugately; the recorded
     residual_imag is the largest raw imaginary magnitude.  Above the cap of
@@ -291,21 +276,14 @@ def spectrum_from_power_sums(ps: PowerSums) -> Spectrum:
     additionally merge root clusters within CLUSTER_TOL, recovering
     degenerate eigenvalues that finite precision splits apart.
     """
-    point = _recover(ps.p[np.newaxis], ps.source == "exact")[0]
-    if isinstance(point, str):
-        raise SpectrumTooNoisyError(point)
-    return point
-
-
-def _recover(p: np.ndarray, exact: bool) -> tuple[Spectrum | str, np.ndarray]:
-    """Row 0's spectrum of a (B, d) power-sum stack, or its refusal text; the other rows' roots."""
-    roots = _companion_roots(_newton_coefficients(p))
+    roots = np.roots(_newton_coefficients(ps.p))
+    exact = ps.source == "exact"
     cap = EXACT_IMAG_CAP if exact else SHOT_IMAG_CAP
-    residual = float(np.max(np.abs(roots[0].imag))) if p.shape[1] else 0.0
+    residual = float(np.max(np.abs(roots.imag)))
     if residual > cap:
-        return f"root imaginary residual {residual:.3e} exceeds cap {cap:.3e}", roots[1:]
-    lambdas = _cluster_multiple_roots(roots[0], CLUSTER_TOL) if exact else roots[0].real
-    return Spectrum(np.sort(lambdas)[::-1], residual), roots[1:]
+        raise SpectrumTooNoisyError(f"root imaginary residual {residual:.3e} exceeds cap {cap:.3e}")
+    lambdas = _cluster_multiple_roots(roots, CLUSTER_TOL) if exact else roots.real
+    return Spectrum(np.sort(lambdas)[::-1], residual)
 
 
 def verdict(spectrum: Spectrum, dims: tuple[int, int]) -> PptVerdict:
@@ -324,13 +302,12 @@ def verdict(spectrum: Spectrum, dims: tuple[int, int]) -> PptVerdict:
 
 def bootstrap_lambda_min(
     counts_per_k: list[ShotCounts], cfg: EstimationConfig
-) -> tuple[float | None, tuple[float, float] | None, int, Spectrum | str]:
-    """B multinomial replicas of the per-k counts, one draw per order, recovered
-    in one stack below the point estimate.  Returns sigma and the central 95%
-    interval of lambda_min over the replicas with every root within SHOT_IMAG_CAP
-    of the real axis (None when fewer than two are), the failed count, and the
-    point spectrum or its refusal text.  A library function: run_protocol reports the
-    certified interval of lambda_min_interval instead."""
+) -> tuple[float | None, tuple[float, float] | None, int]:
+    """B multinomial replicas of the per-k counts, one draw per order, each
+    recovered by spectrum_from_power_sums.  Returns sigma and the central 95%
+    interval of lambda_min over the replicas it does not refuse (None when fewer
+    than two recover), and the refused count.  A library function: run_protocol
+    reports the certified interval of lambda_min_interval instead."""
     b = cfg.bootstrap_replicas
     if b < 2:
         raise ValueError("bootstrap requires bootstrap_replicas >= 2")
@@ -338,20 +315,19 @@ def bootstrap_lambda_min(
         _substream(cfg.seed, _STREAM_BOOTSTRAP, c.k).multinomial(c.n.sum(), c.n / c.n.sum(), size=b)
         for c in counts_per_k
     ]
-    p = np.ones((b + 1, len(counts_per_k) + 1))
-    p[0, 1:] = eta_from_counts(np.array([c.n for c in counts_per_k]))[0]  # as _measure has it
-    p[1:, 1:] = eta_from_counts(np.stack(draws, axis=1))[0]  # orders k = 2.. in sequence
-    point, roots = _recover(p, exact=False)
-    lams = roots.real[np.max(np.abs(roots.imag), axis=1) <= SHOT_IMAG_CAP].min(axis=1)
-    spread = (float(lams.std(ddof=1)), _central_interval(lams)) if len(lams) > 1 else (None, None)
-    return *spread, b - len(lams), point
-
-
-def _central_interval(values: np.ndarray) -> tuple[float, float]:
-    """np.percentile(values, [2.5, 97.5]) bit for bit (numpy's linear rule), without numpy.ma."""
-    v, index = np.sort(values), (len(values) - 1) * (np.array([2.5, 97.5]) / 100)
-    a, b, t = v[index.astype(int)], v[index.astype(int) + 1], index % 1
-    return tuple(np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t).tolist())
+    p = np.ones((b, len(counts_per_k) + 1))
+    p[:, 1:] = eta_from_counts(np.stack(draws, axis=1))[0]  # orders k = 2.. in sequence
+    lams = []
+    for row in p:
+        try:
+            spectrum = spectrum_from_power_sums(PowerSums(row, "estimated", np.zeros(len(row))))
+        except SpectrumTooNoisyError:
+            continue
+        lams.append(spectrum.lambdas[-1])
+    if len(lams) < 2:
+        return None, None, b - len(lams)
+    lo, hi = np.percentile(lams, [2.5, 97.5])
+    return float(np.std(lams, ddof=1)), (float(lo), float(hi)), b - len(lams)
 
 
 def _o3_floor(p2, d: int):
@@ -460,8 +436,10 @@ def run_protocol(
     PPT_INCONCLUSIVE otherwise, whether or not the point spectrum recovers: a
     refused one is None, its text in recovery_error (in exact mode, no verdict)."""
     ps, counts_per_k = _measure(rho, cfg, exact_probabilities)
-    point = _recover(ps.p[np.newaxis], exact_probabilities)[0]
-    spectrum, error = (None, point) if isinstance(point, str) else (point, None)
+    try:
+        spectrum, error = spectrum_from_power_sums(ps), None
+    except SpectrumTooNoisyError as exc:
+        spectrum, error = None, str(exc)
     if counts_per_k is None:
         v = None if spectrum is None else verdict(spectrum, rho.dims)
         sigma = None if spectrum is None else 0.0  # a refused point has no spread

@@ -194,6 +194,16 @@ def test_one_bootstrap_replica_is_an_input_error():
     assert none.interval == two.interval and none.sigma == two.sigma > 0
 
 
+@pytest.mark.parametrize("field", ["shots_per_k", "seed", "bootstrap_replicas"])
+@pytest.mark.parametrize("value", [1000.0, 1000.9, 1.5, True, False, "1000", None])
+def test_config_refuses_non_integer_counts(field, value):
+    # the draws would truncate a float (and read a bool as 0 or 1) without notice
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        est.EstimationConfig(**{field: value})
+    # numpy integers are integers
+    assert getattr(est.EstimationConfig(**{field: np.int64(1000)}), field) == 1000
+
+
 def test_bootstrap_lambda_min_refuses_zero_replicas():
     # 0 is run_protocol's no-bootstrap mode, never a bootstrap of no replicas
     counts = [est.ShotCounts(k, np.array([1000, 0, 0, 0])) for k in (2, 3, 4)]
@@ -277,10 +287,16 @@ def test_verdict_band_is_dimension_times_validation_tolerance():
 def test_bootstrap_lambda_min_degenerate_counts():
     counts = [est.ShotCounts(k, np.array([1000, 0, 0, 0])) for k in (2, 3, 4)]
     cfg = est.EstimationConfig(bootstrap_replicas=20)
-    sigma, interval, failures, _ = est.bootstrap_lambda_min(counts, cfg)
+    sigma, interval, failures = est.bootstrap_lambda_min(counts, cfg)
     assert sigma == 0.0
     assert_allclose(interval, (0.0, 0.0), atol=1e-12)
     assert failures == 0
+
+
+def _point_sums(counts):
+    """The point estimate's power sums of per-order counts, as _measure has them."""
+    p = np.array([1.0] + [est.eta_from_counts(c.n)[0] for c in counts])
+    return est.PowerSums(p, "estimated", np.zeros(len(p)))
 
 
 def test_bootstrap_lambda_min_reports_failure():
@@ -291,23 +307,23 @@ def test_bootstrap_lambda_min_reports_failure():
         est.ShotCounts(4, np.array([4, 4, 6, 6])),
     ]
     cfg = est.EstimationConfig(bootstrap_replicas=20)
-    sigma, interval, failures, point = est.bootstrap_lambda_min(counts, cfg)
-    assert (sigma, interval, failures) == (None, None, 20)  # no spread below two survivors
-    assert isinstance(point, est.Spectrum)
+    assert est.bootstrap_lambda_min(counts, cfg) == (None, None, 20)  # no spread below two survivors
+    assert isinstance(est.spectrum_from_power_sums(_point_sums(counts)), est.Spectrum)
     # every replica of degenerate counts repeats the point estimate, which is refused
     degenerate = [
         est.ShotCounts(2, np.array([100, 0, 0, 0])),
         est.ShotCounts(3, np.array([100, 0, 0, 0])),
         est.ShotCounts(4, np.array([0, 100, 0, 0])),
     ]
-    sigma, interval, failures, point = est.bootstrap_lambda_min(degenerate, cfg)
-    assert (sigma, interval, failures) == (None, None, 20)
-    assert point == "root imaginary residual 5.507e-01 exceeds cap 2.500e-01"
+    assert est.bootstrap_lambda_min(degenerate, cfg) == (None, None, 20)
+    refused = "root imaginary residual 5.507e-01 exceeds cap 2.500e-01"
+    with pytest.raises(est.SpectrumTooNoisyError, match=refused):
+        est.spectrum_from_power_sums(_point_sums(degenerate))
 
 
 def _newton_reference(p):
     """Scalar Newton's-identity loop over one row of power sums, snapped as
-    the recovery snaps: the per-replica reference for the batched code."""
+    the recovery snaps: the reference for the cumsum of _newton_coefficients."""
     d = len(p)
     e = np.zeros(d + 1)
     e[0] = 1.0
@@ -321,48 +337,11 @@ def _newton_reference(p):
     return coeffs
 
 
-def test_companion_roots_match_np_roots_row_by_row(monkeypatch):
-    eigvals, calls = np.linalg.eigvals, []
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
-    rng, degree_rng = np.random.default_rng(5), np.random.default_rng(16)
-    for d in (4, 6, 9, 16):
-        # random monic rows, and power sums of spectra with 1..d-1 zero
-        # eigenvalues, whose snapped coefficients end in that many exact zeros
-        random_rows = np.hstack([np.ones((40, 1)), rng.standard_normal((40, d))])
-        spectra = rng.uniform(-0.2, 1.0, (40, d))
-        zeros = 1 + np.arange(40) % (d - 1)
-        spectra[np.arange(d) < zeros[:, None]] = 0.0
-        sums = np.stack([np.sum(spectra**k, axis=1) for k in range(1, d + 1)], axis=1)
-        snapped = np.array([_newton_reference(p) for p in sums])
-        assert_array_equal(np.argmax(snapped[:, ::-1] != 0, axis=1), zeros)
-        coeffs = np.concatenate([random_rows, snapped])[rng.permutation(80)]
-        roots = est._companion_roots(coeffs)
-        assert roots.shape == (80, d)
-        # same values in the same order as np.roots, its trailing zero roots last
-        for row, got in zip(coeffs, roots):
-            assert_array_equal(got, np.roots(row))
-        # one random monic row of every degree m = 0..d, its last d - m coefficients
-        # zero (m = 0 is x^d: d exact zero roots), joins the stack; one eigvals call
-        # still serves the whole stack of mixed degrees
-        by_degree = np.hstack([np.ones((d + 1, 1)), degree_rng.standard_normal((d + 1, d))])
-        by_degree[np.arange(d + 1) > np.arange(d + 1)[:, None]] = 0.0  # column j > m
-        assert_array_equal(np.argmax(by_degree[:, ::-1] != 0, axis=1), d - np.arange(d + 1))
-        mixed = np.concatenate([coeffs, by_degree])
-        calls.clear()
-        roots = est._companion_roots(mixed)
-        assert calls == [(len(mixed), d, d)]
-        for row, got in zip(mixed, roots):
-            assert_array_equal(got, np.roots(row))
-        # alone, each row's roots are np.roots' in dtype and bytes too
-        for row in by_degree:
-            got, want = est._companion_roots(row[None])[0], np.roots(row)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), row
-
-
 def test_newton_coefficients_batched_equal_scalar_loop():
     sums = np.random.default_rng(6).uniform(-1.0, 1.0, (30, 12))
     sums[:, 0] = 1.0
-    assert_array_equal(est._newton_coefficients(sums), [_newton_reference(p) for p in sums])
+    for p in sums:
+        assert_array_equal(est._newton_coefficients(p), _newton_reference(p))
 
 
 def test_bootstrap_sigma_matches_per_replica_reference():
@@ -373,7 +352,7 @@ def test_bootstrap_sigma_matches_per_replica_reference():
     for seed in range(5):
         cfg = est.EstimationConfig(shots_per_k=100_000, seed=seed, bootstrap_replicas=200)
         counts = est.run_protocol(bell, replace(cfg, bootstrap_replicas=0)).counts_per_k
-        sigma, _, failures, _ = est.bootstrap_lambda_min(counts, cfg)
+        sigma, _, failures = est.bootstrap_lambda_min(counts, cfg)
         batched.append(sigma)
         rng = np.random.default_rng([seed, 7])
         lam_mins = []
@@ -393,7 +372,7 @@ def test_bootstrap_sigma_matches_per_replica_reference():
 def _bootstrap_reference(counts_per_k, cfg):
     """The per-order bootstrap loop: B replicas of order k in one multinomial
     draw from substream (seed, 1, k), eta written out order by order, then
-    the batched recovery of bootstrap_lambda_min."""
+    np.roots of the scalar Newton loop, replica by replica."""
     b = cfg.bootstrap_replicas
     p = np.ones((b, len(counts_per_k) + 1))
     for c in counts_per_k:
@@ -401,12 +380,13 @@ def _bootstrap_reference(counts_per_k, cfg):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1, c.k]))
         draws = rng.multinomial(total, c.n / total, size=b)
         p[:, c.k - 1] = (draws[:, 0] - draws[:, 1] - draws[:, 2] + draws[:, 3]) / total
-    roots = est._companion_roots(est._newton_coefficients(p))
-    ok = np.max(np.abs(roots.imag), axis=1) <= est.SHOT_IMAG_CAP
-    values = roots.real[ok].min(axis=1)
-    sigma = float(values.std(ddof=1)) if len(values) > 1 else 0.0
+    values = []
+    for row in p:
+        roots = np.roots(_newton_reference(row))
+        if np.max(np.abs(roots.imag)) <= est.SHOT_IMAG_CAP:
+            values.append(roots.real.min())
     lo, hi = np.percentile(values, [2.5, 97.5])
-    return sigma, (float(lo), float(hi)), b - int(ok.sum())
+    return float(np.std(values, ddof=1)), (float(lo), float(hi)), b - len(values)
 
 
 def test_bootstrap_streams_match_per_order_reference_exactly():
@@ -414,24 +394,7 @@ def test_bootstrap_streams_match_per_order_reference_exactly():
     for rho, seed in ((states.bell_state("phi+"), 4), (states.werner(0.25), 5), (product, 6)):
         cfg = est.EstimationConfig(shots_per_k=100_000, seed=seed, bootstrap_replicas=200)
         counts = est.run_protocol(rho, replace(cfg, bootstrap_replicas=0)).counts_per_k
-        assert est.bootstrap_lambda_min(counts, cfg)[:3] == _bootstrap_reference(counts, cfg)
-
-
-def test_central_interval_equals_np_percentile_bit_for_bit():
-    rng = np.random.default_rng(11)
-    # (n - 1) * 0.025 has fraction 0.5 exactly at n = 21, 61, 101, 141, 181
-    assert np.all((20 * (np.array([2.5, 97.5]) / 100)) % 1 == 0.5)
-    for n in range(2, 202):
-        for values in (
-            rng.standard_normal(n),
-            np.round(rng.standard_normal(n), 1),  # ties
-            rng.integers(-2, 3, n) * 0.3,  # heavy ties
-            np.full(n, rng.standard_normal()),  # constant
-            np.zeros(n),
-            -0.5 + 1e-3 * rng.standard_normal(n),  # a Bell-like lambda_min cloud
-        ):
-            got = np.array(est._central_interval(values))
-            assert got.tobytes() == np.percentile(values, [2.5, 97.5]).tobytes(), (n, values)
+        assert est.bootstrap_lambda_min(counts, cfg) == _bootstrap_reference(counts, cfg)
 
 
 def test_shot_run_does_not_import_numpy_ma():
@@ -448,16 +411,18 @@ def test_shot_run_does_not_import_numpy_ma():
     assert out.stdout.strip() == "False"
 
 
-def test_shot_run_recovers_the_point_in_one_row(monkeypatch):
-    # one companion-roots call on the point row alone, whatever the replica count
+def test_run_protocol_recovers_the_point_once(monkeypatch):
+    # one spectrum_from_power_sums call per run in both modes, whatever the replica count
     calls = []
-    roots = est._companion_roots
-    monkeypatch.setattr(est, "_companion_roots", lambda c: calls.append(c.shape) or roots(c))
+    recover = est.spectrum_from_power_sums
+    monkeypatch.setattr(est, "spectrum_from_power_sums", lambda ps: calls.append(ps) or recover(ps))
     cfg = est.EstimationConfig(shots_per_k=10_000, seed=2)
-    for replicas in (200, 0):
-        calls.clear()
-        est.run_protocol(states.bell_state("phi+"), replace(cfg, bootstrap_replicas=replicas))
-        assert calls == [(1, 5)]
+    for exact in (False, True):
+        for replicas in (200, 0):
+            calls.clear()
+            run_cfg = replace(cfg, bootstrap_replicas=replicas)
+            res = est.run_protocol(states.bell_state("phi+"), run_cfg, exact)
+            assert calls == [res.power_sums]
 
 
 def test_refused_point_keeps_the_certified_interval():
