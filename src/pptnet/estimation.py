@@ -86,6 +86,7 @@ class EstimationConfig:
     shots_per_k: int = 100_000
     seed: int = 0
     bootstrap_replicas: int = 200  # read by bootstrap_lambda_min only; run_protocol ignores it
+    # at k = 2 both routes draw from one distribution, since Tr rho^2 = Tr (rho^T_B)^2
     use_k2_shortcut: bool = True
 
     def __post_init__(self):
@@ -94,6 +95,9 @@ class EstimationConfig:
             # a float or bool would be truncated to an int by the draws without notice
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        # a truthy stand-in such as "no" would switch the shortcut on without notice
+        if not isinstance(self.use_k2_shortcut, (bool, np.bool_)):
+            raise ValueError(f"use_k2_shortcut must be a bool, got {self.use_k2_shortcut!r}")
         if not 1 <= self.shots_per_k <= np.iinfo(np.int64).max:  # multinomial counts are int64
             raise ValueError(f"shots_per_k must be in [1, 2**63 - 1], got {self.shots_per_k}")
         if self.bootstrap_replicas < 0 or self.bootstrap_replicas == 1:  # 1 has no spread

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 import string
+import subprocess
 import sys
 import tracemalloc
 
@@ -152,15 +154,30 @@ def test_check_missing_file(capsys, tmp_path):
 
 
 def test_simulate_exact_matches_check(capsys, tmp_path):
-    path = gen(capsys, tmp_path, "w.json", "werner", "--p", "0.8")
-    _, exact = run(capsys, ["check", path])
-    code, sim = run(capsys, ["simulate", path, "--exact-probabilities"])
-    assert code == 0
-    assert list(sim) == REPORT_KEYS
-    assert sim["method"] == "locc_exact"
-    assert sim["classification"] == exact["classification"] == "NPT_ENTANGLED"
-    assert_allclose(sim["spectrum"], exact["spectrum"], atol=1e-8)
-    assert sim["interval"] is None
+    # both ways classify through estimation.verdict; check's power sums are sum lambda^k
+    # over its spectrum, simulate's come from the moment table: two computations that
+    # must agree, the eleven zero eigenvalues of the separable 4x4 state included
+    states.save(NEAR_LIMIT_STATES["diagonal"], tmp_path / "near_limit.json")
+    for name, argv, label in (
+        ("w08.json", ["werner", "--p", "0.8"], "NPT_ENTANGLED"),
+        ("w04.json", ["werner", "--p", "0.4"], "NPT_ENTANGLED"),
+        ("bell.json", ["bell"], "NPT_ENTANGLED"),
+        ("sep44.json", ["separable", "--dims", "4", "4", "--seed", "7"], "PPT_INCONCLUSIVE"),
+        ("near_limit.json", None, "PPT_CONCLUSIVE_SEPARABLE"),
+    ):
+        path = gen(capsys, tmp_path, name, *argv) if argv else str(tmp_path / name)
+        code, exact = run(capsys, ["check", path])
+        assert code == 0
+        code, sim = run(capsys, ["simulate", path, "--exact-probabilities"])
+        assert code == 0
+        assert list(sim) == REPORT_KEYS
+        assert sim["method"] == "locc_exact"
+        assert sim["classification"] == exact["classification"] == label, name
+        d = len(exact["spectrum"])
+        assert len(sim["spectrum"]) == len(sim["power_sums"]) == len(exact["power_sums"]) == d
+        assert_allclose(sim["spectrum"], exact["spectrum"], rtol=0, atol=1e-9, err_msg=name)
+        assert_allclose(sim["power_sums"], exact["power_sums"], rtol=0, atol=1e-9, err_msg=name)
+        assert sim["interval"] is None
 
 
 def test_simulate_shots_report(capsys, tmp_path):
@@ -435,11 +452,14 @@ def test_negative_seed_exits_1(capsys, tmp_path, monkeypatch, argv):
 
 
 def test_help_and_version_exit_0(capsys):
-    for argv in (["--help"], ["simulate", "--help"], ["--version"]):
+    for argv in (["--help"], *([command, "--help"] for command in cli.COMMANDS), ["--version"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 0
-    assert "pptnet" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "pptnet" in out
+        if argv == ["--help"]:  # the top-level help lists every command
+            assert all(command in out for command in cli.COMMANDS)
 
 
 
@@ -516,6 +536,33 @@ def test_main_builds_the_parser_tree_once(capsys, tmp_path, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "verify --dims 3 3 --kmax 3 --trials 4",
+        "check bell.json",
+        "simulate bell.json --exact-probabilities",
+        "calibrate --dims 2 3",
+        "bogus",
+    ],
+)
+def test_a_fresh_interpreter_prints_what_main_prints(capsys, tmp_path, monkeypatch, line):
+    # the parsers are cached per process, yet no state carries across calls: a line run
+    # twice in one interpreter prints what a new interpreter prints, errors included
+    states.save(states.bell_state("phi+"), tmp_path / "bell.json")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    fresh = subprocess.run(
+        [sys.executable, "-m", "pptnet.cli", *line.split()],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert fresh.returncode == (1 if line == "bogus" else 0), fresh.stderr
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        code, out, err = outcome(capsys, line.split())
+        assert code == (("SystemExit", 1) if line == "bogus" else 0)
+        assert (out, err) == (fresh.stdout, fresh.stderr)
+
+
 def test_cached_parsers_answer_as_fresh_ones(capsys, tmp_path):
     # every grid argv, run twice in order and once in reverse in one process,
     # answers as it does on a cleared cache: parsing leaves no state behind
@@ -530,16 +577,26 @@ def test_cached_parsers_answer_as_fresh_ones(capsys, tmp_path):
 
 
 def test_verify_passes(capsys):
-    code, report = run(capsys, ["verify", "--dims", "2", "2", "--kmax", "3", "--trials", "2"])
-    assert code == 0
-    assert report["pass"] is True
-    assert report["tolerance"] == 1e-10
-    names = {row["identity"] for row in report["identities"]}
-    assert {"transpose_power_B", "transpose_power_A", "conjugate_pair_reality",
-            "combined_shift_power", "purity_equality"} <= names
-    for row in report["identities"]:
-        assert row["status"] == "pass"
-        assert row["max_dev"] < 1e-10
+    # equal and unequal local dims in both orders (the only case where the A and B
+    # moment chains differ in size), the default 20 trials, and d^k = 1024 at k = 10
+    for argv in (
+        "--dims 2 2 --kmax 3 --trials 2",
+        "--dims 3 3 --kmax 5 --trials 2",
+        "--dims 2 3 --kmax 4 --trials 5",
+        "--dims 3 2 --kmax 3 --trials 3",
+        "--dims 2 2 --kmax 10 --trials 2",
+        "--dims 2 2 --kmax 4",
+    ):
+        code, report = run(capsys, ["verify", *argv.split()])
+        assert code == 0, argv
+        assert report["pass"] is True
+        assert report["tolerance"] == 1e-10
+        names = {row["identity"] for row in report["identities"]}
+        assert {"transpose_power_B", "transpose_power_A", "conjugate_pair_reality",
+                "combined_shift_power", "purity_equality"} <= names
+        for row in report["identities"]:
+            assert row["status"] == "pass", (argv, row)
+            assert row["max_dev"] < 1e-10
 
 
 def reference_identity_rows(rho, moments_k, k, side_mats, trials):
@@ -1092,6 +1149,9 @@ def test_verify_entry_budget_bounds_the_state_stack(capsys, monkeypatch):
             cli._verify_plan(dims, 2, most + 1)
     with pytest.raises(ValueError, match="--dims must have d_A\\*d_B <= 2048, got \\[2, 1025\\]"):
         cli._verify_plan([2, 1025], 2, 1)
+    # the edge runs: each input stack is one seeded draw
+    code, report = run(capsys, ["verify", "--dims", "2", "2", "--kmax", "2", "--trials", "262144"])
+    assert code == 0 and report["pass"] is True
     # a million 2x70 states would be a 313 GB stack: refused before any is drawn
     monkeypatch.setattr(states, "random_densities", lambda *args: pytest.fail("state drawn"))
     code = cli.main(["verify", "--dims", "2", "70", "--kmax", "2", "--trials", "1000000"])
@@ -1117,10 +1177,13 @@ def test_simulate_rejects_one_bootstrap_replica(capsys, tmp_path):
 
 
 def test_calibrate(capsys):
-    code, report = run(capsys, ["calibrate", "--dims", "2", "2"])
-    assert code == 0
-    assert_allclose(report["eta_scale"], 2.0, atol=1e-9)
-    assert all(row["residual"] < 1e-9 for row in report["states"])
+    # the readout map halves the parity signal: eta_scale is 2 up to its last bits, through
+    # the stage-one gather plan of 2x2, 3x3 and unequal local dims in both orders
+    for dims in (["2", "2"], ["2", "3"], ["3", "3"], ["3", "2"]):
+        code, report = run(capsys, ["calibrate", "--dims", *dims])
+        assert code == 0
+        assert_allclose(report["eta_scale"], 2.0, rtol=0, atol=1e-9, err_msg=str(dims))
+        assert all(row["residual"] < 1e-9 for row in report["states"]), dims
 
 
 @pytest.mark.parametrize(
@@ -1187,11 +1250,15 @@ def test_gen_separable_refuses_terms_past_the_entry_budget(capsys, tmp_path, mon
 @pytest.fixture
 def refusal_files(tmp_path):
     """Input files the refusal tests read: a 2x2 and a 2x3 state, a truncated
-    copy of the first, a JSON list, and a matrix whose entries are words."""
+    copy of the first and one with a quoted entry, a JSON list, and a matrix
+    whose entries are words."""
     states.save(states.bell_state("phi+"), tmp_path / "bell.json")
     states.save(states.random_density((2, 3), 0), tmp_path / "random_2x3.json")
     text = (tmp_path / "bell.json").read_text()
     (tmp_path / "truncated.json").write_text(text[: len(text) // 2])
+    quoted = json.loads(text)
+    quoted["matrix"][0][0] = ["0.5", "0"]
+    (tmp_path / "quoted.json").write_text(json.dumps(quoted))
     (tmp_path / "list.json").write_text(json.dumps([[2, 2], []]))
     words = {"dims": [2, 2], "matrix": [[["one", "zero"]] * 4] * 4}
     (tmp_path / "words.json").write_text(json.dumps(words))
@@ -1218,6 +1285,9 @@ INPUT_REFUSALS = {
     "check truncated": (["check", "{tmp}/truncated.json"], "malformed JSON in"),
     "check list": (["check", "{tmp}/list.json"], "expected object with 'dims' and 'matrix'"),
     "check words": (["check", "{tmp}/words.json"], "matrix entries must be [re, im] pairs"),
+    "check quoted number": (["check", "{tmp}/quoted.json"], "must be JSON numbers"),
+    # two 3600 x 3600 probes, refused before they are built
+    "calibrate past the matrix guard": (["calibrate", "--dims", "60", "60"], "exceeds guard 4096"),
 }
 
 

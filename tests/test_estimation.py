@@ -194,14 +194,28 @@ def test_one_bootstrap_replica_is_an_input_error():
     assert none.interval == two.interval and none.sigma == two.sigma > 0
 
 
-@pytest.mark.parametrize("field", ["shots_per_k", "seed", "bootstrap_replicas"])
-@pytest.mark.parametrize("value", [1000.0, 1000.9, 1.5, True, False, "1000", None])
-def test_config_refuses_non_integer_counts(field, value):
+MISTYPED_CONFIG_FIELDS = [
+    *(
+        pytest.param(field, value, "an integer", id=f"{value}-{field}")
+        for field in ("shots_per_k", "seed", "bootstrap_replicas")
+        for value in (1000.0, 1000.9, 1.5, True, False, "1000", None)
+    ),
+    # "no", 0.5 and 1 would run with the k = 2 shortcut on, 0 and None with it off
+    *(
+        pytest.param("use_k2_shortcut", value, "a bool", id=f"{value}-use_k2_shortcut")
+        for value in ("no", 0.5, 1, 0, None)
+    ),
+]
+
+
+@pytest.mark.parametrize("field, value, kind", MISTYPED_CONFIG_FIELDS)
+def test_config_refuses_non_integer_counts(field, value, kind):
     # the draws would truncate a float (and read a bool as 0 or 1) without notice
-    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+    with pytest.raises(ValueError, match=f"{field} must be {kind}, got {value!r}"):
         est.EstimationConfig(**{field: value})
-    # numpy integers are integers
-    assert getattr(est.EstimationConfig(**{field: np.int64(1000)}), field) == 1000
+    # numpy integers are integers, numpy bools are bools
+    typed = np.int64(1000) if kind == "an integer" else np.False_
+    assert getattr(est.EstimationConfig(**{field: typed}), field) == typed
 
 
 def test_bootstrap_lambda_min_refuses_zero_replicas():
@@ -397,18 +411,22 @@ def test_bootstrap_streams_match_per_order_reference_exactly():
         assert est.bootstrap_lambda_min(counts, cfg) == _bootstrap_reference(counts, cfg)
 
 
-def test_shot_run_does_not_import_numpy_ma():
-    # np.percentile imports numpy.ma through np.unique; the shot path must not
+def test_shot_run_does_not_import_numpy_ma(tmp_path):
+    # np.percentile imports numpy.ma through np.unique; the shot path must not,
+    # in the library or through the CLI, which reads and writes the files around it
     code = (
-        "import sys; from pptnet import estimation as est, states; "
+        "import sys; from pptnet import cli, estimation as est, states; "
         "r = est.run_protocol(states.bell_state(), est.EstimationConfig(shots_per_k=100_000)); "
         "assert r.interval[0] <= -0.5 <= r.interval[1]; "
+        "states.save(states.bell_state(), sys.argv[1]); "
+        "assert cli.main(['simulate', sys.argv[1], '--shots', '1000']) == 0; "
         "print('numpy.ma' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(est.__file__))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    argv = [sys.executable, "-c", code, str(tmp_path / "bell.json")]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_run_protocol_recovers_the_point_once(monkeypatch):
