@@ -135,8 +135,8 @@ def eta_from_counts(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Estimate eta = P00 - P01 - P10 + P11 plus its standard error from
     (..., 4) counts by readout 2x + y, one estimate per row."""
     total = n.sum(axis=-1)
-    if np.any(total <= 0):
-        raise ValueError("cannot estimate from zero total counts")
+    if (total <= 0).any() or (n < 0).any():  # methods: half np.any's call overhead
+        raise ValueError("cannot estimate from negative counts or a zero total")
     eta = n @ network.PARITY / total
     return eta, np.sqrt(np.maximum(0.0, 1.0 - eta**2) / total)
 

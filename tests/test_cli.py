@@ -98,61 +98,6 @@ def test_gen_mix(capsys, tmp_path):
     assert report["classification"] == "NPT_ENTANGLED"
 
 
-def test_gen_mix_rejects_mismatched_weights(capsys, tmp_path):
-    bell = gen(capsys, tmp_path, "bell.json", "bell")
-    path = tmp_path / "bad.json"
-    code, _ = run(capsys, ["gen", "mix", "--inputs", bell, "--weights", "0.5", "0.5", "--out", str(path)])
-    assert code == 1
-
-
-def test_check_malformed_file(capsys, tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text(json.dumps({"dims": [2, 2], "matrix": [[1.0] * 4] * 4}))
-    code = cli.main(["check", str(path)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "matrix" in captured.err
-
-
-def test_check_non_integer_dims_exits_1(capsys, tmp_path):
-    path = tmp_path / "float_dims.json"
-    states.save(states.bell_state("phi+"), path)
-    doc = json.loads(path.read_text())
-    doc["dims"] = [2.7, 2]
-    path.write_text(json.dumps(doc))
-    code = cli.main(["check", str(path)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "dims" in captured.err
-
-
-def test_non_finite_input_exits_1(capsys, tmp_path):
-    # json reads NaN; both inputs once failed as "Eigenvalues did not converge"
-    path = tmp_path / "nan.json"
-    states.save(states.bell_state("phi+"), path)
-    doc = json.loads(path.read_text())
-    doc["matrix"][0][1][1] = float("nan")
-    path.write_text(json.dumps(doc))  # written as a bare NaN token
-    bell = gen(capsys, tmp_path, "bell.json", "bell")
-    for argv, message in (
-        (["check", str(path)], "matrix entries must be finite"),
-        (["gen", "mix", "--inputs", bell, bell, "--weights", "nan", "1", "--out", str(path)],
-         "weights must be finite"),
-    ):
-        code = cli.main(argv)
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert message in captured.err
-
-
-def test_check_missing_file(capsys, tmp_path):
-    code, _ = run(capsys, ["check", str(tmp_path / "nope.json")])
-    assert code == 1
-
-
 def test_simulate_exact_matches_check(capsys, tmp_path):
     # both ways classify through estimation.verdict; check's power sums are sum lambda^k
     # over its spectrum, simulate's come from the moment table: two computations that
@@ -197,18 +142,6 @@ def test_simulate_shots_report(capsys, tmp_path):
     assert report["sigma"] == (hi - lo) / 2 > 0
     code2, report2 = run(capsys, argv)
     assert report2 == report
-
-
-def test_simulate_no_k2_shortcut(capsys, tmp_path):
-    # order 2 reads the same distribution either way, so the flag is gone
-    path = gen(capsys, tmp_path, "bell.json", "bell")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["simulate", path, "--shots", "20000", "--seed", "2", "--no-k2-shortcut"])
-    captured = capsys.readouterr()
-    assert exc.value.code == 1
-    assert captured.out == ""
-    assert "unrecognized arguments: --no-k2-shortcut" in captured.err
-    assert "Traceback" not in captured.err
 
 
 def test_simulate_too_noisy_reports_the_certified_verdict(capsys, tmp_path):
@@ -264,17 +197,6 @@ def test_simulate_exact_refusal_exits_2_with_power_sums(capsys, tmp_path):
     assert len(report["power_sums"]) == 16 and report["power_sums"][0] == 1.0
     assert report["copies_consumed"] == 0
     assert "root imaginary residual" in captured.err
-
-
-def test_simulate_shots_past_int64_exit_1(capsys, tmp_path):
-    # the multinomial draws take int64 counts: 2^63 shots is an input error, not an OverflowError
-    path = gen(capsys, tmp_path, "bell.json", "bell")
-    code = cli.main(["simulate", path, "--shots", str(2**63)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert f"shots_per_k must be in [1, 2**63 - 1], got {2**63}" in captured.err
-    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("eps", [5e-10, 9e-10])
@@ -407,48 +329,6 @@ def test_check_power_sums_come_from_its_own_spectrum(capsys, tmp_path, monkeypat
         assert p[0] == 1.0
         assert_allclose(p[1:], [np.sum(lam**k) for k in ks[1:]], rtol=0, atol=1e-14)
         assert np.all(np.abs(p - want) <= states.load_band(rho.d, ks))
-
-
-def test_bad_arguments_exit_1(capsys, tmp_path):
-    # exit 2 is reserved for estimation failures
-    path = gen(capsys, tmp_path, "bell.json", "bell")
-    for argv in (["simulate", path, "--eta-scale", "2"], [], ["simulate", path, "--shots", "many"]):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        captured = capsys.readouterr()
-        assert exc.value.code == 1
-        assert captured.out == "" and "error:" in captured.err
-
-
-def test_noise_gate_flag_removed(capsys, tmp_path):
-    # there is no noise gate to set: --z is an unknown argument on both commands
-    path = gen(capsys, tmp_path, "bell.json", "bell")
-    for command in ("check", "simulate"):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([command, path, "--z", "3"])
-        captured = capsys.readouterr()
-        assert exc.value.code == 1
-        assert captured.out == ""
-        assert "unrecognized arguments: --z 3" in captured.err
-        assert "Traceback" not in captured.err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [["gen", "random", "--out", "x.json"], ["verify"], ["simulate", "bell.json"]],
-    ids=["gen", "verify", "simulate"],
-)
-def test_negative_seed_exits_1(capsys, tmp_path, monkeypatch, argv):
-    # rejected by the parser, naming the flag, before numpy sees the seed
-    monkeypatch.chdir(tmp_path)
-    gen(capsys, tmp_path, "bell.json", "bell")
-    with pytest.raises(SystemExit) as exc:
-        cli.main([*argv, "--seed", "-1"])
-    captured = capsys.readouterr()
-    assert exc.value.code == 1
-    assert captured.out == ""
-    assert "--seed must be a nonnegative integer, got -1" in captured.err
-    assert not (tmp_path / "x.json").exists()
 
 
 def test_help_and_version_exit_0(capsys):
@@ -940,15 +820,6 @@ def test_identity_rows_at_the_matrix_guard_hold_no_dense_shift():
     assert ("shift_product_B", 3) in [(row["identity"], row["k"]) for row in rows]
 
 
-def test_verify_rejects_empty_sweep(capsys):
-    for argv in (["--kmax", "1"], ["--trials", "0"]):
-        code = cli.main(["verify", *argv])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert argv[0] in captured.err
-
-
 def test_verify_marks_guarded_checks_skipped(capsys):
     code, report = run(capsys, ["verify", "--dims", "2", "70", "--kmax", "2", "--trials", "1"])
     assert code == 0
@@ -1019,6 +890,8 @@ def test_verify_refuses_orders_past_every_guard(capsys, monkeypatch):
 
 
 def test_verify_brute_force_guard_counts_every_trial(capsys, monkeypatch):
+    # the real guard admits the default 20 trials up to k = 11 (INPUT_REFUSALS refuses k = 13)
+    assert 20 * 4**11 <= permnet.BRUTEFORCE_TERM_GUARD < 20 * 4**12
     # at a guard of 4^4 terms, one 2x2 state is checked by brute force at k = 4,
     # while 20 states (20 x 4^4 terms in one oracle call) are not
     monkeypatch.setattr(permnet, "BRUTEFORCE_TERM_GUARD", 4**4)
@@ -1036,29 +909,6 @@ def test_verify_brute_force_guard_counts_every_trial(capsys, monkeypatch):
     assert permnet.shift_traces(mats[:1], (2, 2), 4, "inverse", "forward").shape == (1,)
     with pytest.raises(ValueError, match="20 x 4\\^4 terms exceed the brute-force guard"):
         permnet.shift_traces(mats, (2, 2), 4, "inverse", "forward")
-
-
-def test_verify_refuses_kmax_past_the_guards_at_the_default_trials(capsys, monkeypatch):
-    # 20 trials x 4^11 terms is the last brute-force order within 10^8, and the
-    # shift products stop at 2^12 = 4096, so --kmax 13 is refused naming 12;
-    # an admitted sweep would take minutes, so reaching it fails at once
-    assert 20 * 4**11 <= permnet.BRUTEFORCE_TERM_GUARD < 20 * 4**12
-    monkeypatch.setattr(states, "random_densities", lambda *args: pytest.fail("--kmax 13 admitted"))
-    code = cli.main(["verify", "--kmax", "13"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "--kmax must be <= 12 at dims [2, 2], got 13" in captured.err
-
-
-def test_verify_refuses_the_order_after_the_last_shift_product(capsys):
-    # 2x70 is past the brute-force guard from k = 4 on, and 2^13 = 8192 is past the matrix guard
-    code = cli.main(["verify", "--dims", "2", "70", "--kmax", "13", "--trials", "1"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "--kmax must be <= 12 at dims [2, 70], got 13" in captured.err
-
 
 
 def test_verify_shift_product_guard_counts_every_trial(capsys, monkeypatch):
@@ -1099,20 +949,6 @@ def test_verify_refusal_counts_the_trials_of_the_shift_products(capsys, monkeypa
         assert code == 1
         assert captured.out == ""
         assert f"--kmax must be <= {last} at dims [2, 2], got 6" in captured.err
-
-
-def test_verify_refuses_huge_trials_before_drawing_them(capsys, monkeypatch):
-    # the stack of 10^8 2x2 states (16 x 10^8 entries) is past the 2^22 entry budget,
-    # so they are refused, naming --trials, before any state is drawn
-    monkeypatch.setattr(
-        states, "random_densities", lambda *args: pytest.fail("10^8 trials admitted")
-    )
-    code = cli.main(["verify", "--trials", "100000000"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "--trials must be <= 262144 at dims [2, 2], got 100000000" in captured.err
-    assert "Traceback" not in captured.err
 
 
 def test_verify_state_stack_refusal_names_the_flag_that_trips(capsys, monkeypatch):
@@ -1161,21 +997,6 @@ def test_verify_entry_budget_bounds_the_state_stack(capsys, monkeypatch):
     assert "--trials must be <= 213 at dims [2, 70], got 1000000" in captured.err
 
 
-def test_simulate_rejects_one_bootstrap_replica(capsys, tmp_path):
-    # the replica count is fixed at the library default of 200: one replica has no
-    # sample spread (sigma with ddof = 1 is undefined), and 0 would report no sigma,
-    # so --bootstrap is an unknown argument (exit 1)
-    path = gen(capsys, tmp_path, "bell.json", "bell")
-    for count in ("1", "0", "200"):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", path, "--bootstrap", count])
-        captured = capsys.readouterr()
-        assert exc.value.code == 1
-        assert captured.out == ""
-        assert "unrecognized arguments: --bootstrap" in captured.err
-        assert "Traceback" not in captured.err
-
-
 def test_calibrate(capsys):
     # the readout map halves the parity signal: eta_scale is 2 up to its last bits, through
     # the stage-one gather plan of 2x2, 3x3 and unequal local dims in both orders
@@ -1186,46 +1007,6 @@ def test_calibrate(capsys):
         assert all(row["residual"] < 1e-9 for row in report["states"]), dims
 
 
-@pytest.mark.parametrize(
-    "command",
-    [["calibrate"], ["verify"], ["gen", "random", "--out", "x.json"]],
-    ids=["calibrate", "verify", "gen"],
-)
-@pytest.mark.parametrize("d_a", ["0", "-2", "1"])
-def test_dims_below_two_exit_1(capsys, tmp_path, monkeypatch, command, d_a):
-    # checked before any array is sized from the dims, so no IndexError or numpy message
-    monkeypatch.chdir(tmp_path)
-    code = cli.main([*command, "--dims", d_a, "2"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert f"local dimensions must be >= 2, got ({d_a}, 2)" in captured.err
-
-
-def test_gen_rejects_bad_parameters(capsys, tmp_path):
-    code, _ = run(capsys, ["gen", "werner", "--p", "1.5", "--out", str(tmp_path / "x.json")])
-    assert code == 1
-    code, _ = run(capsys, ["gen", "bell", "--which", "sigma+", "--out", str(tmp_path / "y.json")])
-    assert code == 1
-
-
-@pytest.mark.parametrize(
-    "kind, draw", [("random", "random_density"), ("separable", "random_separable")]
-)
-def test_gen_refuses_oversize_dims(capsys, tmp_path, monkeypatch, kind, draw):
-    # verify's --dims limit, d_A*d_B <= 2048, refused before any array is allocated
-    monkeypatch.setattr(states, draw, lambda *args: pytest.fail("state drawn"))
-    out = tmp_path / "x.json"
-    for dims in (["1000", "1000"], ["2", "1025"]):
-        code = cli.main(["gen", kind, "--dims", *dims, "--out", str(out)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert f"--dims must have d_A*d_B <= 2048, got [{dims[0]}, {dims[1]}]" in captured.err
-        assert "Traceback" not in captured.err
-    assert not out.exists()
-
-
 def test_gen_dims_default_and_agreeing_dims(capsys, tmp_path):
     # random and separable default to 2x2; the other kinds accept --dims that match their state
     for argv in (["random"], ["separable"], ["werner", "--p", "0.5", "--dims", "2", "2"]):
@@ -1233,38 +1014,33 @@ def test_gen_dims_default_and_agreeing_dims(capsys, tmp_path):
         assert states.load(path).dims == (2, 2)
 
 
-def test_gen_separable_refuses_terms_past_the_entry_budget(capsys, tmp_path, monkeypatch):
-    # one Dirichlet weight per term: 10^12 terms once ended in a 7.28 TiB MemoryError traceback
-    monkeypatch.setattr(states, "random_separable", lambda *args: pytest.fail("state drawn"))
-    out = tmp_path / "x.json"
-    budget = permnet.TRIAL_ENTRY_BUDGET
-    for terms in (budget + 1, 10**12):
-        code = cli.main(["gen", "separable", "--terms", str(terms), "--out", str(out)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert f"--terms must be <= {budget}, got {terms}" in captured.err
-    assert not out.exists()
-
-
 @pytest.fixture
 def refusal_files(tmp_path):
     """Input files the refusal tests read: a 2x2 and a 2x3 state, a truncated
-    copy of the first and one with a quoted entry, a JSON list, and a matrix
-    whose entries are words."""
+    copy of the first, one with a quoted entry, one with dims [2.7, 2] and one
+    with a bare NaN entry, a JSON list, a matrix whose entries are words, and a
+    real 4x4 matrix under dims [2, 2]."""
     states.save(states.bell_state("phi+"), tmp_path / "bell.json")
     states.save(states.random_density((2, 3), 0), tmp_path / "random_2x3.json")
     text = (tmp_path / "bell.json").read_text()
     (tmp_path / "truncated.json").write_text(text[: len(text) // 2])
-    quoted = json.loads(text)
+    quoted, float_dims, nan = json.loads(text), json.loads(text), json.loads(text)
     quoted["matrix"][0][0] = ["0.5", "0"]
-    (tmp_path / "quoted.json").write_text(json.dumps(quoted))
+    float_dims["dims"] = [2.7, 2]
+    nan["matrix"][0][1][1] = float("nan")  # json writes a bare NaN token
+    for name, doc in (("quoted", quoted), ("float_dims", float_dims), ("nan", nan)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     (tmp_path / "list.json").write_text(json.dumps([[2, 2], []]))
     words = {"dims": [2, 2], "matrix": [[["one", "zero"]] * 4] * 4}
     (tmp_path / "words.json").write_text(json.dumps(words))
+    (tmp_path / "real.json").write_text(json.dumps({"dims": [2, 2], "matrix": [[1.0] * 4] * 4}))
     return tmp_path
 
 
+WEIGHTS = "weights must be finite and nonnegative, one per input"
+BUDGET = permnet.TRIAL_ENTRY_BUDGET
+
+# id -> (argv, message); paths are relative to the refusal_files directory
 INPUT_REFUSALS = {
     "werner without p": (["gen", "werner"], "werner requires --p"),
     "mix without inputs": (["gen", "mix"], "mix requires --inputs"),
@@ -1275,35 +1051,133 @@ INPUT_REFUSALS = {
         ["gen", "bell", "--dims", "2", "3"], "--dims [2, 3]: the bell state is 2x2"
     ),
     "mix with foreign dims": (
-        ["gen", "mix", "--inputs", "{tmp}/random_2x3.json", "--dims", "3", "2"],
+        ["gen", "mix", "--inputs", "random_2x3.json", "--dims", "3", "2"],
         "--dims [3, 2]: the mix state is 2x3",
     ),
     "mix of 2x2 and 2x3": (
-        ["gen", "mix", "--inputs", "{tmp}/bell.json", "{tmp}/random_2x3.json"],
-        "mix inputs must share dimensions",
+        ["gen", "mix", "--inputs", "bell.json", "random_2x3.json"], "mix inputs must share dimensions"
     ),
-    "check truncated": (["check", "{tmp}/truncated.json"], "malformed JSON in"),
-    "check list": (["check", "{tmp}/list.json"], "expected object with 'dims' and 'matrix'"),
-    "check words": (["check", "{tmp}/words.json"], "matrix entries must be [re, im] pairs"),
-    "check quoted number": (["check", "{tmp}/quoted.json"], "must be JSON numbers"),
+    "mix with more weights than inputs": (
+        ["gen", "mix", "--inputs", "bell.json", "--weights", "0.5", "0.5"], WEIGHTS
+    ),
+    "mix with a NaN weight": (
+        ["gen", "mix", "--inputs", "bell.json", "bell.json", "--weights", "nan", "1"], WEIGHTS
+    ),
+    "werner past p = 1": (
+        ["gen", "werner", "--p", "1.5"], "mixing parameter must lie in [0, 1], got 1.5"
+    ),
+    "unknown bell state": (["gen", "bell", "--which", "sigma+"], "unknown Bell state 'sigma+'"),
+    # verify's limit, refused before any array is allocated
+    **{
+        f"{kind} past the dims limit at {a}x{b}": (
+            ["gen", kind, "--dims", a, b], f"--dims must have d_A*d_B <= 2048, got [{a}, {b}]"
+        )
+        for kind in ("random", "separable")
+        for a, b in (("1000", "1000"), ("2", "1025"))
+    },
+    # one Dirichlet weight per term: 10^12 terms once ended in a 7.28 TiB MemoryError
+    **{
+        f"separable with {terms} terms": (
+            ["gen", "separable", "--terms", str(terms)], f"--terms must be <= {BUDGET}, got {terms}"
+        )
+        for terms in (BUDGET + 1, 10**12)
+    },
+    # checked before any array is sized from the dims
+    **{
+        f"{command[0]} at dims {d_a} 2": (
+            [*command, "--dims", d_a, "2"], f"local dimensions must be >= 2, got ({d_a}, 2)"
+        )
+        for command in (["calibrate"], ["verify"], ["gen", "random"])
+        for d_a in ("0", "-2", "1")
+    },
+    "check missing file": (["check", "nope.json"], "[Errno 2] No such file or directory"),
+    "check truncated": (["check", "truncated.json"], "malformed JSON in"),
+    "check list": (["check", "list.json"], "expected object with 'dims' and 'matrix'"),
+    "check words": (["check", "words.json"], "matrix entries must be [re, im] pairs"),
+    "check quoted number": (["check", "quoted.json"], "must be JSON numbers"),
+    "check 4x4 matrix at dims 2 2": (
+        ["check", "real.json"], "matrix shape (4, 4) does not match dims 2x2"
+    ),
+    "check non-integer dims": (
+        ["check", "float_dims.json"], "dims must be a list of two integers, got [2.7, 2]"
+    ),
+    # a NaN once failed as "Eigenvalues did not converge"
+    "check NaN entry": (["check", "nan.json"], "matrix entries must be finite"),
+    # the multinomial draws take int64 counts: 2^63 shots is an input error, not an OverflowError
+    "simulate 2^63 shots": (
+        ["simulate", "bell.json", "--shots", str(2**63)],
+        f"shots_per_k must be in [1, 2**63 - 1], got {2**63}",
+    ),
     # two 3600 x 3600 probes, refused before they are built
     "calibrate past the matrix guard": (["calibrate", "--dims", "60", "60"], "exceeds guard 4096"),
+    "verify kmax 1": (["verify", "--kmax", "1"], "--kmax must be >= 2, got 1"),
+    "verify trials 0": (["verify", "--trials", "0"], "--trials must be >= 1, got 0"),
+    # 20 trials x 4^11 terms is the last brute-force order within the guard, and the shift
+    # products stop at 2^12 = 4096: an admitted --kmax 13 would take minutes
+    "verify kmax past the guards": (
+        ["verify", "--kmax", "13"], "--kmax must be <= 12 at dims [2, 2], got 13"
+    ),
+    # 2x70 is past the brute-force guard from k = 4 on, 2^13 past the matrix guard
+    "verify kmax past the last shift product": (
+        ["verify", "--dims", "2", "70", "--kmax", "13", "--trials", "1"],
+        "--kmax must be <= 12 at dims [2, 70], got 13",
+    ),
+    # 10^8 2x2 states are 16 x 10^8 entries, past the 2^22 entry budget
+    "verify 10^8 trials": (
+        ["verify", "--trials", "100000000"],
+        "--trials must be <= 262144 at dims [2, 2], got 100000000",
+    ),
+    # the parser's refusals: each names the argument, and numpy never sees it
+    "no command": ([], "the following arguments are required: command"),
+    "simulate shots many": (
+        ["simulate", "bell.json", "--shots", "many"], "argument --shots: invalid int value: 'many'"
+    ),
+    **{
+        f"{argv[0]} seed -1": (
+            [*argv, "--seed", "-1"], "--seed must be a nonnegative integer, got -1"
+        )
+        for argv in (["gen", "random"], ["verify"], ["simulate", "bell.json"])
+    },
+    # removed options: order 2 reads the same distribution with or without the k = 2
+    # shortcut, there is no noise gate, and the bootstrap replica count is fixed
+    "simulate no-k2-shortcut": (
+        ["simulate", "bell.json", "--shots", "20000", "--seed", "2", "--no-k2-shortcut"],
+        "unrecognized arguments: --no-k2-shortcut",
+    ),
+    "simulate eta-scale": (
+        ["simulate", "bell.json", "--eta-scale", "2"], "unrecognized arguments: --eta-scale 2"
+    ),
+    **{
+        f"{command} z": ([command, "bell.json", "--z", "3"], "unrecognized arguments: --z 3")
+        for command in ("check", "simulate")
+    },
+    **{
+        f"simulate bootstrap {count}": (
+            ["simulate", "bell.json", "--bootstrap", count],
+            f"unrecognized arguments: --bootstrap {count}",
+        )
+        for count in ("1", "0", "200")
+    },
 }
 
 
 @pytest.mark.parametrize("argv, message", INPUT_REFUSALS.values(), ids=INPUT_REFUSALS.keys())
-def test_incomplete_or_malformed_inputs_exit_1(capsys, refusal_files, argv, message):
-    argv = [arg.format(tmp=refusal_files) for arg in argv]
-    if argv[0] == "gen":
-        argv += ["--out", str(refusal_files / "out.json")]
-    code = cli.main(argv)
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert message in captured.err
-    assert "Traceback" not in captured.err
-    assert not (refusal_files / "out.json").exists()
+def test_incomplete_or_malformed_inputs_exit_1(capsys, monkeypatch, refusal_files, argv, message):
+    # exit 1 with a named reason: nothing on stdout, no file written, no state drawn
+    monkeypatch.chdir(refusal_files)
+    for draw in ("random_density", "random_separable", "random_densities"):
+        monkeypatch.setattr(states, draw, lambda *args, draw=draw: pytest.fail(f"{draw} called"))
+    if argv[:1] == ["gen"]:
+        argv = [*argv, "--out", "out.json"]
+    files = {path.name: path.read_bytes() for path in refusal_files.iterdir()}
+    code, out, err = outcome(capsys, argv)
+    # a command refuses through main's return value, an argument through the parser
+    prefix = {1: "error: ", ("SystemExit", 1): "usage: pptnet"}
+    assert code in prefix and err.startswith(prefix[code])
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+    assert {path.name: path.read_bytes() for path in refusal_files.iterdir()} == files
 
 
 def test_calibrate_disagreement_exits_2(capsys, monkeypatch):

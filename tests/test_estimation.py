@@ -1,5 +1,6 @@
 """Tests for shot sampling, power-sum estimation, and spectrum recovery."""
 
+import importlib.util
 import math
 import os
 import subprocess
@@ -66,6 +67,13 @@ def test_eta_from_counts_rejects_empty():
         est.eta_from_counts(np.zeros(4, dtype=int))
     with pytest.raises(ValueError):  # one empty row among several
         est.eta_from_counts(np.array([[10, 0, 0, 0], [0, 0, 0, 0]]))
+    # a negative count once read as eta = -3 with standard error 0
+    for counts in ([-1, 2, 0, 0], [[10, 0, 0, 0], [5, -1, 0, 0]]):
+        with pytest.raises(ValueError, match="negative counts"):
+            est.eta_from_counts(np.array(counts))
+    # and the certified interval, which reads its box from eta_from_counts, refuses them too
+    with pytest.raises(ValueError, match="negative counts"):
+        est.lambda_min_interval(np.array([[-1, 2, 0, 0]] * 3), 4)
 
 
 def test_calibrate_eta_scale():
@@ -617,6 +625,28 @@ def test_exact_probabilities_call_3x3_maximally_entangled_state_entangled():
     assert res.verdict.classification == est.NPT_ENTANGLED
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="exact recovery returns a wrong spectrum: the absolute COEFF_SNAP_TOL zeroes "
+    "e_d = det(rho^T_B), and CLUSTER_TOL averages distinct eigenvalues",
+)
+@pytest.mark.parametrize(
+    "rho",
+    [states.random_density((2, 5), 6), states.random_separable((3, 3), 9, 1001)],
+    ids=["random 2x5 seed 6", "separable 3x3 9 terms seed 1001"],
+)
+def test_exact_probabilities_spectrum_is_refused_or_right(rho):
+    # the power sums agree with the eigensolver's to rounding, yet the spectra come out
+    # 8.7e-3 and 8.0e-4 off with no recovery_error; the second reads lambda_min 0.0
+    # against an exact 6.2e-4
+    pt = linalg.partial_transpose(rho.matrix, rho.d_a, rho.d_b, "B")
+    want = np.sort(linalg.hermitian_eigenvalues(pt))[::-1]
+    res = est.run_protocol(rho, est.EstimationConfig(), exact_probabilities=True)
+    if res.recovery_error is None:
+        assert_allclose(res.spectrum.lambdas, want, rtol=0, atol=1e-5)
+
+
 def test_shot_mode_never_refuses_werner_half_at_ten_thousand_shots():
     # lambda_min = -0.125, but the threefold eigenvalue 0.375 of the partial
     # transpose splits into complex pairs under shot noise; the point still
@@ -828,3 +858,25 @@ def test_certified_interval_draws_no_random_numbers(monkeypatch):
     assert est.lambda_min_interval(counts, 4)[1:] == res.interval
     with pytest.raises(ValueError, match="need the counts of orders 2..4, got 2 orders"):
         est.lambda_min_interval(counts[:2], 4)
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists_and_is_restored():
+    # perfbench/tracer.py looks its targets up by name: deleting or renaming one fails here
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    targets = [(module, attr) for module, attr, *_ in tracer_module.TARGETS]
+    for module, attr in targets:
+        assert hasattr(module, attr), f"{module.__name__}.{attr}"
+    originals = [(module, attr, getattr(module, attr)) for module, attr in targets]
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        est.run_protocol(states.bell_state("phi+"), est.EstimationConfig(shots_per_k=10**4))
+    finally:
+        tracer.uninstall()
+    # each shot run recovers its point spectrum once
+    assert tracer.metrics(1)["estimation.recovery.calls"] == (1.0, "calls/op")
+    for module, attr, original in originals:
+        assert getattr(module, attr) is original, f"{module.__name__}.{attr}"
