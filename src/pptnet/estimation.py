@@ -3,6 +3,7 @@ power sums, spectrum recovery via Newton's identities, and the PPT verdict."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -357,6 +358,18 @@ def _box(counts: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array([*exact, *(eta - eps)]), np.array([*exact, *(eta + eps)])
 
 
+@functools.lru_cache(maxsize=16)
+def _shift_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables of _shift_tests for p_0 .. p_{n-1}: C(k, j), the power max(k - j, 0)
+    of -t in C(k, j) (-t)^(k-j), and whether each order 1..n-1 is odd."""
+    k = np.arange(n)
+    binom = np.array([[math.comb(a, b) for b in range(n)] for a in range(n)], dtype=float)
+    tables = binom, np.maximum(k[:, None] - k, 0), k[1:, None] % 2 == 1
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _shift_tests(
     lo: np.ndarray, hi: np.ndarray, d: int, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -367,12 +380,12 @@ def _shift_tests(
     prove not PSD: q_3 below the order-3 floor (_o3_floor) of the trace-one
     (rho^T_B - t I) / (1 - d t), for t < 1/d; or the upper end of some e_m below 0 in the
     interval Newton recursion m e_m = sum_i (-1)^(i-1) e_{m-i} q_i (a PSD spectrum has
-    every e_m >= 0; Neven et al., npj Quantum Inf. 7, 152 (2021)).  At t = 0, q = p."""
+    every e_m >= 0; Neven et al., npj Quantum Inf. 7, 152 (2021)).  At t = 0, q = p.
+    The recursion holds both ends of each quantity in one array, (2, order, shift)."""
     n = len(lo)
-    binom = np.array([[math.comb(a, b) for b in range(n)] for a in range(n)], dtype=float)
-    k = np.arange(n)
+    binom, power, odd = _shift_tables(n)
     # C(k, j) (-t)^(k-j), zero for j > k: the power is read off one Vandermonde row per shift
-    c = binom * np.vander(-t, n, increasing=True)[:, np.maximum(k[:, None] - k, 0)]
+    c = binom * np.vander(-t, n, increasing=True)[:, power]
     pos, neg = np.maximum(c, 0.0), np.minimum(c, 0.0)
     q_lo, q_hi = pos @ lo + neg @ hi, pos @ hi + neg @ lo  # (G, n); both ends of q_1 are 1 - d t
     fires = np.zeros(len(t), dtype=bool)
@@ -380,22 +393,17 @@ def _shift_tests(
         below = t < 1.0 / d
         scale = np.where(below, q_lo[:, 1], 1.0)
         fires |= below & (q_hi[:, 3] / scale**3 < _o3_floor(q_lo[:, 2] / scale**2, d))
-    # (-1)^(i-1) q_i as an interval: the even orders enter negated
-    odd = k[1:] % 2 == 1
-    s_lo = np.where(odd, q_lo[:, 1:], -q_hi[:, 1:])
-    s_hi = np.where(odd, q_hi[:, 1:], -q_lo[:, 1:])
-    e_lo, e_hi = np.ones((len(t), n)), np.ones((len(t), n))  # e_0 .. e_{n-1}
-    psd = np.ones(len(t), dtype=bool)
+    s = np.where(odd, [q_lo.T[1:], q_hi.T[1:]], [-q_hi.T[1:], -q_lo.T[1:]])  # (-1)^(i-1) q_i
+    e = np.ones((2, n, len(t)))  # e_0 .. e_{n-1}
+    terms, me = np.empty((2, 2, n - 1, len(t)))  # the ends of e_{m-i} q_i; of m e_m, m = 1..n-1
     for m in range(1, n):
-        a, b = e_lo[:, m - 1 :: -1], e_hi[:, m - 1 :: -1]  # e_{m-i}, i = 1..m
-        ends = np.stack([a * s_lo[:, :m], a * s_hi[:, :m], b * s_lo[:, :m], b * s_hi[:, :m]])
-        # cumsum adds terms i = 1..m in order, as a scalar loop would
-        total_lo = np.cumsum(ends.min(axis=0), axis=1)[:, -1]
-        total_hi = np.cumsum(ends.max(axis=0), axis=1)[:, -1]
-        fires |= total_hi < 0
-        psd &= total_lo >= 0
-        e_lo[:, m], e_hi[:, m] = total_lo / m, total_hi / m
-    return fires, psd
+        ends = e[:, None, m - 1 :: -1] * s[:, :m]  # e_{m-i} q_i, i = 1..m, all four end pairs
+        np.minimum.reduce(ends, axis=(0, 1), out=terms[0, :m])
+        np.maximum.reduce(ends, axis=(0, 1), out=terms[1, :m])
+        # accumulate adds terms i = 1..m in order, as a scalar loop would
+        me[:, m - 1] = np.add.accumulate(terms[:, :m], axis=1)[:, -1]
+        np.divide(me[:, m - 1], m, out=e[:, m])
+    return fires | (me[1] < 0).any(axis=0), (me[0] >= 0).all(axis=0)
 
 
 def npt_certified(counts: np.ndarray, d: int) -> bool:
@@ -412,8 +420,9 @@ def lambda_min_interval(counts: np.ndarray, d: int) -> tuple[bool, float, float]
     bound: all d eigenvalues lie within sqrt(d - 1) standard deviations of their mean
     1/d (Samuelson, JASA 63, 1522 (1968)), read at p_2's upper end.  The grid holds
     t = 0 and INTERVAL_SHIFTS - 1 shifts from Samuelson's bound to 1/d; a second pass of
-    INTERVAL_SHIFTS refines the gap next to each end.  A box no spectrum fits can prove
-    both lambda_min < hi and lambda_min >= lo > hi: lo is then lowered to hi."""
+    INTERVAL_SHIFTS refines the gap next to each end.  lo is at least -1/2 - load_band(d):
+    a state's partial transpose has no eigenvalue below -1/2 (Rana, PRA 87, 054301 (2013)).
+    A box no spectrum fits can prove hi > lambda_min >= lo > hi: lo is then lowered to hi."""
     if len(counts) != d - 1:
         raise ValueError(f"need the counts of orders 2..{d}, got {len(counts)} orders")
     lo_p, hi_p = _box(counts, d)
@@ -427,7 +436,7 @@ def lambda_min_interval(counts: np.ndarray, d: int) -> tuple[bool, float, float]
     fine = np.concatenate([np.linspace(below, hi, gap)[1:-1], np.linspace(lo, above, gap)[1:-1]])
     fine_fires, fine_psd = _shift_tests(lo_p, hi_p, d, fine)
     hi = min(hi, fine[fine_fires].min(initial=hi))
-    lo = max(lo, fine[fine_psd].max(initial=lo))
+    lo = max(lo, fine[fine_psd].max(initial=lo), -0.5 - load_band(d))
     return bool(fires[0]), float(min(lo, hi)), float(hi)
 
 

@@ -158,9 +158,10 @@ def test_simulate_too_noisy_reports_the_certified_verdict(capsys, tmp_path):
     assert report["recovery_error"] == "root imaginary residual 7.397e-01 exceeds cap 2.500e-01"
     assert "root imaginary residual" in captured.err
     # the interval comes from the counts, not from the refused point: no shift fires, so
-    # hi is the mean 1/4, and lo is Samuelson's bound at the top of a wide Hoeffding box
+    # hi is the mean 1/4; Samuelson's bound at the top of a wide Hoeffding box lies below
+    # -1/2, so lo is the floor -1/2 - load_band(4) that no partial transpose goes under
     lo, hi = report["interval"]
-    assert lo < 0.25 == hi
+    assert lo == -0.5 - states.load_band(4) and hi == 0.25
     assert report["sigma"] == (hi - lo) / 2
     assert report["power_sums"][0] == 1.0
     assert report["copies_consumed"] == 2 * 9  # 2 shots at each of k = 2, 3, 4

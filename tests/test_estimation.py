@@ -765,28 +765,69 @@ def _o3_floor_reference(p2, d):
     return float(m * x**3 + (1.0 - m * x) ** 3)
 
 
-def _npt_certified_reference(counts, d):
-    """The scalar certificate: O3 on the box, then the interval Newton recursion
-    term by term, returning at the first e_m whose upper end is below 0."""
+def _box_reference(counts, d):
+    """The Hoeffding box of p_0 = d, p_1 = 1 and p_2 .. p_{K+1}, as _box states it."""
     eta = est.eta_from_counts(counts)[0]
     eps = np.sqrt(2 * np.log(2 * len(counts) / est.CERTIFICATE_DELTA) / counts.sum(axis=1))
-    lo, hi = [1.0, *(eta - eps).tolist()], [1.0, *(eta + eps).tolist()]
-    if len(lo) > 2 and hi[2] < _o3_floor_reference(lo[1], d):
-        return True
-    e = [(1.0, 1.0)]
-    for m in range(1, len(lo) + 1):
-        s_lo = s_hi = 0.0
-        for i in range(1, m + 1):
-            (a, b), p_lo, p_hi = e[m - i], lo[i - 1], hi[i - 1]
-            ends = (a * p_lo, a * p_hi, b * p_lo, b * p_hi)
-            if i % 2:
-                s_lo, s_hi = s_lo + min(ends), s_hi + max(ends)
-            else:
-                s_lo, s_hi = s_lo - max(ends), s_hi - min(ends)
-        if s_hi < 0:
-            return True
-        e.append((s_lo / m, s_hi / m))
-    return False
+    return np.array([d, 1.0, *(eta - eps)]), np.array([d, 1.0, *(eta + eps)])
+
+
+def _shift_tests_reference(lo, hi, d, t):
+    """_shift_tests shift by shift: the box of q_k = sum_j C(k, j) (-t)^(k-j) p_j from the
+    same matrix products, O3 on q_k / (1 - d t)^k for t < 1/d, then the interval Newton
+    recursion term by term in Python floats.  Fires on an O3 hit or an m e_m whose upper
+    end is below 0; PSD when every m e_m has its lower end >= 0."""
+    n = len(lo)
+    c = np.zeros((len(t), n, n))
+    for g, x in enumerate(t.tolist()):
+        powers = [1.0]  # (-t)^p as a running product, as np.vander builds its rows
+        for _ in range(n - 1):
+            powers.append(powers[-1] * -x)
+        for a in range(n):
+            for b in range(a + 1):
+                c[g, a, b] = math.comb(a, b) * powers[a - b]
+    pos, neg = np.maximum(c, 0.0), np.minimum(c, 0.0)
+    q_lo, q_hi = (pos @ lo + neg @ hi).tolist(), (pos @ hi + neg @ lo).tolist()
+    fires, psd = [], []
+    for x, ql, qh in zip(t.tolist(), q_lo, q_hi):
+        scale = ql[1]  # 1 - d t
+        hit = n > 3 and x < 1.0 / d and qh[3] / scale**3 < _o3_floor_reference(ql[2] / scale**2, d)
+        ok, e = True, [(1.0, 1.0)]
+        for m in range(1, n):
+            s_lo = s_hi = 0.0
+            for i in range(1, m + 1):
+                (a, b), p_lo, p_hi = e[m - i], ql[i], qh[i]
+                ends = (a * p_lo, a * p_hi, b * p_lo, b * p_hi)
+                if i % 2:
+                    s_lo, s_hi = s_lo + min(ends), s_hi + max(ends)
+                else:
+                    s_lo, s_hi = s_lo - max(ends), s_hi - min(ends)
+            hit, ok = hit or s_hi < 0, ok and s_lo >= 0
+            e.append((s_lo / m, s_hi / m))
+        fires.append(hit)
+        psd.append(ok)
+    return np.array(fires), np.array(psd)
+
+
+@pytest.mark.parametrize(
+    "dims, n, shots", [((2, 2), 20, 10**6), ((2, 3), 20, 10**6), ((3, 3), 20, 10**6), ((4, 4), 5, 10)]
+)
+def test_shift_tests_equal_the_scalar_reference(dims, n, shots):
+    d = dims[0] * dims[1]
+    t = np.array([0.0, 1.0 / d, -0.5, *np.random.default_rng(7).uniform(-1.0, 1.0, 30)])
+    outcomes = set()
+    for s in range(n):  # the box of one shot run on each of the first n random states
+        cfg = est.EstimationConfig(shots_per_k=shots, seed=s)
+        counts = np.array([c.n for c in est._measure(states.random_density(dims, s), cfg, False)[1]])
+        lo, hi = _box_reference(counts, d)
+        fires, psd = est._shift_tests(lo, hi, d, t)
+        want_fires, want_psd = _shift_tests_reference(lo, hi, d, t)
+        assert_array_equal(fires, want_fires)
+        assert_array_equal(psd, want_psd)
+        outcomes |= set(zip(fires.tolist(), psd.tolist()))
+    # both calls occur; up to 2x3 the recursion proves PSD on some shift below the spectrum
+    assert {(True, False), (False, False)} <= outcomes
+    assert (False, True) in outcomes or dims[0] * dims[1] > 6
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
@@ -797,11 +838,32 @@ def test_npt_call_is_the_scalar_certificate_and_caps_the_interval(dims):
         rho = states.random_density(dims, s)
         res = est.run_protocol(rho, est.EstimationConfig(shots_per_k=10**6, seed=2000 + s))
         counts = np.array([c.n for c in res.counts_per_k])
-        want = _npt_certified_reference(counts, rho.d)
+        want = _shift_tests_reference(*_box_reference(counts, rho.d), rho.d, np.zeros(1))[0][0]
         assert est.npt_certified(counts, rho.d) == want, (dims, s)
         assert (res.verdict.classification == est.NPT_ENTANGLED) == want, (dims, s)
         if want:
             assert res.interval[1] <= 0, (dims, s, res.interval)
+
+
+def test_certified_interval_frozen():
+    # lambda_min_interval on one shot run per state (seed 0), bit for bit; Bell and the
+    # Werner 0 run at 2 shots have lo at the floor -1/2 - load_band(4)
+    floor = "-0x1.000000225e4acp-1"
+    frozen = [
+        (states.bell_state("phi+"), 10**6, True, floor, "-0x1.f16403f438a10p-2"),
+        (states.werner(0.8), 10**6, True, "-0x1.686837a1629ecp-2", "-0x1.5b01c71de079fp-2"),
+        (states.werner(0.4), 10**6, True, "-0x1.c41c0396ea268p-5", "-0x1.d56acee70fc0cp-6"),
+        (states.werner(0.25), 10**6, False, "0x1.be32e1f86bfdcp-5", "0x1.2f11c46e50de6p-3"),
+        (states.random_density((2, 2), 3), 10**6, True, "-0x1.045ada823433cp-2", "-0x1.3a2af736b9ec6p-3"),
+        (states.random_density((2, 3), 1), 10**6, False, "-0x1.a385df0fee013p-3", "0x1.e12db6b6eeb60p-6"),
+        (states.random_density((3, 3), 1), 10**6, True, "-0x1.c9e8e0c223d3ap-3", "-0x1.5bbf91b75ad40p-8"),
+        (states.werner(0.0), 2, False, floor, "0x1.0000000000000p-2"),
+    ]
+    assert float.fromhex(floor) == -0.5 - states.load_band(4)
+    for rho, shots, npt, lo, hi in frozen:
+        _, counts = est._measure(rho, est.EstimationConfig(shots_per_k=shots, seed=0), exact=False)
+        got = est.lambda_min_interval(np.array([c.n for c in counts]), rho.d)
+        assert got == (npt, float.fromhex(lo), float.fromhex(hi)), (rho.dims, shots, got)
 
 
 @pytest.mark.parametrize("shots", [10**6, 10**7])
@@ -834,6 +896,7 @@ def test_every_shot_run_has_a_finite_certified_interval():
         res = est.run_protocol(rho, est.EstimationConfig(shots_per_k=shots, seed=0))
         lo, hi = res.interval
         assert math.isfinite(lo) and math.isfinite(hi) and lo <= hi, (rho.dims, shots)
+        assert lo >= -0.5 - states.load_band(rho.d)  # no state's partial transpose goes lower
         assert math.isfinite(res.sigma) and res.sigma == (hi - lo) / 2 >= 0
     assert res.recovery_error is not None  # the 3x3 runs refuse their points
     # p_2 = p_3 = -1 fits no spectrum: Samuelson's bound puts lambda_min at the mean 1/4
