@@ -347,15 +347,15 @@ def _o3_floor(p2, d: int):
     return m * x**3 + (1.0 - m * x) ** 3
 
 
-def _box(counts: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper ends of p_0 = d, p_1 = 1 and p_2 .. p_{K+1} from the (K, 4) counts
-    of orders 2..K+1: each estimate within eps = sqrt(2 ln(2K/delta) / N), which holds
-    for all K together with probability >= 1 - delta by Hoeffding's bound and the union
-    bound (delta = CERTIFICATE_DELTA, N the order's shots)."""
-    eta = eta_from_counts(counts)[0]
-    eps = np.sqrt(2 * np.log(2 * len(counts) / CERTIFICATE_DELTA) / counts.sum(axis=1))
+def _box(ps: PowerSums, shots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper ends of p_0 = d, p_1 = 1 and p_2 .. p_d from the estimates ps, each
+    from N = shots shots: each within eps = sqrt(2 ln(2(d - 1)/delta) / N), which holds for
+    all d - 1 together with probability >= 1 - delta by Hoeffding's bound and the union
+    bound (delta = CERTIFICATE_DELTA)."""
+    d = len(ps.p)
+    eps = np.sqrt(2 * np.log(2 * (d - 1) / CERTIFICATE_DELTA) / shots)
     exact = [float(d), 1.0]
-    return np.array([*exact, *(eta - eps)]), np.array([*exact, *(eta + eps)])
+    return np.array([*exact, *(ps.p[1:] - eps)]), np.array([*exact, *(ps.p[1:] + eps)])
 
 
 @functools.lru_cache(maxsize=16)
@@ -406,15 +406,11 @@ def _shift_tests(
     return fires | (me[1] < 0).any(axis=0), (me[0] >= 0).all(axis=0)
 
 
-def npt_certified(counts: np.ndarray, d: int) -> bool:
-    """True when the (K, 4) counts of orders 2..K+1 prove rho^T_B is not PSD while every
-    p_k lies in its Hoeffding box (_box): the shift t = 0 of _shift_tests."""
-    return bool(_shift_tests(*_box(counts, d), d, np.zeros(1))[0][0])
-
-
-def lambda_min_interval(counts: np.ndarray, d: int) -> tuple[bool, float, float]:
-    """npt_certified's call on the (d - 1, 4) counts of orders 2..d, and [lo, hi], which
-    holds lambda_min whenever the Hoeffding box does, so with probability >= 1 - delta.
+def lambda_min_interval(ps: PowerSums, shots: int) -> tuple[bool, float, float]:
+    """Whether the estimates ps of orders 2..d, each from N = shots shots, prove rho^T_B is
+    not PSD while every p_k lies in its Hoeffding box (_box): the shift t = 0 of
+    _shift_tests, the shot-mode certificate.  And [lo, hi], which holds lambda_min
+    whenever the box does, so with probability >= 1 - delta.
     hi is the least shift on a grid at which _shift_tests proves lambda_min below it,
     else the mean 1/d.  lo is the larger of the largest shift proved PSD and Samuelson's
     bound: all d eigenvalues lie within sqrt(d - 1) standard deviations of their mean
@@ -423,9 +419,10 @@ def lambda_min_interval(counts: np.ndarray, d: int) -> tuple[bool, float, float]
     INTERVAL_SHIFTS refines the gap next to each end.  lo is at least -1/2 - load_band(d):
     a state's partial transpose has no eigenvalue below -1/2 (Rana, PRA 87, 054301 (2013)).
     A box no spectrum fits can prove hi > lambda_min >= lo > hi: lo is then lowered to hi."""
-    if len(counts) != d - 1:
-        raise ValueError(f"need the counts of orders 2..{d}, got {len(counts)} orders")
-    lo_p, hi_p = _box(counts, d)
+    if shots < 1:  # a zero N would make the box infinite
+        raise ValueError(f"shot count must be >= 1, got {shots}")
+    d = len(ps.p)
+    lo_p, hi_p = _box(ps, shots)
     floor = 1.0 / d - float(np.sqrt((d - 1) * max(0.0, hi_p[2] / d - 1.0 / d**2)))
     t = np.append(0.0, np.linspace(floor, 1.0 / d, INTERVAL_SHIFTS - 1))
     fires, psd = _shift_tests(lo_p, hi_p, d, t)
@@ -445,9 +442,9 @@ def run_protocol(
 ) -> ProtocolResult:
     """Full measurement pipeline: distributions -> (shots) -> power sums ->
     spectrum -> verdict, with the certified lambda_min interval in shot mode.  The
-    shot-mode verdict is NPT_ENTANGLED exactly when npt_certified accepts the counts, and
-    PPT_INCONCLUSIVE otherwise, whether or not the point spectrum recovers: a
-    refused one is None, its text in recovery_error (in exact mode, no verdict)."""
+    shot-mode verdict is NPT_ENTANGLED exactly when lambda_min_interval certifies the
+    estimates, and PPT_INCONCLUSIVE otherwise, whether or not the point spectrum recovers:
+    a refused one is None, its text in recovery_error (in exact mode, no verdict)."""
     ps, counts_per_k = _measure(rho, cfg, exact_probabilities)
     try:
         spectrum, error = spectrum_from_power_sums(ps), None
@@ -457,7 +454,7 @@ def run_protocol(
         v = None if spectrum is None else verdict(spectrum, rho.dims)
         sigma = None if spectrum is None else 0.0  # a refused point has no spread
         return ProtocolResult(ps, spectrum, v, sigma=sigma, recovery_error=error)
-    npt, lo, hi = lambda_min_interval(np.array([c.n for c in counts_per_k]), rho.d)
+    npt, lo, hi = lambda_min_interval(ps, cfg.shots_per_k)
     lam = None if spectrum is None else float(spectrum.lambdas[-1])
     v = PptVerdict(lam, NPT_ENTANGLED if npt else PPT_INCONCLUSIVE)
     copies = sum(c.k * int(c.n.sum()) for c in counts_per_k)

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,9 +70,6 @@ def test_eta_from_counts_rejects_empty():
     for counts in ([-1, 2, 0, 0], [[10, 0, 0, 0], [5, -1, 0, 0]]):
         with pytest.raises(ValueError, match="negative counts"):
             est.eta_from_counts(np.array(counts))
-    # and the certified interval, which reads its box from eta_from_counts, refuses them too
-    with pytest.raises(ValueError, match="negative counts"):
-        est.lambda_min_interval(np.array([[-1, 2, 0, 0]] * 3), 4)
 
 
 def test_calibrate_eta_scale():
@@ -196,10 +192,18 @@ def test_one_bootstrap_replica_is_an_input_error():
     with pytest.raises(ValueError, match="bootstrap_replicas must be 0 or >= 2, got 1"):
         est.EstimationConfig(bootstrap_replicas=1)
     bell = states.bell_state("phi+")
-    # run_protocol does not read the replica count: 0 and 2 give one certified interval
-    none = est.run_protocol(bell, est.EstimationConfig(shots_per_k=1000, bootstrap_replicas=0))
-    two = est.run_protocol(bell, est.EstimationConfig(shots_per_k=1000, bootstrap_replicas=2))
-    assert none.interval == two.interval and none.sigma == two.sigma > 0
+    # run_protocol does not read the replica count: 0, 2 and 200 give one result, bit for bit
+    none, *others = (
+        est.run_protocol(bell, est.EstimationConfig(shots_per_k=1000, bootstrap_replicas=b))
+        for b in (0, 2, 200)
+    )
+    assert none.sigma > 0
+    for other in others:
+        assert_array_equal(other.power_sums.p, none.power_sums.p)
+        assert_array_equal([c.n for c in other.counts_per_k], [c.n for c in none.counts_per_k])
+        assert_array_equal(other.spectrum.lambdas, none.spectrum.lambdas)
+        assert other.verdict == none.verdict
+        assert other.interval == none.interval and other.sigma == none.sigma
 
 
 MISTYPED_CONFIG_FIELDS = [
@@ -373,7 +377,7 @@ def test_bootstrap_sigma_matches_per_replica_reference():
     batched, reference = [], []
     for seed in range(5):
         cfg = est.EstimationConfig(shots_per_k=100_000, seed=seed, bootstrap_replicas=200)
-        counts = est.run_protocol(bell, replace(cfg, bootstrap_replicas=0)).counts_per_k
+        counts = est.run_protocol(bell, cfg).counts_per_k
         sigma, _, failures = est.bootstrap_lambda_min(counts, cfg)
         batched.append(sigma)
         rng = np.random.default_rng([seed, 7])
@@ -415,7 +419,7 @@ def test_bootstrap_streams_match_per_order_reference_exactly():
     product = states.random_separable((2, 3), terms=1, seed=3)  # rank-one
     for rho, seed in ((states.bell_state("phi+"), 4), (states.werner(0.25), 5), (product, 6)):
         cfg = est.EstimationConfig(shots_per_k=100_000, seed=seed, bootstrap_replicas=200)
-        counts = est.run_protocol(rho, replace(cfg, bootstrap_replicas=0)).counts_per_k
+        counts = est.run_protocol(rho, cfg).counts_per_k
         assert est.bootstrap_lambda_min(counts, cfg) == _bootstrap_reference(counts, cfg)
 
 
@@ -438,28 +442,26 @@ def test_shot_run_does_not_import_numpy_ma(tmp_path):
 
 
 def test_run_protocol_recovers_the_point_once(monkeypatch):
-    # one spectrum_from_power_sums call per run in both modes, whatever the replica count
+    # one spectrum_from_power_sums call per run in both modes
     calls = []
     recover = est.spectrum_from_power_sums
     monkeypatch.setattr(est, "spectrum_from_power_sums", lambda ps: calls.append(ps) or recover(ps))
     cfg = est.EstimationConfig(shots_per_k=10_000, seed=2)
     for exact in (False, True):
-        for replicas in (200, 0):
-            calls.clear()
-            run_cfg = replace(cfg, bootstrap_replicas=replicas)
-            res = est.run_protocol(states.bell_state("phi+"), run_cfg, exact)
-            assert calls == [res.power_sums]
+        calls.clear()
+        res = est.run_protocol(states.bell_state("phi+"), cfg, exact)
+        assert calls == [res.power_sums]
 
 
 def test_refused_point_keeps_the_certified_interval():
     # Werner p = 0 at 2 shots per order, seed 0: the point estimate's roots lie
-    # 0.74 off the real axis, and the interval still comes from the counts
+    # 0.74 off the real axis, and the interval still comes from the estimates
     rho, cfg = states.werner(0.0), est.EstimationConfig(shots_per_k=2, seed=0)
-    _, counts = est._measure(rho, cfg, exact=False)
+    ps, _ = est._measure(rho, cfg, exact=False)
     res = est.run_protocol(rho, cfg)
     assert res.recovery_error == "root imaginary residual 7.397e-01 exceeds cap 2.500e-01"
     assert res.spectrum is None and res.verdict == est.PptVerdict(None, est.PPT_INCONCLUSIVE)
-    npt, lo, hi = est.lambda_min_interval(np.array([c.n for c in counts]), rho.d)
+    npt, lo, hi = est.lambda_min_interval(ps, 2)
     assert not npt and res.interval == (lo, hi) and res.sigma == (hi - lo) / 2
     assert lo <= 0.25 <= hi  # lambda_min of I/4
     assert res.copies_consumed == 2 * (2 + 3 + 4)
@@ -478,7 +480,7 @@ def test_eta_from_counts_stack_equals_row_by_row():
 def test_run_protocol_recovery_matches_per_row_reference():
     product = states.random_separable((2, 3), terms=1, seed=3)  # rank-one, deflated roots
     for rho, seed in ((states.bell_state("phi+"), 4), (states.werner(0.25), 5), (product, 6)):
-        cfg = est.EstimationConfig(shots_per_k=100_000, seed=seed, bootstrap_replicas=20)
+        cfg = est.EstimationConfig(shots_per_k=100_000, seed=seed)
         res = est.run_protocol(rho, cfg)
         p = [1.0] + [est.eta_from_counts(c.n)[0] for c in res.counts_per_k]
         assert_array_equal(res.power_sums.p, p)
@@ -498,7 +500,7 @@ def test_run_protocol_exact_bell():
 
 
 def test_run_protocol_bell_shots():
-    cfg = est.EstimationConfig(shots_per_k=100_000, seed=1, bootstrap_replicas=50)
+    cfg = est.EstimationConfig(shots_per_k=100_000, seed=1)
     res = est.run_protocol(states.bell_state("phi+"), cfg)
     assert res.verdict.classification == est.NPT_ENTANGLED
     assert abs(res.verdict.lambda_min + 0.5) < 0.02
@@ -517,15 +519,15 @@ def test_run_protocol_sigma_shrinks_with_shots():
     bell = states.bell_state("phi+")
     ratios = []
     for seed in range(10):
-        lo = est.run_protocol(bell, est.EstimationConfig(shots_per_k=5_000, seed=seed, bootstrap_replicas=100))
-        hi = est.run_protocol(bell, est.EstimationConfig(shots_per_k=20_000, seed=seed, bootstrap_replicas=100))
+        lo = est.run_protocol(bell, est.EstimationConfig(shots_per_k=5_000, seed=seed))
+        hi = est.run_protocol(bell, est.EstimationConfig(shots_per_k=20_000, seed=seed))
         ratios.append(lo.sigma / hi.sigma)
     assert abs(np.mean(ratios) - 2.0) < 0.4
 
 
 def test_run_protocol_deterministic():
     bell = states.bell_state("phi+")
-    cfg = est.EstimationConfig(shots_per_k=10_000, seed=9, bootstrap_replicas=25)
+    cfg = est.EstimationConfig(shots_per_k=10_000, seed=9)
     a = est.run_protocol(bell, cfg)
     b = est.run_protocol(bell, cfg)
     assert np.array_equal(a.power_sums.p, b.power_sums.p)
@@ -538,7 +540,7 @@ def test_array_records_compare_without_raising():
     def records():
         rho = states.bell_state("phi+")
         ps = est.power_sums_exact(rho)
-        result = est.run_protocol(rho, est.EstimationConfig(shots_per_k=1000, bootstrap_replicas=10))
+        result = est.run_protocol(rho, est.EstimationConfig(shots_per_k=1000))
         dist = network.stage_two_distribution(rho, 2)
         ancilla = network.stage_one_state(rho, 2)
         return [rho, ps, est.spectrum_from_power_sums(ps), result, result.counts_per_k[0], dist, ancilla]
@@ -697,14 +699,9 @@ def test_o3_floor_rises_with_p2(d):
 
 
 def shot_npt_call(rho, seed, shots):
-    """Whether shot mode calls rho NPT_ENTANGLED; where recovery refuses first
-    (every 3x3 run), whether npt_certified accepts the counts of that run."""
+    """Whether shot mode calls rho NPT_ENTANGLED."""
     cfg = est.EstimationConfig(shots_per_k=shots, seed=seed)
-    try:
-        return est.run_protocol(rho, cfg).verdict.classification == est.NPT_ENTANGLED
-    except est.EstimationError:
-        _, counts = est._measure(rho, cfg, exact=False)
-        return est.npt_certified(np.array([c.n for c in counts]), rho.d)
+    return est.run_protocol(rho, cfg).verdict.classification == est.NPT_ENTANGLED
 
 
 def test_shot_mode_never_calls_a_separable_state_npt():
@@ -738,16 +735,13 @@ def npt_random_densities(dims, n):
 
 
 def test_shot_mode_makes_no_false_separability_claim():
-    # a refusal makes no claim; the i-th NPT state gets simulate seed 1000 + i
+    # shot runs never raise; the i-th NPT state gets simulate seed 1000 + i
     runs = [(states.werner(0.5), seed, 10_000) for seed in range(10)]
     for dims in ((2, 2), (2, 3)):
         runs += [(rho, 1000 + i, 10**6) for i, rho in enumerate(npt_random_densities(dims, 40))]
     claims = []
     for rho, seed, shots in runs:
-        try:
-            res = est.run_protocol(rho, est.EstimationConfig(shots_per_k=shots, seed=seed))
-        except est.EstimationError:
-            continue
+        res = est.run_protocol(rho, est.EstimationConfig(shots_per_k=shots, seed=seed))
         if res.verdict.classification == est.PPT_CONCLUSIVE_SEPARABLE:
             claims.append((rho.dims, seed))
     assert claims == []
@@ -758,7 +752,7 @@ def exact_lambda_min(rho):
 
 
 def _o3_floor_reference(p2, d):
-    """The scalar order-3 floor, as npt_certified read it before the shifted box."""
+    """The scalar order-3 floor, as the certificate read it before the shifted box."""
     p2 = min(max(p2, 1.0 / d), 1.0)
     m = min(int(1.0 / p2), d - 1)
     x = (m + np.sqrt(max(0.0, m * m - m * (m + 1) * (1.0 - p2)))) / (m * (m + 1))
@@ -832,14 +826,16 @@ def test_shift_tests_equal_the_scalar_reference(dims, n, shots):
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
 def test_npt_call_is_the_scalar_certificate_and_caps_the_interval(dims):
-    # 60 random states per size at 10^6 shots: the shift t = 0 makes the scalar
-    # certificate's call, and every NPT call comes with hi <= 0
+    # 60 random states per size at 10^6 shots: the box of the run's estimates is the
+    # counts' box bit for bit, the shift t = 0 makes the scalar certificate's call,
+    # and every NPT call comes with hi <= 0
     for s in range(60):
         rho = states.random_density(dims, s)
         res = est.run_protocol(rho, est.EstimationConfig(shots_per_k=10**6, seed=2000 + s))
-        counts = np.array([c.n for c in res.counts_per_k])
-        want = _shift_tests_reference(*_box_reference(counts, rho.d), rho.d, np.zeros(1))[0][0]
-        assert est.npt_certified(counts, rho.d) == want, (dims, s)
+        box = _box_reference(np.array([c.n for c in res.counts_per_k]), rho.d)
+        for got, ref in zip(est._box(res.power_sums, 10**6), box):
+            assert_array_equal(got, ref)
+        want = _shift_tests_reference(*box, rho.d, np.zeros(1))[0][0]
         assert (res.verdict.classification == est.NPT_ENTANGLED) == want, (dims, s)
         if want:
             assert res.interval[1] <= 0, (dims, s, res.interval)
@@ -861,8 +857,8 @@ def test_certified_interval_frozen():
     ]
     assert float.fromhex(floor) == -0.5 - states.load_band(4)
     for rho, shots, npt, lo, hi in frozen:
-        _, counts = est._measure(rho, est.EstimationConfig(shots_per_k=shots, seed=0), exact=False)
-        got = est.lambda_min_interval(np.array([c.n for c in counts]), rho.d)
+        ps, _ = est._measure(rho, est.EstimationConfig(shots_per_k=shots, seed=0), exact=False)
+        got = est.lambda_min_interval(ps, shots)
         assert got == (npt, float.fromhex(lo), float.fromhex(hi)), (rho.dims, shots, got)
 
 
@@ -901,12 +897,13 @@ def test_every_shot_run_has_a_finite_certified_interval():
     assert res.recovery_error is not None  # the 3x3 runs refuse their points
     # p_2 = p_3 = -1 fits no spectrum: Samuelson's bound puts lambda_min at the mean 1/4
     # while t = 0 fires, so lo is lowered to hi
-    impossible = np.array([[0, 1000, 0, 0], [0, 1000, 0, 0], [1000, 0, 0, 0]])
-    assert est.lambda_min_interval(impossible, 4) == (True, 0.0, 0.0)
+    impossible = est.PowerSums(np.array([1.0, -1.0, -1.0, 1.0]), "estimated", np.zeros(4))
+    assert est.lambda_min_interval(impossible, 1000) == (True, 0.0, 0.0)
 
 
 def test_certified_interval_draws_no_random_numbers(monkeypatch):
-    # the interval is a function of the counts: only the three sampling streams are drawn
+    # the interval is a function of the estimated power sums and the shots per order:
+    # only the three sampling streams are drawn
     paths, substream = [], est._substream
 
     def record(seed, *path):
@@ -916,11 +913,27 @@ def test_certified_interval_draws_no_random_numbers(monkeypatch):
     monkeypatch.setattr(est, "_substream", record)
     res = est.run_protocol(states.werner(0.4), est.EstimationConfig(shots_per_k=10**6, seed=5))
     assert paths == [(0, 2), (0, 3), (0, 4)]
-    counts = np.array([c.n for c in res.counts_per_k])
-    assert est.lambda_min_interval(counts, 4) == est.lambda_min_interval(counts.copy(), 4)
-    assert est.lambda_min_interval(counts, 4)[1:] == res.interval
-    with pytest.raises(ValueError, match="need the counts of orders 2..4, got 2 orders"):
-        est.lambda_min_interval(counts[:2], 4)
+    ps = res.power_sums
+    copy = est.PowerSums(ps.p.copy(), ps.source, ps.stderr.copy())
+    assert est.lambda_min_interval(ps, 10**6) == est.lambda_min_interval(copy, 10**6)
+    assert est.lambda_min_interval(ps, 10**6)[1:] == res.interval
+    # no shots would make the box infinite
+    with pytest.raises(ValueError, match="shot count must be >= 1, got 0"):
+        est.lambda_min_interval(ps, 0)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_certificate_is_monotone_in_shots_on_noise_free_estimates(dims):
+    # the exact-probability estimates with a box of N shots: once the certificate
+    # fires it keeps firing as N grows, so a noise-free shot threshold is well defined
+    shots = [int(n) for n in np.logspace(2, 12, 31)]
+    fired = []
+    for rho in npt_random_densities(dims, 5):
+        ps = est._measure(rho, est.EstimationConfig(), exact=True)[0]
+        calls = [est.lambda_min_interval(ps, n)[0] for n in shots]
+        assert calls == sorted(calls), (dims, calls)
+        fired.append(calls[-1])
+    assert any(fired), dims
 
 
 def test_every_name_the_benchmark_tracer_wraps_exists_and_is_restored():
