@@ -27,7 +27,7 @@ SHOT_IMAG_CAP = 0.25
 
 # the shot-mode NPT certificate holds on every separable state with probability >= 1 - this
 CERTIFICATE_DELTA = 1e-3
-# shifts per pass of the certified lambda_min search (two passes)
+# shifts of the certified lambda_min search, tested in one pass
 INTERVAL_SHIFTS = 48
 
 COEFF_SNAP_TOL = 1e-12
@@ -235,15 +235,15 @@ def estimate_power_sums(
 def _newton_coefficients(p: np.ndarray) -> np.ndarray:
     """Monic characteristic-polynomial coefficients from one row of power sums
     via Newton's identities: m*e_m = sum_{i=1..m} (-1)^(i-1) e_{m-i} p_i."""
-    d = len(p)
-    sign = (-1.0) ** np.arange(d + 1)
-    e = np.zeros(d + 1)
-    e[0] = 1.0
-    signed = sign[:d] * p
-    for m in range(1, d + 1):
-        # exact sign flips, and cumsum adds terms i = 1..m in order: e_m rounds as in a scalar loop
-        e[m] = np.cumsum(e[m - 1 :: -1] * signed[:m])[-1] / m
-    coeffs = sign * e
+    signed = [-x if i % 2 else x for i, x in enumerate(p.tolist())]  # (-1)^(i-1) p_i, exact flips
+    e = [1.0]
+    for m in range(1, len(signed) + 1):
+        # terms i = 1..m added in order in Python floats: a sequential sum's rounding, no numpy calls
+        acc = e[m - 1] * signed[0]
+        for i in range(2, m + 1):
+            acc += e[m - i] * signed[i - 1]
+        e.append(acc / m)
+    coeffs = np.array([-x if m % 2 else x for m, x in enumerate(e)])
     # Coefficients below the float-noise floor are zeros in disguise.  Snapping
     # them lets the root finder deflate exact zero eigenvalues of rank-deficient
     # input instead of scattering a multiple zero root into a ring of radius
@@ -415,9 +415,10 @@ def lambda_min_interval(ps: PowerSums, shots: int) -> tuple[bool, float, float]:
     else the mean 1/d.  lo is the larger of the largest shift proved PSD and Samuelson's
     bound: all d eigenvalues lie within sqrt(d - 1) standard deviations of their mean
     1/d (Samuelson, JASA 63, 1522 (1968)), read at p_2's upper end.  The grid holds
-    t = 0 and INTERVAL_SHIFTS - 1 shifts from Samuelson's bound to 1/d; a second pass of
-    INTERVAL_SHIFTS refines the gap next to each end.  lo is at least -1/2 - load_band(d):
-    a state's partial transpose has no eigenvalue below -1/2 (Rana, PRA 87, 054301 (2013)).
+    t = 0 and INTERVAL_SHIFTS - 1 shifts from Samuelson's bound to 1/d, both ends included,
+    tested in one pass: hi and lo are grid shifts, step (1/d - bound) / (INTERVAL_SHIFTS - 2),
+    except that lo is raised to -1/2 - load_band(d) when below it: a state's partial
+    transpose has no eigenvalue below -1/2 (Rana, PRA 87, 054301 (2013)).
     A box no spectrum fits can prove hi > lambda_min >= lo > hi: lo is then lowered to hi."""
     if shots < 1:  # a zero N would make the box infinite
         raise ValueError(f"shot count must be >= 1, got {shots}")
@@ -426,14 +427,8 @@ def lambda_min_interval(ps: PowerSums, shots: int) -> tuple[bool, float, float]:
     floor = 1.0 / d - float(np.sqrt((d - 1) * max(0.0, hi_p[2] / d - 1.0 / d**2)))
     t = np.append(0.0, np.linspace(floor, 1.0 / d, INTERVAL_SHIFTS - 1))
     fires, psd = _shift_tests(lo_p, hi_p, d, t)
-    hi, lo = t[fires].min(initial=1.0 / d), t[psd].max(initial=floor)
-    below, above = t[t < hi].max(initial=hi), t[t > lo].min(initial=lo)
-    # INTERVAL_SHIFTS / 2 shifts inside each gap, whose two ends were tested already
-    gap = INTERVAL_SHIFTS // 2 + 2
-    fine = np.concatenate([np.linspace(below, hi, gap)[1:-1], np.linspace(lo, above, gap)[1:-1]])
-    fine_fires, fine_psd = _shift_tests(lo_p, hi_p, d, fine)
-    hi = min(hi, fine[fine_fires].min(initial=hi))
-    lo = max(lo, fine[fine_psd].max(initial=lo), -0.5 - load_band(d))
+    hi = t[fires].min(initial=1.0 / d)
+    lo = max(t[psd].max(initial=floor), -0.5 - load_band(d))
     return bool(fires[0]), float(min(lo, hi)), float(hi)
 
 

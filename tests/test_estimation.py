@@ -349,7 +349,7 @@ def test_bootstrap_lambda_min_reports_failure():
 
 def _newton_reference(p):
     """Scalar Newton's-identity loop over one row of power sums, snapped as
-    the recovery snaps: the reference for the cumsum of _newton_coefficients."""
+    the recovery snaps: the reference for _newton_coefficients."""
     d = len(p)
     e = np.zeros(d + 1)
     e[0] = 1.0
@@ -368,6 +368,36 @@ def test_newton_coefficients_batched_equal_scalar_loop():
     sums[:, 0] = 1.0
     for p in sums:
         assert_array_equal(est._newton_coefficients(p), _newton_reference(p))
+
+
+def _newton_cumsum_reference(p):
+    """_newton_coefficients as numpy cumsums: e_m the last entry of a cumsum over the
+    products e_{m-i} (-1)^(i-1) p_i, i = 1..m, with exact sign flips, then snapped."""
+    d = len(p)
+    sign = (-1.0) ** np.arange(d + 1)
+    e = np.zeros(d + 1)
+    e[0] = 1.0
+    signed = sign[:d] * p
+    for m in range(1, d + 1):
+        e[m] = np.cumsum(e[m - 1 :: -1] * signed[:m])[-1] / m
+    coeffs = sign * e
+    coeffs[np.abs(coeffs) < est.COEFF_SNAP_TOL] = 0.0
+    return coeffs
+
+
+def test_newton_coefficients_equal_the_cumsum_form_byte_for_byte():
+    # exact and 10^6-, 100- and 2-shot estimates of random and separable states, 2x2 to
+    # 3x5, and the 3x3 and 4x4 maximally entangled states: the same bytes, -0.0 included
+    rows = [est._measure(maximally_entangled(m), est.EstimationConfig(), True)[0].p for m in (3, 4)]
+    for dims in ((2, 2), (2, 3), (2, 4), (3, 3), (2, 5), (3, 4), (3, 5)):
+        for s in range(3):
+            for rho in (states.random_density(dims, s), states.random_separable(dims, 5, s)):
+                rows.append(est._measure(rho, est.EstimationConfig(), True)[0].p)
+                for shots in (10**6, 100, 2):
+                    cfg = est.EstimationConfig(shots_per_k=shots, seed=s)
+                    rows.append(est._measure(rho, cfg, False)[0].p)
+    for p in rows:
+        assert est._newton_coefficients(p).tobytes() == _newton_cumsum_reference(p).tobytes(), p
 
 
 def test_bootstrap_sigma_matches_per_replica_reference():
@@ -822,6 +852,47 @@ def test_shift_tests_equal_the_scalar_reference(dims, n, shots):
     # both calls occur; up to 2x3 the recursion proves PSD on some shift below the spectrum
     assert {(True, False), (False, False)} <= outcomes
     assert (False, True) in outcomes or dims[0] * dims[1] > 6
+
+
+def _lambda_min_interval_reference(counts, d):
+    """lambda_min_interval from a run's counts in Python floats: the scalar box and shift
+    tests over one grid, t = 0 and INTERVAL_SHIFTS - 1 shifts from Samuelson's bound to
+    1/d; hi the least fired shift (else 1/d), lo the largest PSD shift (else the bound)
+    raised to the Rana floor -1/2 - load_band(d), then capped at hi."""
+    lo_p, hi_p = _box_reference(counts, d)
+    floor = 1.0 / d - math.sqrt((d - 1) * max(0.0, hi_p[2] / d - 1.0 / d**2))
+    t = np.append(0.0, np.linspace(floor, 1.0 / d, est.INTERVAL_SHIFTS - 1))
+    fires, psd = _shift_tests_reference(lo_p, hi_p, d, t)
+    hi = min((x for x, hit in zip(t.tolist(), fires) if hit), default=1.0 / d)
+    lo = max((x for x, ok in zip(t.tolist(), psd) if ok), default=floor)
+    lo = max(lo, -0.5 - states.load_band(d))
+    return bool(fires[0]), min(lo, hi), hi
+
+
+def test_certified_interval_is_one_grid_pass_equal_to_the_scalar_reference(monkeypatch):
+    # 8 random and 8 separable states per size at 10 and 10^6 shots, bit for bit, each
+    # interval from exactly one _shift_tests call over the INTERVAL_SHIFTS grid shifts
+    calls, shift_tests = [], est._shift_tests
+
+    def count(*args):
+        calls.append(len(args[-1]))
+        return shift_tests(*args)
+
+    monkeypatch.setattr(est, "_shift_tests", count)
+    npt_calls, runs = set(), 0
+    for dims in ((2, 2), (2, 3), (3, 3)):
+        d = dims[0] * dims[1]
+        for s in range(8):
+            for rho in (states.random_density(dims, s), states.random_separable(dims, 5, s)):
+                for shots in (10, 10**6):
+                    ps, counts = est._measure(rho, est.EstimationConfig(shots_per_k=shots, seed=s), False)
+                    got = est.lambda_min_interval(ps, shots)
+                    want = _lambda_min_interval_reference(np.array([c.n for c in counts]), d)
+                    assert got == want, (dims, s, shots, got, want)
+                    runs += 1
+                    assert calls == [est.INTERVAL_SHIFTS] * runs
+                    npt_calls.add(got[0])
+    assert npt_calls == {True, False}
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
