@@ -20,7 +20,7 @@ from . import linalg, permnet
 from .states import DensityMatrix, load_band
 
 FULL_EVOLUTION_GUARD = 4096
-# cached stage-one gather plans, each at most 16*k*d^k indices (655 KB at the guard)
+# cached stage-one gather plans, each at most 16*(k-1)*d^k indices (524 KB at the guard)
 GATHER_PLAN_CACHE_SIZE = 16
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -189,10 +189,15 @@ def _shift_sources(dims: tuple[int, int], k: int) -> np.ndarray:
 def _gather_plan(dims: tuple[int, int], k: int) -> np.ndarray:
     """Read-only (k, 4, 4, d^k) flat indices into a d x d matrix: entry
     [t, c, c', r] = e_t(src[c, r]) d + e_t(src[c', r]), src the rows of
-    `_shift_sources` and e_t the t-th base-d digit of an environment index."""
+    `_shift_sources` and e_t the t-th base-d digit of an environment index.
+    For k >= 3 rows 0 and 1 are fused into row0 d^2 + row1, indices into the
+    d^4-entry table (rho / 4) ⊗ rho, which the guard (d <= 10) keeps no larger
+    than a row; the plan is then (k - 1, 4, 4, d^k)."""
     d = dims[0] * dims[1]
     digits = np.unravel_index(_shift_sources(dims, k), [d] * k)
     plan = np.stack([e[:, None, :] * d + e[None, :, :] for e in digits])
+    if k >= 3:
+        plan = np.concatenate([plan[:1] * (d * d) + plan[1:2], plan[2:]])
     plan.flags.writeable = False
     return plan
 
@@ -214,17 +219,23 @@ def _stage_one_circuit(rho: DensityMatrix, k: int) -> np.ndarray:
     second Hadamards.  Each control value gathers through a plain shift of the
     d^k environment, and only the 16 d^k entries of the shifted state that the
     trace reads are evaluated, each as a product of k entries of rho; neither
-    rho^⊗k nor the 4 d^k x 4 d^k state is formed."""
+    rho^⊗k nor the 4 d^k x 4 d^k state is formed.  For k >= 3 the first two
+    factors are read together from the d^4-entry table (rho / 4) ⊗ rho, so a
+    call makes k - 1 gather passes over 16 d^k entries (k for k <= 2)."""
     check_circuit_size(rho.d, k)
     # The input is 1/4 J_4 ⊗ rho^⊗k (the first Hadamards take the controls from
     # |00> to |++>), so input entry (i, j) is 1/4 of the product over copies t
     # of rho[e_t(i), e_t(j)], e_t the t-th base-d digit of the environment
     # index.  The trace reads entry (c, r; c', r) of the shifted state, which
-    # is input entry (c, src[c, r]; c', src[c', r]).
-    terms = np.full((4, 4, rho.d**k), 0.25, dtype=complex)
+    # is input entry (c, src[c, r]; c', src[c', r]), formed as ((1/4 f_0) f_1) f_2 ...
+    plan = _gather_plan(tuple(rho.dims), k)
     flat = rho.matrix.ravel()
-    for plan in _gather_plan(tuple(rho.dims), k):
-        terms *= flat[plan]
+    table = flat * 0.25
+    if len(plan) < k:  # the first row reads (rho / 4) ⊗ rho
+        table = np.multiply.outer(table, flat).ravel()
+    terms = table[plan[0]]
+    for row in plan[1:]:
+        terms *= flat[row]
     return terms.sum(axis=2)
 
 

@@ -83,7 +83,8 @@ def test_check_separable_3x3_is_inconclusive(capsys, tmp_path):
 def test_gen_random_deterministic(capsys, tmp_path):
     a = gen(capsys, tmp_path, "a.json", "random", "--dims", "2", "3", "--seed", "11")
     b = gen(capsys, tmp_path, "b.json", "random", "--dims", "2", "3", "--seed", "11")
-    assert json.load(open(a)) == json.load(open(b))
+    with open(a) as fa, open(b) as fb:
+        assert json.load(fa) == json.load(fb)
 
 
 def test_gen_mix(capsys, tmp_path):

@@ -396,7 +396,20 @@ def per_call_stage_one(rho, k):
     return network.H_PAIR @ terms.sum(axis=2) @ network.H_PAIR
 
 
-@pytest.mark.parametrize("dims, kmax", [((2, 2), 5), ((2, 3), 3), ((3, 2), 3), ((3, 3), 3)])
+@pytest.mark.parametrize(
+    "dims, kmax",
+    [
+        ((2, 2), 5),
+        ((2, 3), 3),
+        ((3, 2), 3),
+        ((3, 3), 3),
+        ((2, 4), 3),
+        ((4, 2), 3),
+        ((2, 5), 3),
+        ((4, 4), 2),
+        ((2, 16), 2),
+    ],
+)
 def test_planned_stage_one_equals_per_call_gather_bit_for_bit(dims, kmax):
     for k in range(1, kmax + 1):
         for rho in circuit_inputs(dims, (21, 22)):
@@ -414,6 +427,25 @@ def test_gather_plan_is_cached_read_only():
     assert not np.array_equal(plan, network._gather_plan((3, 2), 2))
     for dims in ((2, 3), (3, 2)):
         assert_allclose(estimation.calibrate_eta_scale(dims), 2.0, atol=1e-9)
+    # from k = 3 on, copies 0 and 1 share one row into the 4^4-entry table (rho / 4) ⊗ rho
+    fused = network._gather_plan((2, 2), 5)
+    assert fused.shape == (4, 4, 4, 1024)
+    assert fused[0].max() < 4**4
+
+
+@pytest.mark.parametrize("dims, k", [((2, 2), 5), ((3, 3), 3), ((2, 5), 3), ((2, 16), 2)])
+def test_warm_circuit_call_peaks_below_three_complex_rows(dims, k):
+    # a row is the 16 d^k complex entries of one gather; forming rho^⊗k, or a
+    # table larger than a row, would break the bound
+    rho = states.random_density(dims, seed=1)
+    network.stage_two_distribution(rho, k, mode="full_evolution")
+    tracemalloc.start()
+    try:
+        network.stage_two_distribution(rho, k, mode="full_evolution")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 16 * rho.d**k * 16
 
 
 def test_gather_plan_cache_stays_bounded():
