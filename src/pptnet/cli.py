@@ -63,27 +63,21 @@ def _check_dims(dims: list[int]) -> int:
 
 
 def cmd_gen(args) -> int:
-    dims = args.dims or [2, 2]  # random and separable's default: the other kinds fix their own
     if args.kind == "bell":
         rho = states.bell_state(args.which)
     elif args.kind == "werner":
-        if args.p is None:
-            raise ValueError("werner requires --p")
         rho = states.werner(args.p)
     elif args.kind == "random":
-        _check_dims(dims)
-        rho = states.random_density(tuple(dims), args.seed)
+        _check_dims(args.dims)
+        rho = states.random_density(tuple(args.dims), args.seed)
     elif args.kind == "separable":
-        _check_dims(dims)
+        _check_dims(args.dims)
         if args.terms > permnet.TRIAL_ENTRY_BUDGET:  # one Dirichlet weight per term
             raise ValueError(f"--terms must be <= {permnet.TRIAL_ENTRY_BUDGET}, got {args.terms}")
-        rho = states.random_separable(tuple(dims), args.terms, args.seed)
-    else:  # mix; argparse restricts the choices
-        if not args.inputs:
-            raise ValueError("mix requires --inputs")
+        rho = states.random_separable(tuple(args.dims), args.terms, args.seed)
+    else:  # mix; the parser restricts the kinds
         parts = [states.load(path) for path in args.inputs]
-        dims = parts[0].dims
-        if any(p.dims != dims for p in parts):
+        if any(p.dims != parts[0].dims for p in parts):
             raise states.StateFormatError("mix inputs must share dimensions")
         weights = args.weights or [1.0] * len(parts)
         total = sum(weights)  # NaN or inf when a weight is, or when the weights overflow
@@ -92,9 +86,7 @@ def cmd_gen(args) -> int:
         weights = np.asarray(weights, dtype=float)
         weights /= weights.sum()
         m = sum(w * p.matrix for w, p in zip(weights, parts))
-        rho = states.DensityMatrix(dims, m)
-    if args.dims not in (None, list(rho.dims)):
-        raise ValueError(f"--dims {args.dims}: the {args.kind} state is {rho.d_a}x{rho.d_b}")
+        rho = states.DensityMatrix(parts[0].dims, m)
     report = states.validate(rho)
     if not report.ok:
         raise states.PhysicalityError(report)
@@ -291,19 +283,20 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 _DIMS = {"type": int, "nargs": 2, "default": [2, 2], "metavar": ("DA", "DB")}
 _SEED = {"type": _seed, "default": 0}
-
-# command -> (help, handler, {argument: add_argument keywords}), in the usage line's order
+_OUT = {"--out": {"required": True, "help": "output state file"}}
+# command -> (help, handler, {argument: add_argument keywords}), in the usage line's order; a
+# (help, {argument: keywords}) pair is a kind instead: a sub-parser of its own, read to args.kind
 COMMANDS = {
     "gen": ("generate a state file", cmd_gen, {
-        "kind": {"choices": ["bell", "werner", "random", "separable", "mix"]},
-        "--which": {"default": "phi+", "help": "bell: phi+ phi- psi+ psi-"},
-        "--p": {"type": float, "default": None, "help": "werner mixing parameter"},
-        "--dims": {**_DIMS, "default": None, "help": "random, separable (default 2 2)"},
-        "--terms": {"type": int, "default": 5, "help": "separable: product terms"},
-        "--seed": _SEED,
-        "--inputs": {"nargs": "+", "default": None, "help": "mix: state files"},
-        "--weights": {"type": float, "nargs": "+", "default": None, "help": "mix: weights"},
-        "--out": {"required": True, "help": "output state file"},
+        "bell": ("a Bell state", {
+            "--which": {"default": "phi+", "help": "phi+ phi- psi+ psi-"}, **_OUT}),
+        "werner": ("a Werner state", {
+            "--p": {"type": float, "required": True, "help": "mixing parameter"}, **_OUT}),
+        "random": ("a random state", {"--dims": _DIMS, "--seed": _SEED, **_OUT}),
+        "separable": ("a random separable state", {
+            "--dims": _DIMS, "--terms": {"type": int, "default": 5}, "--seed": _SEED, **_OUT}),
+        "mix": ("a mixture of state files", {"--inputs": {"nargs": "+", "required": True},
+                "--weights": {"type": float, "nargs": "+"}, **_OUT}),
     }),
     "check": ("exact PPT check of a state file", cmd_check, {"state": {}}),
     "simulate": ("simulate the measurement protocol", cmd_simulate, {
@@ -325,24 +318,31 @@ COMMANDS = {
 }
 
 
+def _add_arguments(parser: argparse.ArgumentParser, arguments: dict) -> None:
+    kinds = None  # made at the first kind
+    for arg, spec in arguments.items():
+        if isinstance(spec, tuple):
+            kinds = kinds or parser.add_subparsers(dest="kind", required=True)
+            _add_arguments(kinds.add_parser(arg, help=spec[0]), spec[1])
+        else:
+            parser.add_argument(arg, **spec)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built once per process: parsing leaves no state on it."""
     parser = _ArgumentParser(prog="pptnet", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pptnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, func, arguments) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_)
-        for arg, kwargs in arguments.items():
-            p.add_argument(arg, **kwargs)
-        p.set_defaults(func=func)
+    for name, (help_, _, arguments) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_), arguments)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][1](args)
     except estimation.EstimationError as exc:
         _info(f"error: {exc}")
         return 2

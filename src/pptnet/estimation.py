@@ -388,11 +388,10 @@ def _shift_tests(
     c = binom * np.vander(-t, n, increasing=True)[:, power]
     pos, neg = np.maximum(c, 0.0), np.minimum(c, 0.0)
     q_lo, q_hi = pos @ lo + neg @ hi, pos @ hi + neg @ lo  # (G, n); both ends of q_1 are 1 - d t
-    fires = np.zeros(len(t), dtype=bool)
-    if n > 3:  # f rises with q_2: its least is at the lower end
-        below = t < 1.0 / d
-        scale = np.where(below, q_lo[:, 1], 1.0)
-        fires |= below & (q_hi[:, 3] / scale**3 < _o3_floor(q_lo[:, 2] / scale**2, d))
+    below = t < 1.0 / d
+    scale = np.where(below, q_lo[:, 1], 1.0)
+    # f rises with q_2: its least is at the lower end
+    fires = below & (q_hi[:, 3] / scale**3 < _o3_floor(q_lo[:, 2] / scale**2, d))
     s = np.where(odd, [q_lo.T[1:], q_hi.T[1:]], [-q_hi.T[1:], -q_lo.T[1:]])  # (-1)^(i-1) q_i
     e = np.ones((2, n, len(t)))  # e_0 .. e_{n-1}
     terms, me = np.empty((2, 2, n - 1, len(t)))  # the ends of e_{m-i} q_i; of m e_m, m = 1..n-1

@@ -407,8 +407,10 @@ def test_main_builds_the_parser_tree_once(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli._ArgumentParser, "__init__", counting_init)
     assert cli.main(["check", path]) == 0  # the first call builds every command's parser
-    assert built == ["pptnet"] + [f"pptnet {command}" for command in cli.COMMANDS]
-    assert len(built) == 6
+    commands = [f"pptnet {command}" for command in cli.COMMANDS]  # gen first, then its kinds
+    kinds = [f"pptnet gen {kind}" for kind in GEN_OPTIONS]
+    assert built == ["pptnet", commands[0], *kinds, *commands[1:]]
+    assert len(built) == 11
     built.clear()
     assert cli.main(["check", path]) == 0  # later calls only parse
     for _ in range(2):
@@ -1010,10 +1012,42 @@ def test_calibrate(capsys):
 
 
 def test_gen_dims_default_and_agreeing_dims(capsys, tmp_path):
-    # random and separable default to 2x2; the other kinds accept --dims that match their state
-    for argv in (["random"], ["separable"], ["werner", "--p", "0.5", "--dims", "2", "2"]):
-        path = gen(capsys, tmp_path, "x.json", *argv)
-        assert states.load(path).dims == (2, 2)
+    # random and separable default to 2x2; the other kinds take no --dims
+    for kind in ("random", "separable"):
+        assert states.load(gen(capsys, tmp_path, "x.json", kind)).dims == (2, 2)
+
+
+# kind -> the options `gen <kind>` reads, and no other
+GEN_OPTIONS = {
+    "bell": ["--which", "--out"],
+    "werner": ["--p", "--out"],
+    "random": ["--dims", "--seed", "--out"],
+    "separable": ["--dims", "--terms", "--seed", "--out"],
+    "mix": ["--inputs", "--weights", "--out"],
+}
+
+
+@pytest.mark.parametrize("kind", GEN_OPTIONS)
+def test_gen_kind_help_lists_exactly_its_options(capsys, kind):
+    code, out, err = outcome(capsys, ["gen", kind, "-h"])
+    assert code == ("SystemExit", 0) and err == ""
+    assert out.startswith(f"usage: pptnet gen {kind} [-h]")
+    options = out[out.index("options:") :].split()
+    assert [word for word in options if word.startswith("--")] == ["--help", *GEN_OPTIONS[kind]]
+
+
+@pytest.mark.parametrize("kind", GEN_OPTIONS)
+def test_gen_kind_refuses_every_option_it_does_not_read(capsys, tmp_path, monkeypatch, kind):
+    # the parser refuses, so no handler runs: no state is drawn and no file written
+    monkeypatch.chdir(tmp_path)
+    values = {"--which": ["psi-"], "--p": ["0.5"], "--dims": ["2", "2"], "--seed": ["4"],
+              "--terms": ["3"], "--inputs": ["bell.json"], "--weights": ["1"]}
+    required = {"werner": ["--p", "0.5"], "mix": ["--inputs", "bell.json"]}.get(kind, [])
+    for option in (option for option in values if option not in GEN_OPTIONS[kind]):
+        argv = ["gen", kind, *required, option, *values[option], "--out", "x.json"]
+        code, out, err = outcome(capsys, argv)
+        assert code == ("SystemExit", 1) and out == "", argv
+        assert f"error: unrecognized arguments: {option}" in err, argv
 
 
 @pytest.fixture
@@ -1044,18 +1078,36 @@ BUDGET = permnet.TRIAL_ENTRY_BUDGET
 
 # id -> (argv, message); paths are relative to the refusal_files directory
 INPUT_REFUSALS = {
-    "werner without p": (["gen", "werner"], "werner requires --p"),
-    "mix without inputs": (["gen", "mix"], "mix requires --inputs"),
+    "werner without p": (["gen", "werner"], "the following arguments are required: --p"),
+    "mix without inputs": (["gen", "mix"], "the following arguments are required: --inputs"),
+    # each kind's parser holds only the options that kind reads: bell, werner and mix
+    # fix their own dims, so they take no --dims, not even their own
     "werner with foreign dims": (
-        ["gen", "werner", "--p", "0.5", "--dims", "3", "3"], "--dims [3, 3]: the werner state is 2x2"
+        ["gen", "werner", "--p", "0.5", "--dims", "3", "3"], "unrecognized arguments: --dims 3 3"
     ),
     "bell with foreign dims": (
-        ["gen", "bell", "--dims", "2", "3"], "--dims [2, 3]: the bell state is 2x2"
+        ["gen", "bell", "--dims", "2", "3"], "unrecognized arguments: --dims 2 3"
+    ),
+    "bell with its own dims": (
+        ["gen", "bell", "--dims", "2", "2"], "unrecognized arguments: --dims 2 2"
     ),
     "mix with foreign dims": (
         ["gen", "mix", "--inputs", "random_2x3.json", "--dims", "3", "2"],
-        "--dims [3, 2]: the mix state is 2x3",
+        "unrecognized arguments: --dims 3 2",
     ),
+    **{
+        f"{kind} with {option}": (
+            ["gen", kind, *required, option, *values],
+            f"unrecognized arguments: {' '.join([option, *values])}",
+        )
+        for kind, required, option, values in (
+            ("bell", [], "--p", ["0.5"]),
+            ("werner", ["--p", "0.5"], "--seed", ["4"]),
+            ("random", [], "--which", ["psi-"]),
+            ("separable", [], "--inputs", ["bell.json"]),
+            ("mix", ["--inputs", "bell.json"], "--terms", ["3"]),
+        )
+    },
     "mix of 2x2 and 2x3": (
         ["gen", "mix", "--inputs", "bell.json", "random_2x3.json"], "mix inputs must share dimensions"
     ),

@@ -364,31 +364,14 @@ def _newton_reference(p):
 
 
 def test_newton_coefficients_batched_equal_scalar_loop():
+    # uniform rows, exact and 10^6-, 100- and 2-shot estimates of random and separable
+    # states, 2x2 to 3x5, and the 3x3 and 4x4 maximally entangled states: the same bytes,
+    # -0.0 included
     sums = np.random.default_rng(6).uniform(-1.0, 1.0, (30, 12))
     sums[:, 0] = 1.0
-    for p in sums:
-        assert_array_equal(est._newton_coefficients(p), _newton_reference(p))
-
-
-def _newton_cumsum_reference(p):
-    """_newton_coefficients as numpy cumsums: e_m the last entry of a cumsum over the
-    products e_{m-i} (-1)^(i-1) p_i, i = 1..m, with exact sign flips, then snapped."""
-    d = len(p)
-    sign = (-1.0) ** np.arange(d + 1)
-    e = np.zeros(d + 1)
-    e[0] = 1.0
-    signed = sign[:d] * p
-    for m in range(1, d + 1):
-        e[m] = np.cumsum(e[m - 1 :: -1] * signed[:m])[-1] / m
-    coeffs = sign * e
-    coeffs[np.abs(coeffs) < est.COEFF_SNAP_TOL] = 0.0
-    return coeffs
-
-
-def test_newton_coefficients_equal_the_cumsum_form_byte_for_byte():
-    # exact and 10^6-, 100- and 2-shot estimates of random and separable states, 2x2 to
-    # 3x5, and the 3x3 and 4x4 maximally entangled states: the same bytes, -0.0 included
-    rows = [est._measure(maximally_entangled(m), est.EstimationConfig(), True)[0].p for m in (3, 4)]
+    rows = list(sums)
+    for m in (3, 4):
+        rows.append(est._measure(maximally_entangled(m), est.EstimationConfig(), True)[0].p)
     for dims in ((2, 2), (2, 3), (2, 4), (3, 3), (2, 5), (3, 4), (3, 5)):
         for s in range(3):
             for rho in (states.random_density(dims, s), states.random_separable(dims, 5, s)):
@@ -396,8 +379,9 @@ def test_newton_coefficients_equal_the_cumsum_form_byte_for_byte():
                 for shots in (10**6, 100, 2):
                     cfg = est.EstimationConfig(shots_per_k=shots, seed=s)
                     rows.append(est._measure(rho, cfg, False)[0].p)
+    assert len(rows) == 30 + 170
     for p in rows:
-        assert est._newton_coefficients(p).tobytes() == _newton_cumsum_reference(p).tobytes(), p
+        assert est._newton_coefficients(p).tobytes() == _newton_reference(p).tobytes(), p
 
 
 def test_bootstrap_sigma_matches_per_replica_reference():
