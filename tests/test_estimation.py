@@ -349,7 +349,8 @@ def test_bootstrap_lambda_min_reports_failure():
 
 def _newton_reference(p):
     """Scalar Newton's-identity loop over one row of power sums, snapped as
-    the recovery snaps: the reference for _newton_coefficients."""
+    the recovery snaps: the reference for _newton_coefficients. Each e_m adds
+    its terms in order i = 1..m, the sum a sequential cumsum makes."""
     d = len(p)
     e = np.zeros(d + 1)
     e[0] = 1.0
@@ -364,14 +365,18 @@ def _newton_reference(p):
 
 
 def test_newton_coefficients_batched_equal_scalar_loop():
-    # uniform rows, exact and 10^6-, 100- and 2-shot estimates of random and separable
-    # states, 2x2 to 3x5, and the 3x3 and 4x4 maximally entangled states: the same bytes,
-    # -0.0 included
+    # uniform rows at d = 12, where a pairwise sum would differ: the same bytes
     sums = np.random.default_rng(6).uniform(-1.0, 1.0, (30, 12))
     sums[:, 0] = 1.0
-    rows = list(sums)
-    for m in (3, 4):
-        rows.append(est._measure(maximally_entangled(m), est.EstimationConfig(), True)[0].p)
+    for p in sums:
+        assert est._newton_coefficients(p).tobytes() == _newton_reference(p).tobytes(), p
+
+
+def test_newton_coefficients_equal_the_cumsum_form_byte_for_byte():
+    # exact and 10^6-, 100- and 2-shot estimates of random and separable states, 2x2 to
+    # 3x5, and the 3x3 and 4x4 maximally entangled states: the same bytes as the in-order
+    # (cumsum) sum of _newton_reference, -0.0 included
+    rows = [est._measure(maximally_entangled(m), est.EstimationConfig(), True)[0].p for m in (3, 4)]
     for dims in ((2, 2), (2, 3), (2, 4), (3, 3), (2, 5), (3, 4), (3, 5)):
         for s in range(3):
             for rho in (states.random_density(dims, s), states.random_separable(dims, 5, s)):
@@ -379,7 +384,7 @@ def test_newton_coefficients_batched_equal_scalar_loop():
                 for shots in (10**6, 100, 2):
                     cfg = est.EstimationConfig(shots_per_k=shots, seed=s)
                     rows.append(est._measure(rho, cfg, False)[0].p)
-    assert len(rows) == 30 + 170
+    assert len(rows) == 170
     for p in rows:
         assert est._newton_coefficients(p).tobytes() == _newton_reference(p).tobytes(), p
 
