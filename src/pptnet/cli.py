@@ -112,8 +112,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    options = {"shots_per_k": args.shots, "seed": args.seed}  # None where left out
+    given = {name: value for name, value in options.items() if value is not None}
+    if args.exact_probabilities and given:  # no shot is drawn, so neither would be read
+        flag = "--shots" if "shots_per_k" in given else "--seed"
+        raise ValueError(f"argument {flag}: not allowed with argument --exact-probabilities")
     rho = states.load(args.state)
-    cfg = estimation.EstimationConfig(shots_per_k=args.shots, seed=args.seed)
+    cfg = estimation.EstimationConfig(**given)
     r = estimation.run_protocol(rho, cfg, exact_probabilities=args.exact_probabilities)
     method = "locc_exact" if args.exact_probabilities else "locc_shots"
     report = _report(rho, method, r, 0 if args.exact_probabilities else cfg.shots_per_k, cfg.seed)
@@ -301,8 +306,8 @@ COMMANDS = {
     "check": ("exact PPT check of a state file", cmd_check, {"state": {}}),
     "simulate": ("simulate the measurement protocol", cmd_simulate, {
         "state": {},
-        "--shots": {"type": int, "default": 100_000, "help": "shots per order k"},
-        "--seed": _SEED,
+        "--shots": {"type": int, "help": "shots per order k (default 100000)"},
+        "--seed": {"type": _seed},
         "--exact-probabilities": {
             "action": "store_true",
             "help": "feed exact outcome probabilities to the estimator (infinite-shot limit)",

@@ -65,24 +65,36 @@ class OutcomeRangeError(ValueError):
     """Outcome probabilities out of range beyond what state validation allows."""
 
 
+def _in_band(low, total, tol):
+    """The band test on rows' least entries and sums, scalars or arrays: a test that must
+    hold, so that a row holding a NaN, which fails every comparison, is out of band."""
+    return (low >= -tol) & (abs(total - 1.0) <= tol)
+
+
+def _out_of_band(k, row: np.ndarray, tol) -> OutcomeRangeError:
+    return OutcomeRangeError(f"k={k} outcome probabilities {row.tolist()} beyond {tol:.1e}")
+
+
 def outcome_rows(ks: np.ndarray, probs: np.ndarray, d: int) -> np.ndarray:
     """The (K, 4) outcome distributions of orders ks of a d-dimensional state,
     clipped to nonnegative values; OutcomeRangeError, naming the first order
     out of range, when a probability or a row's sum strays beyond that order's
     states.load_band(d, k)."""
     tols = load_band(d, ks)
-    bad = np.maximum(-probs.min(axis=-1), np.abs(probs.sum(axis=-1) - 1.0)) > tols
-    i = bad.argmax()
-    if bad[i]:
-        row, tol = probs[i].tolist(), tols[i]
-        raise OutcomeRangeError(f"k={ks[i]} outcome probabilities {row} beyond {tol:.1e}")
+    ok = _in_band(probs.min(axis=-1), probs.sum(axis=-1), tols)
+    if not ok.all():
+        i = (~ok).argmax()
+        raise _out_of_band(ks[i], probs[i], tols[i])
     return np.maximum(probs, 0.0)
 
 
 def outcome_distribution(k: int, probs: np.ndarray, d: int) -> OutcomeDistribution:
     """Order-k four-outcome distribution of a d-dimensional state: one row of `outcome_rows`."""
-    probs = np.asarray(probs, dtype=float)[None]
-    return OutcomeDistribution(k, outcome_rows(np.array([k]), probs, d)[0])
+    probs = np.asarray(probs, dtype=float)
+    tol = load_band(d, k)
+    if not _in_band(np.minimum.reduce(probs), np.add.reduce(probs), tol):
+        raise _out_of_band(k, probs, tol)
+    return OutcomeDistribution(k, np.maximum(probs, 0.0))
 
 
 _MOMENT_NAMES = ("Tr(rho_A^k)", "Tr(rho_B^k)", "Tr(rho^k)", "Tr[(rho^T_B)^k]")

@@ -118,6 +118,7 @@ def test_simulate_exact_matches_check(capsys, tmp_path):
         assert code == 0
         assert list(sim) == REPORT_KEYS
         assert sim["method"] == "locc_exact"
+        assert (sim["shots_per_k"], sim["seed"]) == (0, 0)  # no shot drawn, default seed
         assert sim["classification"] == exact["classification"] == label, name
         d = len(exact["spectrum"])
         assert len(sim["spectrum"]) == len(sim["power_sums"]) == len(exact["power_sums"]) == d
@@ -210,10 +211,10 @@ def test_simulate_accepts_state_at_validation_edge(capsys, tmp_path, eps):
     states.save(states.DensityMatrix((2, 2), np.diag([1.0, eps, -eps, 0.0])), path)
     states.load(path)
     for mode, label in (
-        ([], "PPT_INCONCLUSIVE"),
-        (["--exact-probabilities"], "PPT_CONCLUSIVE_SEPARABLE"),
+        (["--shots", "1000"], "PPT_INCONCLUSIVE"),
+        (["--exact-probabilities"], "PPT_CONCLUSIVE_SEPARABLE"),  # draws no shot
     ):
-        code, report = run(capsys, ["simulate", str(path), "--shots", "1000", *mode])
+        code, report = run(capsys, ["simulate", str(path), *mode])
         assert code == 0
         assert report["classification"] == label
         assert_allclose(report["power_sums"], [1.0, 1.0, 1.0, 1.0], atol=1e-8)
@@ -1162,6 +1163,21 @@ INPUT_REFUSALS = {
         ["simulate", "bell.json", "--shots", str(2**63)],
         f"shots_per_k must be in [1, 2**63 - 1], got {2**63}",
     ),
+    # exact mode draws no shot: an option it would not read is refused, not ignored, even
+    # at its default value, and --shots is not validated first
+    **{
+        f"simulate exact with {' '.join(argv)}": (
+            ["simulate", "bell.json", *argv],
+            f"argument {flag}: not allowed with argument --exact-probabilities",
+        )
+        for argv, flag in (
+            (["--exact-probabilities", "--shots", "0"], "--shots"),
+            (["--exact-probabilities", "--shots", "100000"], "--shots"),
+            (["--exact-probabilities", "--seed", "0"], "--seed"),
+            (["--seed", "3", "--exact-probabilities"], "--seed"),
+            (["--shots", "5", "--seed", "3", "--exact-probabilities"], "--shots"),
+        )
+    },
     # two 3600 x 3600 probes, refused before they are built
     "calibrate past the matrix guard": (["calibrate", "--dims", "60", "60"], "exceeds guard 4096"),
     "verify kmax 1": (["verify", "--kmax", "1"], "--kmax must be >= 2, got 1"),

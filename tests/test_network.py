@@ -573,6 +573,72 @@ def test_outcome_rows_name_the_first_order_out_of_range():
     assert str(err.value) == "k=2 outcome probabilities [0.5, 0.5, 0.5, -0.5] beyond 8.0e-09"
 
 
+# rows at and just past the band of test_outcome_distribution_validation, and a NaN row
+BAND_EDGE_ROWS = {
+    "5e-13": [1.0 + 5e-13, 0.0, 0.0, -5e-13],
+    "7e-9": [1.0 + 7e-9, 0.0, 0.0, -7e-9],
+    "9e-9": [1.0 + 9e-9, 0.0, 0.0, -9e-9],
+    "nan": [math.nan, 0.5, 0.5, 0.0],
+}
+
+
+def band_answer(call):
+    """The clipped row's bytes, or the refusal's type and message."""
+    try:
+        return call().tobytes()
+    except Exception as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("d, k", [(4, 1), (4, 2), (4, 3), (6, 2), (9, 3), (16, 5)])
+@pytest.mark.parametrize("row", BAND_EDGE_ROWS.values(), ids=BAND_EDGE_ROWS.keys())
+def test_one_order_and_many_share_the_band_rule(d, k, row):
+    # one order is checked on its own, not as a stack of one: same verdict, same bytes
+    row = np.array(row)
+    one = band_answer(lambda: network.outcome_distribution(k, row, d).p)
+    many = band_answer(lambda: network.outcome_rows(np.array([k]), row[None], d)[0])
+    assert one == many
+    # and as the second of two rows, behind one in band
+    rows = np.array([[0.25] * 4, row])
+    assert band_answer(lambda: network.outcome_rows(np.array([1, k]), rows, d)[1]) == many
+    if math.isnan(row[0]):
+        assert one == (network.OutcomeRangeError, f"k={k} outcome probabilities "
+                       f"[nan, 0.5, 0.5, 0.0] beyond {states.load_band(d, k):.1e}")
+
+
+def test_non_finite_readouts_are_refused():
+    # a NaN fails every comparison, so the band is a test that must hold, not one that fails
+    with pytest.raises(network.OutcomeRangeError, match=r"^k=2 outcome probabilities \[nan"):
+        network.outcome_distribution(2, [math.nan, 0.5, 0.5, 0.0], 4)
+    for value in (math.inf, -math.inf):
+        with pytest.raises(network.OutcomeRangeError):
+            network.outcome_distribution(2, [value, 0.5, 0.5, 0.0], 4)
+    m = states.bell_state("phi+").matrix.copy()
+    m[0, 1] = math.nan
+    rho = states.DensityMatrix((2, 2), m)
+    for k in (2, 3):
+        with pytest.raises(network.OutcomeRangeError, match=f"^k={k} outcome probabilities"):
+            network.stage_two_distribution(rho, k, "full_evolution")
+        with pytest.raises(ValueError, match="rho contains non-finite entries"):
+            network.stage_two_distribution(rho, k)
+
+
+def test_stage_two_readout_refuses_a_state_off_the_diagonal(monkeypatch):
+    # the Bell k = 2 controls have c[0, 0] = 1/4, so column 0 of the readout map, moved
+    # in its row 1 (entry (0, 1) of the readout state), moves that coherence by a quarter
+    bell = states.bell_state("phi+")
+    assert_allclose(network._stage_one_circuit(bell, 2)[0, 0], 0.25, atol=1e-15)
+    p = network.stage_two_distribution(bell, 2, "full_evolution").p
+    perturbed = network.READOUT_MAP.copy()
+    perturbed[1, 0] += 4e-11  # a coherence of 1e-11, within the 1e-10 tolerance
+    monkeypatch.setattr(network, "READOUT_MAP", perturbed)
+    assert_array_equal(network.stage_two_distribution(bell, 2, "full_evolution").p, p)
+    perturbed[1, 0] += 4e-6
+    with pytest.raises(RuntimeError) as err:
+        network.stage_two_distribution(bell, 2, "full_evolution")
+    assert str(err.value) == "stage-two readout state is not diagonal (max off-diagonal 1.000e-06)"
+
+
 def test_stage_two_distribution_bell_frozen():
     bell = states.bell_state("phi+")
     assert_allclose(
