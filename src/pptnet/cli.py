@@ -331,6 +331,8 @@ def _add_arguments(parser: argparse.ArgumentParser, arguments: dict) -> None:
             _add_arguments(kinds.add_parser(arg, help=spec[0]), spec[1])
         else:
             parser.add_argument(arg, **spec)
+    if kinds:  # gen's kinds take --out after the kind: `gen --out F bell` reads F as a kind
+        parser.usage = f"%(prog)s [-h] {{{','.join(kinds.choices)}}} ... --out FILE"
 
 
 @functools.cache

@@ -67,6 +67,9 @@ class DensityMatrix:
             raise StateFormatError(
                 f"matrix shape {m.shape} does not match dims {d_a}x{d_b}"
             )
+        # refused here, so no reader sees one: the k = 1 circuit reads only the diagonal
+        if not np.isfinite(m).all():
+            raise StateFormatError("matrix entries must be finite")
         object.__setattr__(self, "matrix", m)
 
     @property

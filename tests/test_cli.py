@@ -345,7 +345,6 @@ def test_help_and_version_exit_0(capsys):
             assert all(command in out for command in cli.COMMANDS)
 
 
-
 # argv the parser tree must answer byte for byte however and how often it is reached;
 # {tmp} is the test's directory, holding a Bell state in bell.json
 PARSER_GRID = [
@@ -586,72 +585,69 @@ def reference_verify_rows(dims, kmax, trials, seed, draws=None):
     return [merged[key] for key in sorted(merged)]
 
 
-def break_shift_permutation(monkeypatch):
-    """Replace every shift permutation by the identity of the same size."""
-    shift = permnet.shift_permutation
-    monkeypatch.setattr(
+def break_oracles(monkeypatch):
+    """Scale the stacked brute-force oracle state by state and put the identity of the same
+    size in place of every shift permutation, which the reference reads too (through
+    shift_trace_bruteforce, a stack of one, and build_shift_matrix).  On working code each
+    deviation is rounding noise far below 1e-13, the same for any trial or random matrix;
+    these depend on each trial's inputs, so a lost trial or a shifted stream shows."""
+    oracle, shift = permnet.shift_traces, permnet.shift_permutation
+
+    def scaled(mats, dims, k, a, b):
+        return oracle(mats, dims, k, a, b) * (1 + mats[:, 0, 0].real)
+
+    monkeypatch.setattr(permnet, "shift_traces", scaled)
+    monkeypatch.setattr(  # the identity gives Tr(m1)...Tr(mk) for Tr(m1...mk)
         permnet, "shift_permutation", lambda k, d, direction="forward": shift(k, d, "identity")
     )
 
 
+def assert_rows_match(got, ref):
+    """Same rows and statuses in the same order; chained matmul in place of multi_dot may
+    move a max_dev in its last bits."""
+    keys = [[(r["identity"], r["k"], r["status"]) for r in rows] for rows in (got, ref)]
+    assert keys[0] == keys[1]
+    for g, r in zip(got, ref):
+        assert (g["max_dev"] is None) == (r["max_dev"] is None)
+        if r["max_dev"] is not None:
+            assert abs(g["max_dev"] - r["max_dev"]) <= 1e-13 * max(1.0, r["max_dev"])
+
+
 @pytest.mark.parametrize("broken", [False, True])
-@pytest.mark.parametrize("dims, kmax, trials", [((2, 3), 3, 3), ((2, 2), 4, 4)])
-def test_verify_matches_per_trial_reference(capsys, monkeypatch, dims, kmax, trials, broken):
+@pytest.mark.parametrize(
+    "dims, kmax, trials, guard",
+    [
+        pytest.param((2, 3), 3, 3, None, id="dims0-3-3"),
+        pytest.param((2, 2), 4, 4, None, id="dims1-4-4"),
+        # 3 trials x 4^4 terms are past a brute-force guard of 3 x 4^3: its rows give way at
+        # k = 4, where the shift products still read the reference's streams
+        pytest.param((2, 2), 4, 3, 3 * 64, id="guard-3x64-dims1-4-3"),
+    ],
+)
+def test_verify_matches_per_trial_reference(capsys, monkeypatch, dims, kmax, trials, guard, broken):
+    if guard is not None:
+        monkeypatch.setattr(permnet, "BRUTEFORCE_TERM_GUARD", guard)
     if broken:
-        # On working code every deviation is rounding noise far below 1e-13, so
-        # the rows would match whichever trial or random matrix they came from.
-        # Broken oracles give deviations that depend on each trial's state and
-        # random matrices, so a lost trial or a shifted stream shows.  The
-        # stacked oracle is scaled state by state; the reference reaches it
-        # through shift_trace_bruteforce, a stack of one.  The identity in
-        # place of the shift gives Tr(m1)...Tr(mk) for Tr(m1...mk), and the
-        # reference's build_shift_matrix reads the same broken permutation.
-        oracle = permnet.shift_traces
-        monkeypatch.setattr(
-            permnet,
-            "shift_traces",
-            lambda mats, dims, k, a, b: oracle(mats, dims, k, a, b) * (1 + mats[:, 0, 0].real),
-        )
-        break_shift_permutation(monkeypatch)
+        break_oracles(monkeypatch)
     argv = ["verify", "--dims", *map(str, dims), "--kmax", str(kmax), "--trials", str(trials)]
     code, report = run(capsys, argv)
     assert code == (3 if broken else 0)
     ref = reference_verify_rows(dims, kmax, trials, seed=0)
     assert report["pass"] is all(row["status"] != "fail" for row in ref)
-    got = report["identities"]
-    assert [(r["identity"], r["k"], r["status"]) for r in got] == [
-        (r["identity"], r["k"], r["status"]) for r in ref
-    ]
-    # chained matmul in place of multi_dot may differ in the last bits
-    for g, r in zip(got, ref):
-        assert (g["max_dev"] is None) == (r["max_dev"] is None)
-        if r["max_dev"] is not None:
-            assert abs(g["max_dev"] - r["max_dev"]) <= 1e-13 * max(1.0, r["max_dev"])
+    assert_rows_match(report["identities"], ref)
+    # an order's rows do not depend on --kmax: those below it are a kmax - 1 run's, bit for bit
+    _, low = run(capsys, [*argv[:5], str(kmax - 1), *argv[6:]])
+    assert low["identities"] == [row for row in report["identities"] if row["k"] < kmax]
 
 
 def test_verify_trials_read_a_prefix_of_longer_draws(capsys, monkeypatch):
     # A trial's inputs depend on neither --trials nor --kmax: 3 trials at kmax 3
-    # are the first 3 rows of the draws of 5 trials at kmax 4.  The broken
-    # oracles of test_verify_matches_per_trial_reference make every deviation
-    # depend on its trial's state and random matrices, so a shifted row shows.
-    oracle = permnet.shift_traces
-    monkeypatch.setattr(
-        permnet,
-        "shift_traces",
-        lambda mats, dims, k, a, b: oracle(mats, dims, k, a, b) * (1 + mats[:, 0, 0].real),
-    )
-    break_shift_permutation(monkeypatch)
+    # are the first 3 rows of the draws of 5 trials at kmax 4; broken oracles show a shifted row
+    break_oracles(monkeypatch)
     code, report = run(capsys, ["verify", "--dims", "2", "3", "--kmax", "3", "--trials", "3"])
     assert code == 3
     ref = reference_verify_rows((2, 3), 3, 3, 0, reference_draws((2, 3), 4, 5, seed=0))
-    got = report["identities"]
-    assert [(r["identity"], r["k"], r["status"]) for r in got] == [
-        (r["identity"], r["k"], r["status"]) for r in ref
-    ]
-    for g, r in zip(got, ref):
-        assert (g["max_dev"] is None) == (r["max_dev"] is None)
-        if r["max_dev"] is not None:
-            assert abs(g["max_dev"] - r["max_dev"]) <= 1e-13 * max(1.0, r["max_dev"])
+    assert_rows_match(report["identities"], ref)
 
 
 def test_verify_builds_one_generator_per_input_stack(capsys, monkeypatch):
@@ -825,181 +821,130 @@ def test_identity_rows_at_the_matrix_guard_hold_no_dense_shift():
     assert ("shift_product_B", 3) in [(row["identity"], row["k"]) for row in rows]
 
 
-def test_verify_marks_guarded_checks_skipped(capsys):
-    code, report = run(capsys, ["verify", "--dims", "2", "70", "--kmax", "2", "--trials", "1"])
-    assert code == 0
-    assert report["pass"] is True
-    by_name = {row["identity"]: row for row in report["identities"]}
-    assert by_name["shift_product_B"]["status"] == "skipped"
-    assert by_name["shift_product_B"]["max_dev"] is None
-    assert by_name["transpose_power_B"]["status"] == "pass"
+TERMS, SIZE, ENTRIES = "BRUTEFORCE_TERM_GUARD", "MATRIX_SIZE_GUARD", "TRIAL_ENTRY_BUDGET"
+AB, PER_SIDE, A = [[0, 1]], [[0], [1]], [[0]]  # shift-product calls: joint, one per side, A only
+KMAX = "--kmax must be <= {} at dims [2, 2], got {}"
+TRIALS = "--trials must be <= {} at dims {}, got {}"
 
 
-def test_verify_brute_force_guard_skips_only_the_brute_force_rows(capsys, monkeypatch):
-    # 3 trials x 4^4 = 768 terms pass the guard at 3 x 64 only up to k = 3, while
-    # the shift products (2^4 = 16 <= MATRIX_SIZE_GUARD) are still checked at k = 4
-    monkeypatch.setattr(permnet, "BRUTEFORCE_TERM_GUARD", 3 * 64)
-    argv = ["verify", "--dims", "2", "2", "--kmax", "4", "--trials", "3"]
+def orders(kmax, calls, brute_to=None):
+    """The plan of k = 2..kmax: `calls` at every order, brute force up to `brute_to`."""
+    return {k: (k <= (brute_to or kmax), calls) for k in range(2, kmax + 1)}
+
+
+# id -> (permnet guard overrides, --dims, --kmax, --trials, and the plan {k: (brute force
+# admitted, shift-product calls)} that cli._verify_plan returns, or the message it refuses)
+VERIFY_PLANS = {
+    # 70^2 is past the matrix guard, 140^4 terms past the brute-force guard
+    "2x70 to k = 2": ({}, [2, 70], 2, 1, orders(2, A)),
+    "2x70 to k = 4": ({}, [2, 70], 4, 1, orders(4, A, brute_to=3)),
+    # the brute-force guard counts the terms of every trial; past it only its rows give way
+    "3 trials at 3 x 4^3 terms": ({TERMS: 3 * 64}, [2, 2], 4, 3, orders(4, AB, brute_to=3)),
+    "1 trial at 4^4 terms": ({TERMS: 4**4}, [2, 2], 4, 1, orders(4, AB)),
+    "20 trials at 4^4 terms": ({TERMS: 4**4}, [2, 2], 4, 20, orders(4, AB, brute_to=1)),
+    # at 2 x 4^3 terms and d^k <= 8, 2x2 reaches k = 3 and no check reaches k = 4
+    "k = 3 within two guards": ({TERMS: 2 * 64, SIZE: 8}, [2, 2], 3, 2, orders(3, AB)),
+    "k = 4 past two guards": ({TERMS: 2 * 64, SIZE: 8}, [2, 2], 4, 2, KMAX.format(3, 4)),
+    "k = 10^12 past two guards": (
+        {TERMS: 2 * 64, SIZE: 8}, [2, 2], 10**12, 2, KMAX.format(3, 10**12)
+    ),
+    # the entry budget counts every trial's gathers: at 2^5 entries one trial's 2^5 shift products
+    # run at k = 5, two trials' only to k = 4, and the joint (2T, d^k) ones one order less
+    "1 trial at 2^5": ({ENTRIES: 2**5}, [2, 2], 5, 1, {**orders(4, AB), 5: (True, PER_SIDE)}),
+    "2 trials at 2^5": (
+        {ENTRIES: 2**5}, [2, 2], 5, 2, {**orders(3, AB), 4: (True, PER_SIDE), 5: (True, [])}
+    ),
+    # and with brute force to k = 2 only (2 x 4^2 terms), so does the last order
+    "1 trial past k = 5": ({TERMS: 2 * 16, ENTRIES: 2**5}, [2, 2], 6, 1, KMAX.format(5, 6)),
+    "2 trials past k = 4": ({TERMS: 2 * 16, ENTRIES: 2**5}, [2, 2], 6, 2, KMAX.format(4, 6)),
+    # at 2^6 entries the stack holds four 2x2 states (4 x 16), not five, and no 3x3 one (81)
+    "4 states at 2^6": ({ENTRIES: 2**6}, [2, 2], 3, 4, orders(3, AB)),
+    "5 states at 2^6": ({ENTRIES: 2**6}, [2, 2], 3, 5, TRIALS.format(4, [2, 2], 5)),
+    "3x3 at 2^6": ({ENTRIES: 2**6}, [3, 3], 3, 1, "--dims must have d_A*d_B <= 8, got [3, 3]"),
+    # the real guards: 20 trials reach brute force up to k = 11 (20 x 4^11 <= 10^8 < 20 x 4^12)
+    # and one trial to k = 13, the shift products up to 2^12 = MATRIX_SIZE_GUARD
+    "20 trials to k = 12": ({}, [2, 2], 12, 20, orders(12, AB, brute_to=11)),
+    "1 trial to k = 13": ({}, [2, 2], 13, 1, {**orders(12, AB), 13: (True, [])}),
+    # 1024 trials of 16^3 entries fill the budget at the matrix guard; a 1025th leaves B out
+    "2x16 at 1024 trials": ({}, [2, 16], 3, 1024, orders(3, PER_SIDE)),
+    "2x16 at 1025 trials": ({}, [2, 16], 3, 1025, {2: (True, PER_SIDE), 3: (True, A)}),
+    # T states hold T x (d_A d_B)^2 entries: the real 2^22 hold 262144 2x2 states, 64 16x16
+    # states and one state of d_A*d_B = 2048
+    "2x2 at 262144 trials": ({}, [2, 2], 2, 262144, orders(2, AB)),
+    "2x2 at 262145 trials": ({}, [2, 2], 2, 262145, TRIALS.format(262144, [2, 2], 262145)),
+    "16x16 at 64 trials": ({}, [16, 16], 2, 64, orders(2, AB)),
+    "16x16 at 65 trials": ({}, [16, 16], 2, 65, TRIALS.format(64, [16, 16], 65)),
+    "2x1024 at 1 trial": ({}, [2, 1024], 2, 1, orders(2, A)),
+    "2x1024 at 2 trials": ({}, [2, 1024], 2, 2, TRIALS.format(1, [2, 1024], 2)),
+    "2x1025 at 1 trial": ({}, [2, 1025], 2, 1, "--dims must have d_A*d_B <= 2048, got [2, 1025]"),
+    "2x70 at 10^6 trials": ({}, [2, 70], 2, 10**6, TRIALS.format(213, [2, 70], 10**6)),
+}
+# admitted rows that take over half a second to run: checked at plan level only
+PLAN_ONLY = {
+    "20 trials to k = 12", "1 trial to k = 13", "2x16 at 1024 trials", "2x16 at 1025 trials",
+    "2x2 at 262144 trials", "16x16 at 64 trials", "2x1024 at 1 trial",
+}
+RUN_PLANS = {name: row for name, row in VERIFY_PLANS.items() if name not in PLAN_ONLY}
+BRUTE_FORCE_ROWS = ["transpose_power_B", "transpose_power_A", "conjugate_pair_reality",
+                    "reduced_power_A", "reduced_power_B", "combined_shift_power"]
+
+
+def planned_statuses(plan):
+    """(identity, k) -> status of every row verify reports under `plan` on working code."""
+    want = {}
+    for k, (brute, calls) in plan.items():
+        if brute:
+            names = BRUTE_FORCE_ROWS + ["purity_equality"] * (k == 2)
+            want.update(((name, k), "pass") for name in names)
+        else:  # one row stands for the brute-force rows past their guard
+            want["all_bruteforce", k] = "skipped"
+        checked = [side for call in calls for side in call]
+        for side, label in enumerate("AB"):
+            want[f"shift_product_{label}", k] = "pass" if side in checked else "skipped"
+    return want
+
+
+@pytest.mark.parametrize("overrides, dims, kmax, trials, want", VERIFY_PLANS.values(),
+                         ids=VERIFY_PLANS.keys())
+def test_verify_plan(monkeypatch, overrides, dims, kmax, trials, want):
+    for name, value in overrides.items():
+        monkeypatch.setattr(permnet, name, value)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as err:
+            cli._verify_plan(dims, kmax, trials)
+        assert str(err.value) == want
+    else:
+        assert cli._verify_plan(dims, kmax, trials) == want
+
+
+@pytest.mark.parametrize("overrides, dims, kmax, trials, want", RUN_PLANS.values(),
+                         ids=RUN_PLANS.keys())
+def test_verify_runs_its_plan(capsys, monkeypatch, overrides, dims, kmax, trials, want):
+    # the plan is verify's one reader of its limits: an admitted row reports skipped exactly
+    # where its plan leaves a check out; a refused one exits 1 before any state is drawn
+    for name, value in overrides.items():
+        monkeypatch.setattr(permnet, name, value)
+    argv = ["verify", "--dims", *map(str, dims), "--kmax", str(kmax), "--trials", str(trials)]
+    if isinstance(want, str):
+        monkeypatch.setattr(states, "random_densities", lambda *args: pytest.fail("state drawn"))
+        assert outcome(capsys, argv) == (1, "", f"error: {want}\n")
+        with pytest.raises(ValueError) as err:  # the suite refuses on its own
+            cli._identity_rows(dims, kmax, trials, 0)
+        assert str(err.value) == want
+        return
     code, report = run(capsys, argv)
     assert code == 0 and report["pass"] is True
-    at_4 = {row["identity"]: row for row in report["identities"] if row["k"] == 4}
-    assert at_4["all_bruteforce"] == {
-        "identity": "all_bruteforce", "k": 4, "max_dev": None, "status": "skipped"
-    }
-    assert at_4.keys() == {"all_bruteforce", "shift_product_A", "shift_product_B"}
-    for name in ("shift_product_A", "shift_product_B"):
-        assert at_4[name]["status"] == "pass" and at_4[name]["max_dev"] < cli.IDENTITY_TOL
-    # the orders below the guard are unchanged by the rows past it
-    _, low = run(capsys, argv[:-3] + ["3", "--trials", "3"])
-    assert low["identities"] == [row for row in report["identities"] if row["k"] <= 3]
-    # a wrong shift permutation makes each deviation depend on its trial's random
-    # matrices, so the draws past the guard must come from the reference's streams
-    break_shift_permutation(monkeypatch)
-    code, broken = run(capsys, argv)
-    assert code == 3
-    ref = reference_verify_rows((2, 2), 4, 3, seed=0)
-    assert [(r["identity"], r["k"], r["status"]) for r in broken["identities"]] == [
-        (r["identity"], r["k"], r["status"]) for r in ref
-    ]
-    for g, r in zip(broken["identities"], ref):
-        assert (g["max_dev"] is None) == (r["max_dev"] is None)
-        if r["max_dev"] is not None:
-            assert abs(g["max_dev"] - r["max_dev"]) <= 1e-13 * max(1.0, r["max_dev"])
+    rows, statuses = report["identities"], planned_statuses(want)
+    assert len(rows) == len(statuses)
+    assert {(row["identity"], row["k"]): row["status"] for row in rows} == statuses
+    assert all((row["max_dev"] is None) == (row["status"] == "skipped") for row in rows)
 
 
-def test_verify_shift_product_runs_past_the_brute_force_guard(capsys):
-    # 140^4 terms are past the brute-force guard, 2^4 is far inside the matrix guard
-    code, report = run(capsys, ["verify", "--dims", "2", "70", "--kmax", "4", "--trials", "1"])
-    assert code == 0 and report["pass"] is True
-    at_4 = {row["identity"]: row["status"] for row in report["identities"] if row["k"] == 4}
-    assert at_4 == {
-        "all_bruteforce": "skipped", "shift_product_A": "pass", "shift_product_B": "skipped"
-    }
-
-
-def test_verify_refuses_orders_past_every_guard(capsys, monkeypatch):
-    # with the guards at 2 trials x 64 terms and d^k <= 8, 2x2 reaches k = 3 (2 x 4^3 = 128,
-    # 2^3 = 8) and no check reaches k = 4; 10^12 is refused at once, before any moment
-    # table is sized
-    monkeypatch.setattr(permnet, "BRUTEFORCE_TERM_GUARD", 2 * 64)
-    monkeypatch.setattr(permnet, "MATRIX_SIZE_GUARD", 8)
-    code, report = run(capsys, ["verify", "--kmax", "3", "--trials", "2"])
-    assert code == 0 and report["pass"] is True
-    assert {row["status"] for row in report["identities"] if row["k"] == 3} == {"pass"}
-    for kmax in ("4", "1000000000000"):
-        code = cli.main(["verify", "--kmax", kmax, "--trials", "2"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert f"--kmax must be <= 3 at dims [2, 2], got {kmax}" in captured.err
-
-
-def test_verify_brute_force_guard_counts_every_trial(capsys, monkeypatch):
-    # the real guard admits the default 20 trials up to k = 11 (INPUT_REFUSALS refuses k = 13)
-    assert 20 * 4**11 <= permnet.BRUTEFORCE_TERM_GUARD < 20 * 4**12
-    # at a guard of 4^4 terms, one 2x2 state is checked by brute force at k = 4,
-    # while 20 states (20 x 4^4 terms in one oracle call) are not
-    monkeypatch.setattr(permnet, "BRUTEFORCE_TERM_GUARD", 4**4)
-    at_4 = {}
-    for trials in ("1", "20"):
-        code, report = run(capsys, ["verify", "--kmax", "4", "--trials", trials])
-        assert code == 0 and report["pass"] is True
-        rows = report["identities"]
-        at_4[trials] = {row["identity"]: row["status"] for row in rows if row["k"] == 4}
-    assert at_4["1"]["transpose_power_B"] == "pass" and "all_bruteforce" not in at_4["1"]
-    assert at_4["20"] == {
-        "all_bruteforce": "skipped", "shift_product_A": "pass", "shift_product_B": "pass"
-    }
-    mats = np.array([states.werner(0.5).matrix] * 20)
-    assert permnet.shift_traces(mats[:1], (2, 2), 4, "inverse", "forward").shape == (1,)
-    with pytest.raises(ValueError, match="20 x 4\\^4 terms exceed the brute-force guard"):
-        permnet.shift_traces(mats, (2, 2), 4, "inverse", "forward")
-
-
-def test_verify_shift_product_guard_counts_every_trial(capsys, monkeypatch):
-    # at an entry budget of 2^5, which admits the stack of two 2x2 states (2 x 16
-    # entries), one trial's 2^5 shift product is checked at k = 5, while two
-    # trials (2 x 2^5 entries in one gather) are not
-    monkeypatch.setattr(permnet, "TRIAL_ENTRY_BUDGET", 2**5)
-    at_k = {}
-    for trials in ("1", "2"):
-        code, report = run(capsys, ["verify", "--kmax", "5", "--trials", trials])
-        assert code == 0 and report["pass"] is True
-        for row in report["identities"]:
-            if row["identity"].startswith("shift_product"):
-                at_k[trials, row["identity"], row["k"]] = row["status"]
-    for label in ("A", "B"):
-        assert [at_k["1", f"shift_product_{label}", k] for k in (2, 3, 4, 5)] == ["pass"] * 4
-        assert [at_k["2", f"shift_product_{label}", k] for k in (2, 3, 4, 5)] == [
-            "pass", "pass", "pass", "skipped"
-        ]
-    # the default 20 trials at 2^12 entries and 1024 trials at the matrix guard stay admitted
-    monkeypatch.undo()
-    assert cli._verify_plan([2, 2], 12, 20)[12] == (False, [[0, 1]])
-    assert cli._verify_plan([2, 16], 3, 1024)[3] == (True, [[0], [1]])
-    assert cli._verify_plan([2, 16], 3, 1025)[3] == (True, [[0]])
-    assert cli._verify_plan([2, 2], 13, 1)[13] == (True, [])
-
-
-def test_verify_refusal_counts_the_trials_of_the_shift_products(capsys, monkeypatch):
-    # brute force reaches k = 2 for one or two trials (2 x 4^2 = 32 terms); at an entry
-    # budget of 2^5, which admits both stacks, the gathers reach k = 5 for one trial
-    # (2^5 entries) but only k = 4 for two
-    monkeypatch.setattr(permnet, "BRUTEFORCE_TERM_GUARD", 2 * 16)
-    monkeypatch.setattr(permnet, "TRIAL_ENTRY_BUDGET", 2**5)
-    monkeypatch.setattr(states, "random_densities", lambda *args: pytest.fail("--kmax 6 admitted"))
-    for trials, last in (("1", 5), ("2", 4)):
-        code = cli.main(["verify", "--kmax", "6", "--trials", trials])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert f"--kmax must be <= {last} at dims [2, 2], got 6" in captured.err
-
-
-def test_verify_state_stack_refusal_names_the_flag_that_trips(capsys, monkeypatch):
-    # at an entry budget of 2^6, four 2x2 states (4 x 16 entries) are admitted and
-    # five are not; one 3x3 state (81 entries) is past the budget at any --trials
-    monkeypatch.setattr(permnet, "TRIAL_ENTRY_BUDGET", 2**6)
-    code, report = run(capsys, ["verify", "--kmax", "3", "--trials", "4"])
-    assert code == 0 and report["pass"] is True
-    monkeypatch.setattr(states, "random_densities", lambda *args: pytest.fail("state drawn"))
-    for argv, message in (
-        (["--trials", "5"], "--trials must be <= 4 at dims [2, 2], got 5"),
-        (["--dims", "3", "3", "--trials", "1"], "--dims must have d_A*d_B <= 8, got [3, 3]"),
-    ):
-        code = cli.main(["verify", "--kmax", "3", *argv])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert message in captured.err
-        assert "Traceback" not in captured.err
-    # the suite refuses on its own, before it draws a state
-    with pytest.raises(ValueError, match=r"--trials must be <= 4 at dims \[2, 2\], got 5"):
-        cli._identity_rows([2, 2], 3, 5, 0)
-    with pytest.raises(ValueError, match=r"--dims must have d_A\*d_B <= 8, got \[3, 3\]"):
-        cli._identity_rows([3, 3], 3, 1, 0)
-
-
-def test_verify_entry_budget_bounds_the_state_stack(capsys, monkeypatch):
-    # at the real budget of 2^22 entries, read from the plan alone: 2x2 up to
-    # 262144 trials, 16x16 up to 64, one state up to d_A*d_B = 2048
+def test_verify_entry_budget_bounds_the_state_stack(capsys):
+    # a VERIFY_PLANS row run: 262144 2x2 states fill 2^22 entries, each stack one seeded draw
     assert permnet.TRIAL_ENTRY_BUDGET == 2**22 < permnet.BRUTEFORCE_TERM_GUARD
-    for dims, most in (([2, 2], 2**18), ([16, 16], 64), ([2, 1024], 1)):
-        assert cli._verify_plan(dims, 2, most)[2][0]  # brute force runs at k = 2
-        with pytest.raises(ValueError, match=f"--trials must be <= {most} at dims"):
-            cli._verify_plan(dims, 2, most + 1)
-    with pytest.raises(ValueError, match="--dims must have d_A\\*d_B <= 2048, got \\[2, 1025\\]"):
-        cli._verify_plan([2, 1025], 2, 1)
-    # the edge runs: each input stack is one seeded draw
     code, report = run(capsys, ["verify", "--dims", "2", "2", "--kmax", "2", "--trials", "262144"])
     assert code == 0 and report["pass"] is True
-    # a million 2x70 states would be a 313 GB stack: refused before any is drawn
-    monkeypatch.setattr(states, "random_densities", lambda *args: pytest.fail("state drawn"))
-    code = cli.main(["verify", "--dims", "2", "70", "--kmax", "2", "--trials", "1000000"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "--trials must be <= 213 at dims [2, 70], got 1000000" in captured.err
 
 
 def test_calibrate(capsys):
@@ -1109,6 +1054,11 @@ INPUT_REFUSALS = {
             ("mix", ["--inputs", "bell.json"], "--terms", ["3"]),
         )
     },
+    # --out goes after the kind, as the usage line says: before it, its file reads as the kind
+    "gen with --out before the kind": (
+        ["gen", "--out", "x.json", "bell"],
+        "... --out FILE\npptnet gen: error: argument kind: invalid choice: 'x.json'",
+    ),
     "mix of 2x2 and 2x3": (
         ["gen", "mix", "--inputs", "bell.json", "random_2x3.json"], "mix inputs must share dimensions"
     ),
@@ -1237,7 +1187,7 @@ def test_incomplete_or_malformed_inputs_exit_1(capsys, monkeypatch, refusal_file
     monkeypatch.chdir(refusal_files)
     for draw in ("random_density", "random_separable", "random_densities"):
         monkeypatch.setattr(states, draw, lambda *args, draw=draw: pytest.fail(f"{draw} called"))
-    if argv[:1] == ["gen"]:
+    if argv[:1] == ["gen"] and "--out" not in argv:
         argv = [*argv, "--out", "out.json"]
     files = {path.name: path.read_bytes() for path in refusal_files.iterdir()}
     code, out, err = outcome(capsys, argv)

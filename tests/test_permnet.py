@@ -269,8 +269,17 @@ def test_shift_trace_bruteforce_one_sided_gives_marginal_power():
     assert_allclose(got, want, atol=1e-10)
 
 
-def test_shift_trace_bruteforce_term_guard():
+def test_shift_trace_bruteforce_term_guard(monkeypatch):
+    # the guard counts the terms of every state in one call: the real one admits 20 2x2
+    # states up to k = 11 and one state up to k = 13
+    assert 20 * 4**11 <= permnet.BRUTEFORCE_TERM_GUARD < 20 * 4**12
     rho = states.DensityMatrix((2, 2), np.eye(4, dtype=complex) / 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^1 x 4\^14 terms exceed the brute-force guard$"):
         permnet.shift_trace_bruteforce(rho, 14, "inverse", "forward")
+    # at a guard of 4^4 terms, one 2x2 state is admitted at k = 4 and 20 states are not
+    monkeypatch.setattr(permnet, "BRUTEFORCE_TERM_GUARD", 4**4)
+    mats = np.array([states.werner(0.5).matrix] * 20)
+    assert permnet.shift_traces(mats[:1], (2, 2), 4, "inverse", "forward").shape == (1,)
+    with pytest.raises(ValueError, match=r"^20 x 4\^4 terms exceed the brute-force guard$"):
+        permnet.shift_traces(mats, (2, 2), 4, "inverse", "forward")
 

@@ -1,6 +1,7 @@
 """Tests for state construction, validation, and file IO."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -188,8 +189,21 @@ def test_load_rejects_non_finite_entries(tmp_path, entry):
     doc = json.loads(path.read_text())
     doc["matrix"][1][2][1] = float(entry)
     path.write_text(json.dumps(doc))  # written as the bare token
-    with pytest.raises(states.StateFormatError, match="must be finite"):
+    # load names the file, before the matrix reaches DensityMatrix's own refusal
+    message = f"^{re.escape(str(path))}: matrix entries must be finite$"
+    with pytest.raises(states.StateFormatError, match=message):
         states.load(path)
+
+
+@pytest.mark.parametrize("dims, entry", [((2, 2), (0, 1)), ((2, 3), (1, 2))])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_density_matrix_refuses_non_finite_entries(dims, entry, value):
+    # refused when built, so no readout mode meets one: the full-evolution k = 1 circuit
+    # reads only the diagonal, and once returned finite probabilities for a NaN off it
+    m = states.random_density(dims, 0).matrix.copy()
+    m[entry] = value
+    with pytest.raises(states.StateFormatError, match="^matrix entries must be finite$"):
+        states.DensityMatrix(dims, m)
 
 
 @pytest.mark.parametrize(
