@@ -213,8 +213,9 @@ def _measure(
     probs = network.outcome_rows(ks, network.stage_two_probabilities(rows), rho.d)
     p, se = np.ones(rho.d), np.zeros(rho.d)
     if exact:
-        # row by row: a stacked (d-1, 4) @ PARITY product rounds differently
-        p[1:] = [row @ network.PARITY for row in probs]
+        # row by row: a stacked (d-1, 4) @ PARITY product rounds differently; one exact cast
+        parity = network.PARITY.astype(float)
+        p[1:] = [row @ parity for row in probs]
         return PowerSums(p, "exact", se), None
     dists = [network.OutcomeDistribution(k, row) for k, row in zip(ks.tolist(), probs)]
     counts = [
@@ -255,19 +256,20 @@ def _newton_coefficients(p: np.ndarray) -> np.ndarray:
 def _cluster_multiple_roots(roots: np.ndarray, tol: float) -> np.ndarray:
     """Replace groups of mutually close roots by their common centroid; the
     centroid of a conjugate-closed cluster cancels the leading splitting error
-    of a multiple root."""
+    of a multiple root.  Roots are taken in ascending real part, each joining
+    the last cluster when within tol of its centroid.  A centroid is computed
+    only when its cluster grows, as np.mean of the members so far (a lone
+    root is its own), and serves every later test and every member."""
     clusters: list[list[complex]] = []
-    for r in roots[np.argsort(roots.real)]:
-        if clusters and abs(r - _centroid(clusters[-1])) < tol:
+    centroids: list[complex] = []
+    for r in roots[np.argsort(roots.real)].tolist():
+        if clusters and abs(r - centroids[-1]) < tol:
             clusters[-1].append(r)
+            centroids[-1] = np.mean(clusters[-1])
         else:
             clusters.append([r])
-    return np.array([_centroid(c).real for c in clusters for _ in c])
-
-
-def _centroid(cluster: list[complex]) -> complex:
-    # the mean of one root is that root: np.mean runs only on clusters of two or more
-    return cluster[0] if len(cluster) == 1 else np.mean(cluster)
+            centroids.append(r)
+    return np.array([c.real for c, members in zip(centroids, clusters) for _ in members])
 
 
 def spectrum_from_power_sums(ps: PowerSums) -> Spectrum:
@@ -284,7 +286,7 @@ def spectrum_from_power_sums(ps: PowerSums) -> Spectrum:
     roots = np.roots(_newton_coefficients(ps.p))
     exact = ps.source == "exact"
     cap = EXACT_IMAG_CAP if exact else SHOT_IMAG_CAP
-    residual = float(np.max(np.abs(roots.imag)))
+    residual = float(abs(roots.imag).max())
     if residual > cap:
         raise SpectrumTooNoisyError(f"root imaginary residual {residual:.3e} exceeds cap {cap:.3e}")
     lambdas = _cluster_multiple_roots(roots, CLUSTER_TOL) if exact else roots.real

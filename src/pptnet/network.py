@@ -119,30 +119,37 @@ def moment_tables(mats: np.ndarray, dims: tuple[int, int], kmax: int) -> np.ndar
         Tr(rho_A^k), Tr(rho_B^k), Tr(rho^k), Tr[(rho^T_B)^k]
 
     of state t, computed from accumulated products of the reduced states, rho
-    and its partial transpose, each taken by `linalg` on the whole stack
-    (never from rho^⊗k).  No column is needed for the other transpose:
-    rho^T_A = (rho^T_B)^T has the same power traces.
+    and its partial transpose (never from rho^⊗k).  `linalg` takes the partial
+    transpose of the whole stack, converting and checking it once; the reduced
+    states are read off the checked copy.  No column is needed for the other
+    transpose: rho^T_A = (rho^T_B)^T has the same power traces.
 
-    rho_A and rho_B each run their own chain of products and (rho, rho^T_B)
-    share one; every product has the size of a single state's, so a table
-    does not depend on the other states of the stack, bit for bit.  An
-    imaginary part beyond order k's states.load_band is an input error.
+    (rho, rho^T_B) share one chain of products, and so do rho_A and rho_B when
+    d_a = d_b (each runs its own otherwise); every product has the size of a
+    single state's, so a table does not depend on the other states of the
+    stack, bit for bit.  An imaginary part beyond order k's states.load_band is
+    an input error.
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
+    d_a, d_b = dims
     trials = len(mats)
-    full = _power_traces(np.concatenate([mats, linalg.partial_transpose(mats, *dims, "B")]), kmax)
-    columns = (
-        _power_traces(linalg.partial_trace(mats, dims, 0), kmax),
-        _power_traces(linalg.partial_trace(mats, dims, 1), kmax),
-        full[:trials],
-        full[trials:],
-    )
-    tables = np.stack(columns, axis=-1)
-    bands = load_band(mats.shape[-1], np.arange(1, kmax + 1))
-    excess = np.abs(tables.imag) - bands[:, None]
-    z, k, j = np.unravel_index(np.argmax(excess), tables.shape)
-    if excess[z, k, j] > 0:
+    both = np.concatenate([mats, linalg.partial_transpose(mats, d_a, d_b, "B")])
+    full = _power_traces(both, kmax)
+    # the table and the reduced states come after the chain, whose memory peak they would raise
+    tables = np.empty((trials, kmax, 4), dtype=complex)
+    columns = tables.transpose(2, 0, 1)  # (4, T, kmax) view
+    columns[2:] = full.reshape(2, trials, kmax)
+    t = both[:trials].reshape(trials, d_a, d_b, d_a, d_b)
+    reduced = np.einsum("zabcb->zac", t), np.einsum("zabad->zbd", t)
+    if d_a == d_b:
+        columns[:2] = _power_traces(np.concatenate(reduced), kmax).reshape(2, trials, kmax)
+    else:
+        columns[0], columns[1] = (_power_traces(r, kmax) for r in reduced)
+    bands = load_band(both.shape[-1], np.arange(1, kmax + 1))
+    excess = abs(tables.imag) - bands[:, None]
+    if excess.max() > 0:
+        z, k, j = np.unravel_index(excess.argmax(), tables.shape)
         raise ValueError(
             f"{_MOMENT_NAMES[j]} at k={k + 1} has imaginary part "
             f"{tables[z, k, j].imag:.3e} beyond the load band {bands[k]:.3e}"
@@ -172,10 +179,13 @@ def stage_one_template(row: np.ndarray) -> np.ndarray:
 def stage_two_probabilities(rows: np.ndarray) -> np.ndarray:
     """Analytic four-outcome readout probabilities, (..., 4), from (..., 4)
     rows of the moment table; their alternating sum is eta = Tr[(rho^T_B)^k]."""
-    t_a, t_b, _, eta = np.moveaxis(rows, -1, 0)
+    t_a, t_b, eta = rows[..., 0], rows[..., 1], rows[..., 3:]
     mu1, mu2 = t_a + t_b, t_a - t_b
-    marginals = np.stack([1 + mu1, 1 - mu2, 1 + mu2, 1 - mu1], axis=-1)
-    return (marginals + eta[..., None] * PARITY) / 4.0
+    probs = np.empty(rows.shape)
+    probs[..., 0], probs[..., 1], probs[..., 2], probs[..., 3] = 1 + mu1, 1 - mu2, 1 + mu2, 1 - mu1
+    probs += eta * PARITY
+    probs /= 4.0
+    return probs
 
 
 def _analytic(mode: str) -> bool:

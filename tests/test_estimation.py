@@ -283,6 +283,61 @@ def test_spectrum_estimated_source_skips_clustering():
     assert np.all(np.diff(spec.lambdas) <= 0)
 
 
+def _cluster_reference(roots, tol):
+    """Root clustering with the centroid recomputed by np.mean for every root
+    tested and again for every member returned."""
+
+    def centroid(cluster):
+        return cluster[0] if len(cluster) == 1 else np.mean(cluster)
+
+    clusters = []
+    for r in roots[np.argsort(roots.real)]:
+        if clusters and abs(r - centroid(clusters[-1])) < tol:
+            clusters[-1].append(r)
+        else:
+            clusters.append([r])
+    return np.array([centroid(c).real for c in clusters for _ in c])
+
+
+def exact_mode_roots(rho):
+    ps = est.estimate_power_sums(rho, est.EstimationConfig(), exact_probabilities=True)
+    return np.roots(est._newton_coefficients(ps.p))
+
+
+def synthetic_root_sets(seed):
+    """Roots in clusters of 8 to 23 members (numpy's pairwise sums start at 8
+    terms), conjugate pairs split by up to CLUSTER_TOL / 20, beside three lone
+    roots and zeros of either sign."""
+    rng = np.random.default_rng(seed)
+    for size in range(8, 24):
+        spread = est.CLUSTER_TOL / 20
+        centre = rng.uniform(-0.5, 1.0)
+        half = rng.uniform(-spread, spread, size // 2) + 1j * rng.uniform(0, spread, size // 2)
+        parts = [centre + half, centre + half.conj(), [centre] * (size % 2)]
+        # a cluster of signed zeros, or one lone negative zero
+        zeros = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0)] if size % 2 else [-0.0]
+        parts += [rng.uniform(-0.5, 1.0, 3), zeros]
+        roots = np.concatenate(parts).astype(complex)
+        yield roots[rng.permutation(len(roots))]
+
+
+def test_root_clustering_equals_the_per_member_mean_reference_byte_for_byte():
+    rhos = [states.werner(p / 20) for p in range(21)]
+    rhos += [states.bell_state(w) for w in ("phi+", "phi-", "psi+", "psi-")]
+    rhos.append(states.DensityMatrix((2, 2), np.eye(4) / 4))
+    for dims in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4), (4, 4), (2, 5)]:
+        for seed in range(3):
+            rhos += [states.random_separable(dims, terms, seed) for terms in (1, 2, 5, 9)]
+            rhos.append(states.random_density(dims, seed))
+    cases = [exact_mode_roots(rho) for rho in rhos]
+    cases += [roots for seed in range(4) for roots in synthetic_root_sets(seed)]
+    assert len(cases) == 210
+    for roots in cases:
+        want = _cluster_reference(roots, est.CLUSTER_TOL)
+        got = est._cluster_multiple_roots(roots, est.CLUSTER_TOL)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_verdict_frozen_cases():
     npt = est.verdict(est.Spectrum(np.array([0.5, 0.5, 0.5, -0.5]), 0.0), (2, 2))
     assert npt.classification == est.NPT_ENTANGLED

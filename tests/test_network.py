@@ -321,6 +321,26 @@ def test_moment_tables_gate_imaginary_parts_at_the_load_band():
                 network.moment_tables(m[None], (2, 2), 4)
 
 
+@pytest.mark.parametrize(
+    "dims, off, message",
+    [
+        ((2, 2), 0.1, "Tr(rho_B^k) at k=3 has imaginary part 3.000e-02 beyond the load band 1.200e-08"),
+        ((2, 3), 0.05, "Tr(rho_B^k) at k=2 has imaginary part 5.000e-03 beyond the load band 1.200e-08"),
+    ],
+    ids=["2x2", "2x3"],
+)
+def test_moment_table_refusal_names_the_largest_excess_of_the_stack(dims, off, message):
+    # state 0 is out of band first (order 1, three bands' worth of imaginary trace), but
+    # state 1's non-Hermitian pair gives rho_B a larger excess: the refusal names that one
+    d = dims[0] * dims[1]
+    mats = np.array([np.eye(d, dtype=complex) / d] * 3)
+    mats[0, 0, 0] += 3j * states.load_band(d)
+    mats[1, 0, 1], mats[1, 1, 0] = off * 1j, off
+    with pytest.raises(ValueError) as info:
+        network.moment_tables(mats, dims, d)
+    assert str(info.value) == message
+
+
 def test_stage_one_state_maximally_mixed_frozen():
     rho = states.DensityMatrix((2, 2), np.eye(4, dtype=complex) / 4)
     got = network.stage_one_state(rho, 2).matrix
